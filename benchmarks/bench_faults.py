@@ -51,7 +51,6 @@ or through pytest (the CI smoke pass)::
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -65,6 +64,8 @@ from repro.store import (DataStore, FederatedStore, MatchesAttr,
                          NetworkModel, Site)
 from repro.transport.environments import PROFILES
 
+from results import record_result
+
 BASELINE_PATH = Path(__file__).parent / "baselines" / "faults.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
@@ -75,20 +76,6 @@ OVERHEAD = BASELINE["overhead"]
 
 #: The standard plan every gate runs under (ISSUE 9's scenario).
 STANDARD = parse_fault_plan("standard")
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one gate's measurements into $BENCH_RESULTS (if set)."""
-    target = os.environ.get("BENCH_RESULTS")
-    if not target:
-        return
-    path = Path(target)
-    results = {}
-    if path.exists():
-        results = json.loads(path.read_text(encoding="utf-8"))
-    results[section] = payload
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 # -- federation ------------------------------------------------------------
@@ -143,7 +130,7 @@ def test_federation_recovery():
           f"{ledger.total_faults} fault(s) injected, "
           f"{ledger.failovers} failover(s), {ledger.retries} retr(y/ies), "
           f"{ledger.stale_summaries} stale summar(y/ies)")
-    _record("federation_recovery", {
+    record_result("federation_recovery", {
         "queries": queries, "mismatches": mismatches,
         "faults": ledger.total_faults, "recovered": ledger.recovered,
         "unrecovered": ledger.unrecovered, "absorbed": ledger.absorbed,
@@ -196,7 +183,7 @@ def test_serving_availability(tmp_path):
           f"{ledger.total_faults} fault(s), {ledger.degraded_replays} "
           f"degraded replay(s), {ledger.degraded_solves} degraded "
           f"solve(s), {ledger.worker_crashes} worker crash(es)")
-    _record("serving_availability", {
+    record_result("serving_availability", {
         "replays": faulted.replays, "fault_free_replays": plain.replays,
         "availability": round(availability, 4),
         "faults": ledger.total_faults,
@@ -234,7 +221,7 @@ def test_ingest_recovery(tmp_path):
           f"fault(s), {ledger.retried_documents} retried, "
           f"{ledger.quarantined} quarantined, {ledger.worker_crashes} "
           f"worker crash(es)")
-    _record("ingest_recovery", {
+    record_result("ingest_recovery", {
         "documents": len(faulted.documents),
         "faults": ledger.total_faults,
         "retried_documents": ledger.retried_documents,
@@ -286,7 +273,7 @@ def test_overhead(tmp_path):
           f"armed-idle {idle_s * 1000:.1f}ms -> {ratio:.2f}x "
           f"(cap {OVERHEAD['max_armed_ratio']}x); standard plan "
           f"{standard_s * 1000:.1f}ms (recovery work, ungated)")
-    _record("overhead", {
+    record_result("overhead", {
         "disabled_ms": round(disabled_s * 1000, 2),
         "armed_idle_ms": round(idle_s * 1000, 2),
         "standard_plan_ms": round(standard_s * 1000, 2),

@@ -53,25 +53,13 @@ from repro.corpus.ingest import INGEST_STAGES
 from repro.pipeline.program import BatchPlayer
 from repro.transport.environments import WORKSTATION
 
+from results import record_result
+
 BASELINE_PATH = Path(__file__).parent / "baselines" / "kernels.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
 REPLAY = BASELINE["replay_kernel"]
 WORKERS = BASELINE["ingest_workers"]
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one gate's measurements into $BENCH_RESULTS (if set)."""
-    target = os.environ.get("BENCH_RESULTS")
-    if not target:
-        return
-    path = Path(target)
-    results = {}
-    if path.exists():
-        results = json.loads(path.read_text(encoding="utf-8"))
-    results[section] = payload
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _usable_cores() -> int:
@@ -114,7 +102,7 @@ def test_replay_kernel_speedup():
     print(f"\n[kernels] quiet replay x{replays} @ {REPLAY['events']} "
           f"events: python {python_s * 1000:.1f}ms, "
           f"numpy {numpy_s * 1000:.1f}ms -> {speedup:.1f}x")
-    _record("replay_kernel", {
+    record_result("replay_kernel", {
         "events": REPLAY["events"], "replays": replays,
         "python_ms": round(python_s * 1000, 2),
         "numpy_ms": round(numpy_s * 1000, 2),
@@ -155,7 +143,7 @@ def test_ingest_workers_speedup(tmp_path):
           f"{serial.wall_seconds * 1000:.0f}ms, workers={workers} "
           f"{sharded.wall_seconds * 1000:.0f}ms -> {speedup:.1f}x "
           f"({cores} core(s) usable)")
-    _record("ingest_workers", {
+    record_result("ingest_workers", {
         "documents": WORKERS["documents"], "workers": workers,
         "cores": cores,
         "serial_ms": round(serial.wall_seconds * 1000, 1),

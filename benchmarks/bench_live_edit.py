@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from pathlib import Path
 
@@ -57,24 +56,12 @@ from repro.serving import SessionEngine
 from repro.timing.schedule import schedule_for
 from repro.transport.environments import PERSONAL_SYSTEM, WORKSTATION
 
+from results import record_result
+
 BASELINE_PATH = Path(__file__).parent / "baselines" / "live_edit.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
 LIVE = BASELINE["live_edit"]
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one gate's measurements into $BENCH_RESULTS (if set)."""
-    target = os.environ.get("BENCH_RESULTS")
-    if not target:
-        return
-    path = Path(target)
-    results = {}
-    if path.exists():
-        results = json.loads(path.read_text(encoding="utf-8"))
-    results[section] = payload
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _environments():
@@ -269,7 +256,7 @@ def test_live_edit_speedup():
           f"{naive_s * 1000:.1f}ms -> {speedup:.1f}x "
           f"(programs {stats.programs_patched}p/"
           f"{stats.programs_recompiled}r)")
-    _record("live_edit", {
+    record_result("live_edit", {
         "events": LIVE["events"], "environments": len(environments),
         "edits": edits,
         "patched_ms": round(patched_s * 1000, 2),

@@ -44,7 +44,6 @@ or through pytest (the CI smoke pass)::
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -52,6 +51,8 @@ from repro.corpus.workload import WorkloadSpec, build_workload, \
     run_workload
 from repro.faults import parse_fault_plan, resolve_faults
 from repro.store.placement import HotSetTracker
+
+from results import record_result
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "placement.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -70,20 +71,6 @@ SPEC = WorkloadSpec(sites=WORKLOAD["sites"],
                     locality=WORKLOAD["locality"],
                     seed=WORKLOAD["seed"])
 EPOCH = WORKLOAD["rebalance_every"]
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one gate's measurements into $BENCH_RESULTS (if set)."""
-    target = os.environ.get("BENCH_RESULTS")
-    if not target:
-        return
-    path = Path(target)
-    results = {}
-    if path.exists():
-        results = json.loads(path.read_text(encoding="utf-8"))
-    results[section] = payload
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _run(policy: str, faults=None):
@@ -126,7 +113,7 @@ def test_policy_gains():
               f"bytes {bytes_ratio:.2f}x vs static "
               f"({report.traffic['placement_moves']} move(s), "
               f"{report.traffic['local_requests']} local read(s))")
-    _record("placement_gains", {
+    record_result("placement_gains", {
         "static_simulated_ms": round(static_ms, 1),
         "static_total_bytes": static_bytes,
         "sessions": static.requests,
@@ -155,7 +142,7 @@ def test_fault_composition():
           f"{placed.traffic['placement_moves']} move(s), "
           f"{ledger.total_faults} fault(s) injected, fingerprints "
           f"{'identical' if identical else 'DIVERGED'}")
-    _record("placement_faults", {
+    record_result("placement_faults", {
         "faults": FAULTS["faults"],
         "policy": FAULTS["policy"],
         "placement_moves": placed.traffic["placement_moves"],
@@ -189,7 +176,7 @@ def test_tracker_scale():
     print(f"\n[placement] tracker: {TRACKER['descriptors']} records in "
           f"{elapsed:.2f}s ({rate / 1e6:.2f}M/s), {len(hot)} tracked "
           f"(capacity {TRACKER['capacity']})")
-    _record("placement_tracker", {
+    record_result("placement_tracker", {
         "records": TRACKER["descriptors"],
         "capacity": TRACKER["capacity"],
         "tracked": len(hot),

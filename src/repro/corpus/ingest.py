@@ -33,12 +33,8 @@ identical to the fault-free run.  All of it lands in the report's
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
+import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,10 +44,11 @@ from repro.core.errors import (CmifError, SchedulingConflict, StoreError,
                                TransportError)
 from repro.corpus.generate import (make_deep_document, make_flat_document,
                                    make_random_document)
-from repro.faults import (WORKER_CRASH_EXIT, FaultInjected, FaultPlan,
-                          RetryPolicy, RobustnessStats, resolve_faults)
+from repro.faults import (FaultInjected, FaultPlan, RetryPolicy,
+                          RobustnessStats, resolve_faults, run_sharded)
 from repro.format.parser import parse_document
 from repro.format.writer import write_document
+from repro.ledger import Ledger
 from repro.pipeline.program import PlaybackProgram, ProgramCache, \
     compile_program
 from repro.timing.schedule import (ENGINE_GRAPH, SCHEDULE_ENGINES,
@@ -124,8 +121,12 @@ class IngestFailure:
 
 
 @dataclass
-class IngestReport:
-    """The outcome of one corpus ingest, stage accounting included."""
+class IngestReport(Ledger):
+    """The outcome of one corpus ingest, stage accounting included.
+
+    Shard reports of a ``workers=N`` ingest fold into the parent's by
+    :meth:`~repro.ledger.Ledger.merge`: documents and failures append
+    in shard order, stage counters add."""
 
     engine: str
     documents: list[IngestedDocument] = field(default_factory=list)
@@ -267,13 +268,17 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
     report = IngestReport(engine=engine, schedule_cache=schedule_cache,
                           program_cache=program_cache)
     wall_start = time.perf_counter()
+    shards = None
     if workers > 1 and len(paths) > 1:
-        done = _ingest_parallel(paths, report, workers, engine,
-                                relaxation_policy, channel_serialization,
-                                compile_programs, kernel, faults, retry)
-    else:
-        done = False
-    if not done:
+        shards = run_sharded(
+            paths, workers,
+            functools.partial(_ingest_chunk, engine=engine,
+                              relaxation_policy=relaxation_policy,
+                              channel_serialization=channel_serialization,
+                              compile_programs=compile_programs,
+                              kernel=kernel, faults=faults, retry=retry),
+            faults=faults, ledger=report.robustness)
+    if shards is None:
         stage_seconds = report.stage_seconds
         for path in paths:
             entry = _ingest_document(path, report, stage_seconds, engine,
@@ -283,139 +288,28 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
                                      program_cache, kernel, faults, retry)
             if entry is not None:
                 report.documents.append(entry)
+    else:
+        for shard in shards:
+            report.merge(shard)
+        # Re-warm this process's caches from the shipped artifacts, so
+        # shard boundaries never show in cache contents.
+        for entry in report.documents:
+            schedule_cache.put(entry.document, entry.schedule,
+                               channel_serialization=channel_serialization,
+                               relaxation_policy=relaxation_policy)
+            if program_cache is not None and entry.program is not None:
+                program_cache.put(entry.schedule, entry.program)
     report.wall_seconds = time.perf_counter() - wall_start
     return report
 
 
-def _kernel_name(kernel) -> str | None:
-    """A picklable spelling of a kernel axis value for worker dispatch."""
-    return getattr(kernel, "name", kernel)
-
-
-def _ingest_chunk(chunk: list[Path], engine: str, relaxation_policy: str,
-                  channel_serialization: bool, compile_programs: bool,
-                  kernel, faults: FaultPlan | None,
-                  retry: RetryPolicy) -> IngestReport:
-    """Ingest one contiguous path chunk into a shippable shard report.
-
-    Runs the serial pipeline with fresh private caches, then strips
-    them — the parent re-warms its own caches from the shipped
-    documents so shard boundaries never show in cache contents.
-    """
-    shard = ingest_corpus(chunk, engine=engine,
-                          relaxation_policy=relaxation_policy,
-                          channel_serialization=channel_serialization,
-                          compile_programs=compile_programs,
-                          kernel=kernel, workers=1, faults=faults,
-                          retry=retry)
+def _ingest_chunk(chunk: list[Path], **options) -> IngestReport:
+    """Ingest one contiguous path chunk into a shippable shard report
+    (its private caches stay behind: the parent re-warms its own)."""
+    shard = ingest_corpus(chunk, workers=1, **options)
     shard.schedule_cache = None
     shard.program_cache = None
     return shard
-
-
-def _ingest_shard(args: tuple) -> IngestReport:
-    """Worker entry: honour an injected crash, else ingest the chunk."""
-    (chunk, engine, relaxation_policy, channel_serialization,
-     compile_programs, kernel, faults, retry, crash) = args
-    if crash:
-        # A planned worker crash: die the way a real worker does —
-        # no exception, no cleanup, the pool just loses the process.
-        os._exit(WORKER_CRASH_EXIT)
-    return _ingest_chunk(chunk, engine, relaxation_policy,
-                         channel_serialization, compile_programs, kernel,
-                         faults, retry)
-
-
-def _ingest_parallel(paths: list[Path], report: IngestReport,
-                     workers: int, engine: str, relaxation_policy: str,
-                     channel_serialization: bool, compile_programs: bool,
-                     kernel, faults: FaultPlan | None,
-                     retry: RetryPolicy) -> bool:
-    """Shard ``paths`` across a process pool and merge into ``report``.
-
-    Returns False when no pool could be started (the caller then runs
-    the serial path); shard failures inside the pipeline are per-
-    document and ride back in the shard reports like any other.  A
-    shard whose worker died (an injected crash, or a genuinely broken
-    pool) is re-ingested serially in the parent — the merged report is
-    the same either way, only the ``reshards`` counters show it.
-    """
-    shard_count = min(workers, len(paths))
-    bounds = [len(paths) * index // shard_count
-              for index in range(shard_count + 1)]
-    chunks = [paths[bounds[index]:bounds[index + 1]]
-              for index in range(shard_count)]
-    # Workers never roll crash decisions themselves: the parent keys
-    # them by shard index (in-pool attempt only) so the serial re-run
-    # below cannot crash again.
-    child_faults = None if faults is None else faults.without_crashes()
-    shard_args = [(chunks[index], engine, relaxation_policy,
-                   channel_serialization, compile_programs,
-                   _kernel_name(kernel), child_faults, retry,
-                   faults is not None and faults.crashes_worker(index))
-                  for index in range(shard_count)]
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:                                # pragma: no cover
-        context = multiprocessing.get_context()
-    shards: list[IngestReport | None] = [None] * shard_count
-    failed_shards: list[int] = []
-    try:
-        with ProcessPoolExecutor(max_workers=shard_count,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_ingest_shard, args)
-                       for args in shard_args]
-            for index, future in enumerate(futures):
-                try:
-                    shards[index] = future.result()
-                except (OSError, BrokenProcessPool,
-                        pickle.PicklingError):
-                    failed_shards.append(index)
-    except (OSError, BrokenProcessPool, pickle.PicklingError):
-        # No usable pool (restricted sandbox, unpicklable payloads):
-        # the serial path is always correct, only slower.
-        return False
-    robust = report.robustness
-    planned_crashes = 0 if faults is None else sum(
-        1 for index in range(shard_count)
-        if faults.crashes_worker(index))
-    if planned_crashes:
-        robust.record_fault("worker-crash", planned_crashes)
-        robust.worker_crashes += planned_crashes
-    for index in failed_shards:
-        # A broken pool fails every unfinished future, so which shards
-        # need resharding is timing-dependent — these counters are
-        # excluded from determinism assertions; the merged report is
-        # identical regardless.
-        robust.reshards += 1
-        robust.resharded_items += len(chunks[index])
-        shards[index] = _ingest_chunk(chunks[index], engine,
-                                      relaxation_policy,
-                                      channel_serialization,
-                                      compile_programs, kernel,
-                                      child_faults, retry)
-    if planned_crashes:
-        # The reshard re-runs above masked every planned crash.
-        robust.recovered += planned_crashes
-    for shard in shards:
-        report.documents.extend(shard.documents)
-        report.failures.extend(shard.failures)
-        robust.merge(shard.robustness)
-        for stage in INGEST_STAGES:
-            report.stage_seconds[stage] += shard.stage_seconds[stage]
-            report.stage_documents[stage] += shard.stage_documents[stage]
-            report.stage_events[stage] += shard.stage_events[stage]
-    schedule_cache = report.schedule_cache
-    program_cache = report.program_cache
-    for entry in report.documents:
-        if schedule_cache is not None:
-            schedule_cache.put(
-                entry.document, entry.schedule,
-                channel_serialization=channel_serialization,
-                relaxation_policy=relaxation_policy)
-        if program_cache is not None and entry.program is not None:
-            program_cache.put(entry.schedule, entry.program)
-    return True
 
 
 def _ingest_document(path: Path, report: IngestReport,

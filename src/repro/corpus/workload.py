@@ -269,6 +269,7 @@ def serve_workload(workload: PlacementWorkload, environments, *,
             plan = chosen.plan(workload.federation)
             workload.federation.apply_placement(plan)
         chunk = workload.requests[start:start + batch]
+        checkpoint = engine.checkpoint()
         sessions = []
         for serial, request in enumerate(chunk):
             environment = environments[(start + serial)
@@ -278,16 +279,9 @@ def serve_workload(workload: PlacementWorkload, environments, *,
                 environment,
                 origin=request.origin,
                 stream_ids=workload.catalog[request.document_index]))
-        traffic_before = workload.federation.traffic.counters()
         engine.drive(sessions, replays)
-        traffic_after = workload.federation.traffic.counters()
-        from repro.serving.engine import ServingReport
-        report = ServingReport(
-            environments=[],
+        reports.append(engine.report_since(
+            checkpoint, environments,
             documents=len({r.document_index for r in chunk}),
-            traffic={key: traffic_after[key] - traffic_before[key]
-                     for key in traffic_after})
-        report.sessions_served = [session.describe()
-                                  for session in sessions]
-        reports.append(report)
+            sessions_served=[session.describe() for session in sessions]))
     return reports

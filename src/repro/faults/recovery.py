@@ -14,11 +14,24 @@ one.  The books must balance — ``total_faults == recovered +
 unrecovered + absorbed`` — and the fault bench and tests assert that
 identity, so a fault that is silently dropped (or double-counted) is a
 test failure, not a mystery.
+
+:func:`run_sharded` is the one crash-tolerant process pool: ingest and
+the serving drive shard their work through it, a worker the plan
+crashes dies at chunk entry, and dead chunks re-run in the parent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import multiprocessing
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+from repro.faults.plan import WORKER_CRASH_EXIT, FaultPlan
+from repro.ledger import Ledger
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,7 @@ class CircuitBreaker:
 
 
 @dataclass
-class RobustnessStats:
+class RobustnessStats(Ledger):
     """The fault/recovery ledger threaded through every stats object.
 
     Injection sites call :meth:`record_fault`; recovery sites bump the
@@ -119,7 +132,8 @@ class RobustnessStats:
     degraded path served the request anyway), ``unrecovered`` (the
     failure reached the caller), or ``absorbed`` (the fault cost only
     simulated time, e.g. a latency spike) — is enforced by
-    :meth:`balanced`, which the fault bench gates on.
+    :meth:`balanced`, which the fault bench gates on.  Snapshots,
+    deltas and shard merges come from :class:`~repro.ledger.Ledger`.
     """
 
     #: Injected faults by kind (``site-outage``, ``block``, ...).
@@ -178,34 +192,6 @@ class RobustnessStats:
         return self.total_faults == (self.recovered + self.unrecovered
                                      + self.absorbed)
 
-    def merge(self, other: "RobustnessStats") -> None:
-        """Fold ``other`` into this ledger (worker-shard merges)."""
-        for kind, count in other.faults_injected.items():
-            self.record_fault(kind, count)
-        for name in _MERGE_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def snapshot(self) -> "RobustnessStats":
-        clone = replace(self)
-        clone.faults_injected = dict(self.faults_injected)
-        return clone
-
-    def delta_since(self, before: "RobustnessStats") -> "RobustnessStats":
-        delta = RobustnessStats()
-        for kind, count in self.faults_injected.items():
-            dropped = count - before.faults_injected.get(kind, 0)
-            if dropped:
-                delta.faults_injected[kind] = dropped
-        for name in _MERGE_FIELDS:
-            setattr(delta, name,
-                    getattr(self, name) - getattr(before, name))
-        return delta
-
-    @property
-    def empty(self) -> bool:
-        return self.total_faults == 0 and all(
-            not getattr(self, name) for name in _MERGE_FIELDS)
-
     def describe(self) -> str:
         """Human-readable ledger: only the nonzero lines."""
         lines = []
@@ -219,26 +205,13 @@ class RobustnessStats:
                          f"unrecovered={self.unrecovered} "
                          f"absorbed={self.absorbed} "
                          f"[{'balanced' if self.balanced() else 'UNBALANCED'}]")
-        rows = (("retries", self.retries),
-                ("backoff_ms", round(self.backoff_ms, 3)),
-                ("deadline_exhausted", self.deadline_exhausted),
-                ("breaker_opens", self.breaker_opens),
-                ("breaker_shorts", self.breaker_shorts),
-                ("breaker_probes", self.breaker_probes),
-                ("breaker_closes", self.breaker_closes),
-                ("failovers", self.failovers),
-                ("stale_summaries", self.stale_summaries),
-                ("partial_results", self.partial_results),
-                ("checksum_rejects", self.checksum_rejects),
-                ("worker_crashes", self.worker_crashes),
-                ("reshards", self.reshards),
-                ("resharded_items", self.resharded_items),
-                ("quarantined", self.quarantined),
-                ("retried_documents", self.retried_documents),
-                ("degraded_replays", self.degraded_replays),
-                ("degraded_solves", self.degraded_solves),
-                ("degraded_edits", self.degraded_edits))
-        active = [f"{name}={value}" for name, value in rows if value]
+        outcomes = ("faults_injected", "recovered", "unrecovered",
+                    "absorbed")
+        rounded = {name: round(value, 3)
+                   for name, value in self.counters().items()
+                   if name not in outcomes}
+        active = [f"{name}={value}" for name, value in rounded.items()
+                  if value]
         if active:
             lines.append("recovery: " + " ".join(active))
         if not lines:
@@ -246,5 +219,77 @@ class RobustnessStats:
         return "\n".join(lines)
 
 
-_MERGE_FIELDS = tuple(name for name in RobustnessStats.__dataclass_fields__
-                      if name != "faults_injected")
+#: What a chunk or a pool dies of: a lost or unstartable process, or a
+#: payload, call or result that does not pickle.
+_POOL_FAILURES = (OSError, BrokenProcessPool, pickle.PicklingError,
+                  TypeError, AttributeError)
+
+
+def _run_chunk(run_chunk: Callable, payload: bytes, crash: bool):
+    """Worker entry: honour a planned crash, else run the chunk."""
+    if crash:
+        # A planned worker crash: die the way a real worker does — no
+        # exception, no cleanup, the pool just loses the process.
+        os._exit(WORKER_CRASH_EXIT)
+    return run_chunk(pickle.loads(payload))
+
+
+def run_sharded(items: Sequence, workers: int, run_chunk: Callable, *,
+                faults: FaultPlan | None,
+                ledger: RobustnessStats) -> list | None:
+    """``run_chunk`` over contiguous chunks of ``items``, one process each.
+
+    ``items`` splits into ``min(workers, len(items))`` contiguous
+    chunks.  Each chunk is pickled once here and ``run_chunk`` (a
+    picklable module-level callable) receives a private copy, in a
+    worker or — when the worker died — in this process, re-run from the
+    same bytes; either way the caller's objects are never mutated and
+    the results, returned in chunk order, do not depend on which
+    workers survived.  A chunk whose index the plan crashes loses its
+    worker at entry; the planned crashes, the re-runs and their
+    recovery are booked on ``ledger``.  Returns None, having run
+    nothing, when the chunks cannot be pickled or no pool can start.
+    """
+    count = min(workers, len(items))
+    bounds = [len(items) * index // count for index in range(count + 1)]
+    try:
+        payloads = [pickle.dumps(items[bounds[index]:bounds[index + 1]])
+                    for index in range(count)]
+    except _POOL_FAILURES:
+        return None
+    crashes = [faults is not None and faults.crashes_worker(index)
+               for index in range(count)]
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:                                # pragma: no cover
+        context = multiprocessing.get_context()
+    results: list = [None] * count
+    dead: list[int] = []
+    try:
+        with ProcessPoolExecutor(max_workers=count,
+                                 mp_context=context) as pool:
+            futures = [pool.submit(_run_chunk, run_chunk, payload, crash)
+                       for payload, crash in zip(payloads, crashes)]
+            for index, future in enumerate(futures):
+                try:
+                    results[index] = future.result()
+                except _POOL_FAILURES:
+                    dead.append(index)
+    except _POOL_FAILURES:
+        # No usable pool (a restricted sandbox): the caller's serial
+        # path is always correct, only slower.
+        return None
+    planned = sum(crashes)
+    if planned:
+        ledger.record_fault("worker-crash", planned)
+        ledger.worker_crashes += planned
+    for index in dead:
+        # A broken pool fails every unfinished future, so which chunks
+        # land here is timing-dependent: the reshard counters are
+        # excluded from determinism assertions, the results are not.
+        ledger.reshards += 1
+        ledger.resharded_items += bounds[index + 1] - bounds[index]
+        results[index] = _run_chunk(run_chunk, payloads[index], False)
+    # The re-runs above masked every planned crash.
+    ledger.recovered += planned
+    return results

@@ -50,9 +50,9 @@ which the per-edit counters on :class:`EditRecord` (and the cumulative
 :class:`~repro.timing.incremental.EngineStats`) make checkable.
 
 :class:`LiveEditor` is the authoring-side entry point: it owns the
-incremental scheduler and the patcher, mirrors the editing API of
-:mod:`repro.core.edit`, and accepts JSON edit specs (the CLI
-``serve --edit-script`` / ``edit`` format).  Every path is pinned
+incremental scheduler and the patcher and applies JSON edit specs (the
+CLI ``serve --edit-script`` / ``edit`` format) through the scheduler's
+editing methods.  Every path is pinned
 bit-identical to a cold recompile of the edited document by
 ``tests/test_live_edit.py``.
 """
@@ -71,6 +71,7 @@ from repro.core.syncarc import (Anchor, ConditionalArc, Strictness,
                                 SyncArc)
 from repro.core.timebase import MediaTime
 from repro.core.tree import iter_postorder, iter_preorder
+from repro.ledger import Ledger
 from repro.pipeline.adaptation import adaptation_for
 from repro.pipeline.navprogram import (NAVIGATION_TAG, NavigationProgram,
                                        recompile_into)
@@ -92,7 +93,7 @@ CONFLICT = "conflict"
 
 
 @dataclass
-class EditRecord:
+class EditRecord(Ledger):
     """What one live edit cost, per pyramid level (``explain`` output).
 
     ``mode`` classifies the whole edit: ``patched`` (in-place array
@@ -417,9 +418,9 @@ class LiveEditor:
     """Author against a hot serving fleet: edits become program patches.
 
     Wraps one document's :class:`IncrementalScheduler` and a
-    :class:`ProgramPatcher` over the serving caches; every editing
-    method applies the edit, re-solves incrementally, lowers the delta
-    onto all cached compiled programs, and returns an
+    :class:`ProgramPatcher` over the serving caches; :meth:`apply`
+    dispatches each edit to the scheduler's editing method, lowers the
+    re-solved delta onto all cached compiled programs, and returns an
     :class:`EditRecord`.  When the schedule cache already holds the
     document's schedule (the document is being served), the scheduler
     adopts that exact object so the cached program pyramid stays
@@ -458,54 +459,6 @@ class LiveEditor:
         if self.patcher is not None:
             self.patcher.register_environment(environment)
 
-    # -- the editing API (mirrors repro.core.edit) ------------------------
-
-    def retime(self, leaf_path: str, duration) -> EditRecord:
-        return self._edited(
-            "retime", leaf_path,
-            lambda: self.scheduler.retime(leaf_path, duration),
-            arcs_changed=False)
-
-    def add_arc(self, owner_path: str, arc: SyncArc) -> EditRecord:
-        return self._edited(
-            "add_arc", owner_path,
-            lambda: self.scheduler.add_arc(owner_path, arc),
-            arcs_changed=True)
-
-    def remove_arc(self, owner_path: str, index: int) -> EditRecord:
-        return self._edited(
-            "remove_arc", f"{owner_path}[{index}]",
-            lambda: self.scheduler.remove_arc(owner_path, index),
-            arcs_changed=True)
-
-    def reorder(self, parent_path: str, child_name: str,
-                new_index: int) -> EditRecord:
-        return self._edited(
-            "reorder", f"{parent_path}/{child_name}",
-            lambda: self.scheduler.reorder(parent_path, child_name,
-                                           new_index),
-            arcs_changed=True)
-
-    def splice(self, node_path: str, new_parent_path: str,
-               index: int | None = None) -> EditRecord:
-        return self._edited(
-            "splice", node_path,
-            lambda: self.scheduler.splice(node_path, new_parent_path,
-                                          index),
-            arcs_changed=True)
-
-    def duplicate(self, node_path: str, new_name: str) -> EditRecord:
-        return self._edited(
-            "duplicate", node_path,
-            lambda: self.scheduler.duplicate(node_path, new_name),
-            arcs_changed=True)
-
-    def remove(self, node_path: str) -> EditRecord:
-        return self._edited(
-            "remove", node_path,
-            lambda: self.scheduler.remove(node_path),
-            arcs_changed=True)
-
     # -- JSON edit specs (the --edit-script format) -----------------------
 
     def apply(self, spec: dict) -> EditRecord:
@@ -518,31 +471,44 @@ class LiveEditor:
         ``duplicate`` (path, name), ``remove`` (path).
         """
         op = spec.get("op")
+        scheduler = self.scheduler
         if op == "retime":
-            return self.retime(spec["path"], float(spec["duration_ms"]))
+            return self._edited(op, spec["path"], scheduler.retime,
+                                spec["path"], float(spec["duration_ms"]),
+                                arcs_changed=False)
         if op == "add_arc":
-            return self.add_arc(spec["owner"], arc_from_spec(spec))
+            return self._edited(op, spec["owner"], scheduler.add_arc,
+                                spec["owner"], arc_from_spec(spec))
         if op == "remove_arc":
-            return self.remove_arc(spec["owner"], int(spec["index"]))
+            owner, index = spec["owner"], int(spec["index"])
+            return self._edited(op, f"{owner}[{index}]",
+                                scheduler.remove_arc, owner, index)
         if op == "reorder":
-            return self.reorder(spec["parent"], spec["child"],
-                                int(spec["index"]))
+            parent, child = spec["parent"], spec["child"]
+            return self._edited(op, f"{parent}/{child}", scheduler.reorder,
+                                parent, child, int(spec["index"]))
         if op == "splice":
             index = spec.get("index")
-            return self.splice(spec["path"], spec["parent"],
-                               None if index is None else int(index))
+            return self._edited(op, spec["path"], scheduler.splice,
+                                spec["path"], spec["parent"],
+                                None if index is None else int(index))
         if op == "duplicate":
-            return self.duplicate(spec["path"], spec["name"])
+            return self._edited(op, spec["path"], scheduler.duplicate,
+                                spec["path"], spec["name"])
         if op == "remove":
-            return self.remove(spec["path"])
+            return self._edited(op, spec["path"], scheduler.remove,
+                                spec["path"])
         raise ValueError_(f"unknown edit op {op!r}; expected retime, "
                           f"add_arc, remove_arc, reorder, splice, "
                           f"duplicate or remove")
 
     # -- internals ---------------------------------------------------------
 
-    def _edited(self, op: str, subject: str, operation, *,
-                arcs_changed: bool) -> EditRecord:
+    def _edited(self, op: str, subject: str, edit, *args,
+                arcs_changed: bool = True) -> EditRecord:
+        """Apply ``edit(*args)`` (an :class:`IncrementalScheduler` edit
+        method), then lower its schedule delta onto the cached
+        pyramid."""
         try:
             old_schedule: Schedule | None = self.scheduler.schedule
         except SchedulingConflict:
@@ -550,7 +516,7 @@ class LiveEditor:
         start = time.perf_counter()
         record = EditRecord(op=op, subject=subject)
         try:
-            operation()
+            edit(*args)
         except (SchedulingConflict, PathError):
             # The edit stays applied (tools signal problems, they do
             # not revert work); the cached pyramid keeps serving the
@@ -573,18 +539,9 @@ class LiveEditor:
                            else NOOP)
         record.wall_seconds = time.perf_counter() - start
         self.records.append(record)
-        self._accumulate(record)
+        # The lifetime stats share the record's per-level counters.
+        self.scheduler.stats.merge(record)
         return record
-
-    def _accumulate(self, record: EditRecord) -> None:
-        stats = self.scheduler.stats
-        stats.events_touched += record.events_touched
-        stats.programs_patched += record.programs_patched
-        stats.programs_recompiled += record.programs_recompiled
-        stats.adaptations_patched += record.adaptations_patched
-        stats.adaptations_recompiled += record.adaptations_recompiled
-        stats.navigations_patched += record.navigations_patched
-        stats.navigations_recompiled += record.navigations_recompiled
 
 
 __all__ = ["CONFLICT", "EditRecord", "LiveEditor", "NOOP", "PATCHED",

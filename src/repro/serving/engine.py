@@ -33,20 +33,16 @@ admission and traffic statistics make the engine observable
 from __future__ import annotations
 
 import collections
-import multiprocessing
-import os
-import pickle
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.document import CmifDocument
 from repro.core.errors import ValueError_
-from repro.faults import (WORKER_CRASH_EXIT, FaultPlan, RobustnessStats,
-                          resolve_faults)
+from repro.faults import (FaultPlan, RobustnessStats, resolve_faults,
+                          run_sharded)
 from repro.kernel import resolve_kernel
+from repro.ledger import Ledger
 from repro.pipeline.adaptation import (adapted_navigation_for,
                                        adapted_program_for)
 from repro.pipeline.navprogram import random_trace
@@ -61,17 +57,24 @@ from repro.transport.negotiate import negotiate
 from repro.transport.requirements import RequirementsCache
 from repro.serving.runqueue import (BatchTask, InteractiveSession,
                                     RunQueue, ScriptedChoices)
-from repro.serving.session import (FILTERABLE, PLAYABLE,
-                                   SESSION_SEED_STRIDE, Session,
-                                   UNPLAYABLE)
+from repro.serving.session import (PLAYABLE, SESSION_SEED_STRIDE,
+                                   Session, UNPLAYABLE)
 
 #: Distinct (program, environment) batch players kept live; each holds
 #: per-configuration transform caches, so the table is LRU-bounded.
 PLAYER_CACHE_CAPACITY = 128
 
+#: Schedules (and requirement profiles) an engine keeps cached when it
+#: creates its own caches.
+SCHEDULE_CACHE_CAPACITY = 128
+
+#: Playback programs (base and environment-adapted) an engine keeps
+#: cached when it creates its own cache.
+PROGRAM_CACHE_CAPACITY = 512
+
 
 @dataclass
-class EnvironmentStats:
+class EnvironmentStats(Ledger):
     """Admission and traffic accounting for one environment profile."""
 
     name: str
@@ -92,10 +95,6 @@ class EnvironmentStats:
     def admitted(self) -> int:
         return self.playable + self.filtered
 
-    def verdict_counts(self) -> dict[str, int]:
-        return {PLAYABLE: self.playable, FILTERABLE: self.filtered,
-                UNPLAYABLE: self.rejected}
-
     def describe(self) -> str:
         admission_rate = (self.admitted / self.admit_seconds
                           if self.admit_seconds > 0 else 0.0)
@@ -113,29 +112,6 @@ class EnvironmentStats:
                 f"{admission_rate:8.1f} admits/s  "
                 f"{self.replays:6d} replays ({replay_rate:8.1f}/s, "
                 f"{events_rate:10.0f} events/s{navigation}{degraded})")
-
-
-    def snapshot(self) -> "EnvironmentStats":
-        """A value copy, for per-run delta accounting."""
-        return EnvironmentStats(**self.__dict__)
-
-    def delta_since(self, before: "EnvironmentStats | None"
-                    ) -> "EnvironmentStats":
-        """This row minus an earlier snapshot (None = all of it)."""
-        if before is None:
-            return self.snapshot()
-        return EnvironmentStats(
-            name=self.name,
-            sessions=self.sessions - before.sessions,
-            playable=self.playable - before.playable,
-            filtered=self.filtered - before.filtered,
-            rejected=self.rejected - before.rejected,
-            replays=self.replays - before.replays,
-            events_played=self.events_played - before.events_played,
-            navigations=self.navigations - before.navigations,
-            degraded=self.degraded - before.degraded,
-            admit_seconds=self.admit_seconds - before.admit_seconds,
-            replay_seconds=self.replay_seconds - before.replay_seconds)
 
 
 @dataclass
@@ -161,6 +137,10 @@ class ServingReport:
     #: through a federation): the counter dict of
     #: :meth:`~repro.store.distributed.TrafficStats.counters`.
     traffic: dict = field(default_factory=dict)
+    #: One :meth:`~repro.serving.session.Session.describe` line per
+    #: session, when the caller admitted them one by one
+    #: (:func:`~repro.corpus.workload.serve_workload`).
+    sessions_served: list[str] = field(default_factory=list)
 
     @property
     def sessions(self) -> int:
@@ -227,56 +207,47 @@ class ServingReport:
         return "\n".join(lines)
 
 
-def _drive_shard(tasks: list
-                 ) -> tuple[int, list[EnvironmentStats], RobustnessStats]:
-    """Run one task shard on its own queue; return the stat deltas.
-
-    The unpickled tasks carry copies of the parent's stats rows (shared
-    within the shard by pickle memoization), so the same proportional
-    wall-time attribution as the serial drive lands on them; the deltas
-    against pre-drive snapshots are what travels back.  The sessions'
-    shared robustness ledger travels back the same way (as a delta) so
-    degraded replays inside a worker still balance the parent's books.
-    """
-    rows: dict[int, tuple[EnvironmentStats, EnvironmentStats]] = {}
-    ledgers: dict[int, tuple[RobustnessStats, RobustnessStats]] = {}
-    for task in tasks:
-        stats = task.session.stats
-        if stats is not None and id(stats) not in rows:
-            rows[id(stats)] = (stats, stats.snapshot())
-        robust = task.session.robustness
-        if robust is not None and id(robust) not in ledgers:
-            ledgers[id(robust)] = (robust, robust.snapshot())
-    queue = RunQueue(tasks, choices=ScriptedChoices())
+def _run_queue(tasks: list, choices: ScriptedChoices | None = None,
+               edits=None) -> RunQueue:
+    """Drive ``tasks`` on one run queue; charge its wall time to the
+    environment rows in proportion to the replays each row's tasks
+    performed."""
+    queue = RunQueue(tasks, choices=(choices if choices is not None
+                                     else ScriptedChoices()))
     start = time.perf_counter()
-    queue.drive()
+    queue.drive(edits=edits)
     elapsed = time.perf_counter() - start
-    performed = queue.replays
-    if performed:
+    if queue.replays:
         shares: collections.Counter = collections.Counter()
+        rows: dict[int, EnvironmentStats] = {}
         for task in tasks:
             stats = task.session.stats
             if stats is not None and task.replays_done:
                 shares[id(stats)] += task.replays_done
+                rows[id(stats)] = stats
         for key, share in shares.items():
-            rows[key][0].replay_seconds += elapsed * share / performed
-    robustness = RobustnessStats()
-    for robust, before in ledgers.values():
-        robustness.merge(robust.delta_since(before))
-    return performed, [stats.delta_since(before)
-                       for stats, before in rows.values()], robustness
+            rows[key].replay_seconds += elapsed * share / queue.replays
+    return queue
 
 
-def _drive_shard_guarded(args: tuple
-                         ) -> tuple[int, list[EnvironmentStats],
-                                    RobustnessStats]:
-    """Worker entry: honour an injected crash, else drive the shard."""
-    tasks, crash = args
-    if crash:
-        # A planned worker crash: die the way a real worker does — no
-        # exception, no cleanup, the pool just loses the process.
-        os._exit(WORKER_CRASH_EXIT)
-    return _drive_shard(tasks)
+def _drive_shard(tasks: list
+                 ) -> tuple[int, list[EnvironmentStats],
+                            list[RobustnessStats]]:
+    """Drive one shard's private copy of its tasks (see
+    :func:`~repro.faults.run_sharded`) and return what it gathered.
+
+    The copied tasks share copies of the engine's stats rows and
+    robustness ledger; zeroed first, those hold exactly this shard's
+    deltas after the drive.
+    """
+    rows = {id(task.session.stats): task.session.stats for task in tasks
+            if task.session.stats is not None}
+    ledgers = {id(task.session.robustness): task.session.robustness
+               for task in tasks if task.session.robustness is not None}
+    for ledger in [*rows.values(), *ledgers.values()]:
+        ledger.reset()
+    queue = _run_queue(tasks)
+    return queue.replays, list(rows.values()), list(ledgers.values())
 
 
 class SessionEngine:
@@ -287,8 +258,6 @@ class SessionEngine:
                  schedule_cache: ScheduleCache | None = None,
                  program_cache: ProgramCache | None = None,
                  requirements_cache: RequirementsCache | None = None,
-                 schedule_capacity: int = 128,
-                 program_capacity: int = 512,
                  kernel=None,
                  faults: FaultPlan | str | None = None,
                  federation=None) -> None:
@@ -306,12 +275,13 @@ class SessionEngine:
         self.prefetch_lead_ms = prefetch_lead_ms
         self.schedule_cache = (schedule_cache if schedule_cache is not None
                                else ScheduleCache(
-                                   capacity=schedule_capacity))
+                                   capacity=SCHEDULE_CACHE_CAPACITY))
         self.program_cache = (program_cache if program_cache is not None
-                              else ProgramCache(capacity=program_capacity))
+                              else ProgramCache(
+                                  capacity=PROGRAM_CACHE_CAPACITY))
         self.requirements_cache = (
             requirements_cache if requirements_cache is not None
-            else RequirementsCache(capacity=schedule_capacity))
+            else RequirementsCache(capacity=SCHEDULE_CACHE_CAPACITY))
         self.stats: dict[str, EnvironmentStats] = {}
         self.session_count = 0
         #: The most recent drive's run queue (scheduler observability).
@@ -597,10 +567,12 @@ class SessionEngine:
         only on its own seed, so shards are independent — and merges
         the per-environment stat deltas back in shard order, matching a
         ``workers=1`` drive exactly except for the ``*_seconds``
-        timings.  Parallel drives leave :attr:`last_queue` unset (the
-        shards ran separate queues) and the caller's Session objects
-        unmutated; interactive choices pull from each shard's own
-        script, so an explicit shared ``choices`` forces serial.
+        timings.  Shards run through :func:`~repro.faults.run_sharded`
+        on private copies of their tasks, re-driven in this process
+        when a worker dies.  Parallel drives leave :attr:`last_queue`
+        unset (the shards ran separate queues) and the caller's Session
+        objects unmutated; interactive choices pull from each shard's
+        own script, so an explicit shared ``choices`` forces serial.
         """
         if workers < 1:
             raise ValueError_(f"drive workers must be at least 1, "
@@ -617,116 +589,27 @@ class SessionEngine:
         # traffic must land on the one shared TrafficStats — forked
         # shards would each mutate a private copy and lose it, so those
         # drives stay serial (the replay inner loop is unaffected).
+        # Live edits mutate shared program state, so edited drives are
+        # serial too: one process, edits applied between quanta.
         if workers > 1 and choices is None and edits is None \
                 and self.federation is None and len(tasks) > 1:
-            performed = self._drive_parallel(tasks, workers)
-            if performed is not None:
+            shards = run_sharded(tasks, workers, _drive_shard,
+                                 faults=self.faults,
+                                 ledger=self.robustness)
+            if shards is not None:
+                performed = 0
+                for replays_run, rows, ledgers in shards:
+                    performed += replays_run
+                    for row in rows:
+                        self.stats.setdefault(
+                            row.name, EnvironmentStats(name=row.name)
+                        ).merge(row)
+                    for ledger in ledgers:
+                        self.robustness.merge(ledger)
                 self.last_queue = None
                 return performed
-        queue = RunQueue(tasks, choices=(choices if choices is not None
-                                         else ScriptedChoices()))
-        start = time.perf_counter()
-        # Live edits mutate shared program state, so edited drives are
-        # always serial: one process, edits applied between quanta.
-        queue.drive(edits=edits)
-        elapsed = time.perf_counter() - start
-        performed = queue.replays
-        # Wall time attributed proportionally to each environment's share.
-        if performed:
-            shares: collections.Counter = collections.Counter()
-            rows: dict[int, EnvironmentStats] = {}
-            for task in tasks:
-                stats = task.session.stats
-                if stats is not None and task.replays_done:
-                    shares[id(stats)] += task.replays_done
-                    rows[id(stats)] = stats
-            for key, share in shares.items():
-                rows[key].replay_seconds += elapsed * share / performed
-        self.last_queue = queue
-        return performed
-
-    def _drive_parallel(self, tasks: list, workers: int) -> int | None:
-        """Drive contiguous task shards in a pool; merge stat deltas.
-
-        Returns None when no pool could be started — the caller then
-        falls back to the serial queue.  A shard whose worker died (an
-        injected crash from the fault plan, a genuinely broken pool, or
-        an unpicklable task graph) is re-driven serially in the parent
-        on the parent's own task objects — session replay outcomes
-        depend only on their own seeds, so the merged result matches a
-        ``workers=1`` drive exactly; only the ``reshards`` counters
-        show it happened.
-        """
-        shard_count = min(workers, len(tasks))
-        bounds = [len(tasks) * index // shard_count
-                  for index in range(shard_count + 1)]
-        shards = [tasks[bounds[index]:bounds[index + 1]]
-                  for index in range(shard_count)]
-        plan = self.faults
-        crash_flags = [plan is not None and plan.crashes_worker(index)
-                       for index in range(shard_count)]
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:                            # pragma: no cover
-            context = multiprocessing.get_context()
-        results: list[tuple | None] = [None] * shard_count
-        failed_shards: list[int] = []
-        try:
-            with ProcessPoolExecutor(max_workers=shard_count,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_drive_shard_guarded,
-                                       (shard, crash))
-                           for shard, crash in zip(shards, crash_flags)]
-                for index, future in enumerate(futures):
-                    try:
-                        results[index] = future.result()
-                    except (OSError, BrokenProcessPool,
-                            pickle.PicklingError, TypeError,
-                            AttributeError):
-                        failed_shards.append(index)
-        except (OSError, BrokenProcessPool, pickle.PicklingError,
-                TypeError, AttributeError):
-            return None
-        robust = self.robustness
-        planned_crashes = sum(1 for crash in crash_flags if crash)
-        if planned_crashes:
-            robust.record_fault("worker-crash", planned_crashes)
-            robust.worker_crashes += planned_crashes
-        performed = 0
-        for index in failed_shards:
-            # Re-drive the dead shard in the parent, on the parent's
-            # own task objects: stats land directly on the engine rows,
-            # exactly as a serial drive would put them.  (A broken pool
-            # fails every unfinished future, so which shards show up
-            # here is timing-dependent — the reshard counters are
-            # excluded from determinism assertions.)
-            robust.reshards += 1
-            robust.resharded_items += len(shards[index])
-            shard_performed, _deltas, _robustness = \
-                _drive_shard(shards[index])
-            performed += shard_performed
-        if planned_crashes:
-            # The reshard re-drives above masked every planned crash.
-            robust.recovered += planned_crashes
-        for result in results:
-            if result is None:
-                continue
-            shard_performed, deltas, shard_robustness = result
-            performed += shard_performed
-            robust.merge(shard_robustness)
-            for delta in deltas:
-                row = self.stats.get(delta.name)
-                if row is None:                       # pragma: no cover
-                    row = EnvironmentStats(name=delta.name)
-                    self.stats[delta.name] = row
-                # Admission fields never move during a drive; only the
-                # replay-side counters come back from the shard.
-                row.replays += delta.replays
-                row.events_played += delta.events_played
-                row.navigations += delta.navigations
-                row.degraded += delta.degraded
-                row.replay_seconds += delta.replay_seconds
-        return performed
+        self.last_queue = _run_queue(tasks, choices, edits)
+        return self.last_queue.replays
 
     # -- corpus serving ------------------------------------------------------
 
@@ -735,8 +618,7 @@ class SessionEngine:
               rate: float = 1.0, seek_to_ms: float = 0.0,
               interactive_per_pair: int = 0, follows: int = 2,
               workers: int = 1,
-              edit_script=None, origins=None,
-              stream_catalog=None) -> ServingReport:
+              edit_script=None) -> ServingReport:
         """Admit and drive a whole corpus against environment profiles.
 
         ``documents`` is an iterable of :class:`CmifDocument`;
@@ -759,14 +641,8 @@ class SessionEngine:
         outcomes land on the report's ``edit_records``.  Edited serves
         run serial — the edits mutate shared program state.
 
-        With a federation attached, ``origins`` assigns each opened
-        session a reading site: a sequence is cycled in session-opening
-        order, a callable is invoked as ``origins(document_index,
-        environment_name, serial)``.  ``stream_catalog`` maps document
-        index -> federation stream ids (the workload catalog, for
-        corpora whose descriptor ids are namespaced in the federation).
-        The report's ``traffic`` carries this run's federation counter
-        deltas.
+        With a federation attached, the report's ``traffic`` carries
+        this run's federation counter deltas.
         """
         if sessions_per_pair < 1:
             raise ValueError_("sessions_per_pair must be at least 1, "
@@ -776,44 +652,16 @@ class SessionEngine:
                               f"got {interactive_per_pair}")
         documents = list(documents)
         environments = list(environments)
-        before = {name: stats.snapshot()
-                  for name, stats in self.stats.items()}
-        robustness_before = self.robustness.snapshot()
-        traffic_before = (self.federation.traffic.counters()
-                          if self.federation is not None else None)
-        wall_start = time.perf_counter()
-        serial = 0
-
-        def origin_for(document_index: int, environment_name: str):
-            nonlocal serial
-            value = None
-            if origins is not None:
-                if callable(origins):
-                    value = origins(document_index, environment_name,
-                                    serial)
-                else:
-                    value = origins[serial % len(origins)]
-            serial += 1
-            return value
-
+        checkpoint = self.checkpoint()
         sessions: list = []
-        for document_index, document in enumerate(documents):
-            stream_ids = (stream_catalog.get(document_index)
-                          if stream_catalog is not None else None)
+        for document in documents:
             for environment in environments:
                 for _ in range(sessions_per_pair):
-                    sessions.append(self.admit(
-                        document, environment,
-                        origin=origin_for(document_index,
-                                          environment.name),
-                        stream_ids=stream_ids))
+                    sessions.append(self.admit(document, environment))
                 for _ in range(interactive_per_pair):
                     sessions.append(self.admit_interactive(
                         document, environment, follows=follows,
-                        rate=rate,
-                        origin=origin_for(document_index,
-                                          environment.name),
-                        stream_ids=stream_ids))
+                        rate=rate))
         edit_records: list[EditRecord] = []
         edits = None
         if edit_script:
@@ -831,26 +679,42 @@ class SessionEngine:
             self.drive(sessions, replays, rate=rate,
                        seek_to_ms=seek_to_ms, workers=workers,
                        edits=edits)
-        wall_seconds = time.perf_counter() - wall_start
-        ordered = [self.stats[environment.name].delta_since(
-                       before.get(environment.name))
-                   for environment in environments
-                   if environment.name in self.stats]
-        traffic: dict = {}
-        if traffic_before is not None:
-            after = self.federation.traffic.counters()
-            traffic = {key: after[key] - traffic_before[key]
-                       for key in after}
+        return self.report_since(checkpoint, environments,
+                                 documents=len(documents),
+                                 edit_records=edit_records)
+
+    def checkpoint(self) -> tuple:
+        """An opaque mark of the engine's ledgers, for
+        :meth:`report_since`."""
+        traffic = (self.federation.traffic.snapshot()
+                   if self.federation is not None else None)
+        return ({name: row.snapshot() for name, row in self.stats.items()},
+                self.robustness.snapshot(), traffic, time.perf_counter())
+
+    def report_since(self, checkpoint: tuple, environments, *,
+                     documents: int, edit_records=(),
+                     sessions_served=()) -> ServingReport:
+        """What the engine served since ``checkpoint``: the rows of
+        ``environments`` (in that order) and the robustness and
+        federation traffic ledgers as deltas, plus the wall time."""
+        rows, robustness, traffic, start = checkpoint
         return ServingReport(
-            environments=ordered,
-            documents=len(documents),
-            wall_seconds=wall_seconds,
+            environments=[
+                self.stats[environment.name].delta_since(
+                    rows.get(environment.name))
+                for environment in environments
+                if environment.name in self.stats],
+            documents=documents,
+            wall_seconds=time.perf_counter() - start,
             schedule_cache=self.schedule_cache,
             program_cache=self.program_cache,
             requirements_cache=self.requirements_cache,
-            edit_records=edit_records,
-            robustness=self.robustness.delta_since(robustness_before),
-            traffic=traffic)
+            edit_records=list(edit_records),
+            robustness=self.robustness.delta_since(robustness),
+            traffic=({} if traffic is None else
+                     self.federation.traffic.delta_since(traffic)
+                     .counters()),
+            sessions_served=list(sessions_served))
 
     def describe(self) -> str:
         lines = [f"session engine: {self.session_count} session(s) "

@@ -334,8 +334,7 @@ class RunQueue:
             self.waiting.append((self.steps + delay, self._order, task,
                                  condition))
 
-    def drive(self, *, max_steps: int | None = None,
-              edits=None) -> QueueStats:
+    def drive(self, *, edits=None) -> QueueStats:
         """Run until every task is DONE or parked awaiting input.
 
         ``edits`` is an optional iterable of ``(at_step, apply)``
@@ -361,8 +360,6 @@ class RunQueue:
                     # due answer instead of spinning.
                     self.steps = min(entry[0] for entry in self.waiting)
                     continue
-                break
-            if max_steps is not None and self.steps >= max_steps:
                 break
             task = self.queue.popleft()
             replays_before = task.replays_done

@@ -43,6 +43,7 @@ from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.errors import StoreError, ValueError_
 from repro.core.timebase import TimeBase
+from repro.ledger import Ledger
 
 #: Entries the sorted-rank-array cache may hold before it is cleared
 #: wholesale; each entry pins the index set it mirrors, so the cap also
@@ -51,18 +52,12 @@ _RANK_CACHE_CAP = 512
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Ledger):
     """Access counters used by the attribute-manipulation experiments."""
 
     attribute_reads: int = 0
     payload_reads: int = 0
     payload_bytes: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.attribute_reads = 0
-        self.payload_reads = 0
-        self.payload_bytes = 0
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from repro.core.errors import StoreError
 from repro.faults import (CircuitBreaker, FaultClock, FaultInjected,
                           FaultPlan, RetryPolicy, RobustnessStats,
                           corrupt_block, parse_fault_plan)
+from repro.ledger import Ledger
 from repro.store.datastore import DataStore, StoreSummary
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
                                MatchesAttr, MediumIs, Or, Query, Range,
@@ -145,8 +146,18 @@ class NetworkModel:
 
 
 @dataclass
-class TrafficStats:
-    """Accumulated simulated network traffic of one federation."""
+class TrafficStats(Ledger):
+    """Accumulated simulated network traffic of one federation.
+
+    :meth:`reset` zeroes the *counters* only — warm state survives on
+    purpose.  The federation's descriptor→site routing map, descriptor
+    cache and cached summaries live on :class:`FederatedStore`, not
+    here, and deliberately survive it: the benchmarks that call
+    ``traffic.reset()`` measure the *warm* request path (what repeat
+    traffic costs once routes are learned).  To measure a cold start —
+    counters and caches together — use
+    :meth:`FederatedStore.reset_traffic`.
+    """
 
     requests: int = 0
     requests_avoided: int = 0
@@ -163,28 +174,7 @@ class TrafficStats:
     #: Fault/recovery ledger for the federation's remote operations.
     robustness: RobustnessStats = field(default_factory=RobustnessStats)
 
-    def reset(self) -> None:
-        """Zero the *counters* only — warm state survives on purpose.
-
-        The federation's descriptor→site routing map, descriptor cache
-        and cached summaries live on :class:`FederatedStore`, not here,
-        and deliberately survive this reset: the benchmarks that call
-        ``traffic.reset()`` measure the *warm* request path (what
-        repeat traffic costs once routes are learned).  To measure a
-        cold start — counters and caches together — use
-        :meth:`FederatedStore.reset_traffic`.
-        """
-        self.requests = 0
-        self.requests_avoided = 0
-        self.local_requests = 0
-        self.descriptor_bytes = 0
-        self.payload_bytes = 0
-        self.summary_bytes = 0
-        self.placement_moves = 0
-        self.placement_bytes = 0
-        self.placement_ms = 0.0
-        self.simulated_ms = 0.0
-        self.robustness = RobustnessStats()
+    counter_properties = ("total_bytes",)
 
     @property
     def total_bytes(self) -> int:
@@ -192,22 +182,6 @@ class TrafficStats:
         placement transfers."""
         return self.descriptor_bytes + self.payload_bytes \
             + self.summary_bytes + self.placement_bytes
-
-    def counters(self) -> dict:
-        """A plain snapshot of the scalar counters (report plumbing)."""
-        return {
-            "requests": self.requests,
-            "requests_avoided": self.requests_avoided,
-            "local_requests": self.local_requests,
-            "descriptor_bytes": self.descriptor_bytes,
-            "payload_bytes": self.payload_bytes,
-            "summary_bytes": self.summary_bytes,
-            "placement_moves": self.placement_moves,
-            "placement_bytes": self.placement_bytes,
-            "placement_ms": self.placement_ms,
-            "total_bytes": self.total_bytes,
-            "simulated_ms": self.simulated_ms,
-        }
 
 
 @dataclass
@@ -284,7 +258,7 @@ class FederatedStore:
                  cache_payloads: bool = False,
                  faults: FaultPlan | str | None = None,
                  retry: RetryPolicy | None = None,
-                 topology=None, tracker=None) -> None:
+                 topology=None) -> None:
         names = [local.name] + [site.name for site in remotes]
         if len(set(names)) != len(names):
             raise StoreError(f"duplicate site names in federation: {names}")
@@ -297,12 +271,13 @@ class FederatedStore:
         #: origin→holder link and served from the cheapest replica;
         #: without it every call keeps the pre-placement behaviour.
         self.topology = topology
-        if topology is not None and tracker is None:
+        #: With a topology, the
+        #: :class:`~repro.store.placement.HotSetTracker` fed by every
+        #: origin-tagged read (the placement policies' input).
+        self.hot_tracker = None
+        if topology is not None:
             from repro.store.placement import HotSetTracker
-            tracker = HotSetTracker()
-        #: Optional :class:`~repro.store.placement.HotSetTracker` fed by
-        #: every origin-tagged read (the placement policies' input).
-        self.hot_tracker = tracker
+            self.hot_tracker = HotSetTracker()
         # Faults are explicit-only here (no REPRO_FAULTS default): the
         # federation's tests and benches assert exact traffic counts,
         # and the chaos matrix exercises it through the higher layers.

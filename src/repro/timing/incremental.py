@@ -44,6 +44,7 @@ from repro.core.syncarc import SyncArc
 from repro.core.timebase import MediaTime
 from repro.core.errors import SchedulingConflict
 from repro.faults import RobustnessStats
+from repro.ledger import Ledger
 from repro.timing.constraints import (ConstraintDelta, ConstraintIndex,
                                       add_arc_delta, build_constraints,
                                       remove_arc_delta, retime_delta)
@@ -53,7 +54,7 @@ from repro.timing.solver import IncrementalSolver, RELAX_DROP_LAST
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Ledger):
     """Bookkeeping for the edit→reschedule loop (benches assert on it).
 
     The ``*_patched`` / ``*_recompiled`` counters belong to the
@@ -69,7 +70,8 @@ class EngineStats:
     fallbacks: int = 0
     last_mode: str = ""
     last_changed_vars: int = 0
-    #: Delta-lowering counters (filled by the live-edit patcher).
+    #: Delta-lowering counters: each live edit's
+    #: :class:`~repro.pipeline.patch.EditRecord` merges in by name.
     events_touched: int = 0
     programs_patched: int = 0
     programs_recompiled: int = 0
@@ -299,7 +301,7 @@ class IncrementalScheduler:
             self._publish()
             return
         self.index.apply(delta)
-        outcome = self.solver.apply(delta, resolve_fallback=False)
+        outcome = self.solver.apply(delta)
         self.stats.last_mode = outcome.mode
         if outcome.mode == "full":
             # Fallbacks re-solve on a canonically rebuilt system: the

@@ -92,8 +92,15 @@ class _Infeasible(Exception):
         self.cycle = cycle
 
 
-def _build_adjacency(system: ConstraintSystem
-                     ) -> list[list[tuple[int, float, Constraint]]]:
+def _implied_root_arc(var: TimeVar, root_var: TimeVar) -> Constraint:
+    return Constraint(var, root_var, 0.0, ConstraintKind.ROOT_ANCHOR,
+                      note="implied arc with the root")
+
+
+def _build_adjacency(system: ConstraintSystem, *, incoming: bool = False
+                     ) -> tuple[list[list[tuple[int, float, Constraint]]],
+                                list[list[tuple[int, float, Constraint]]]
+                                | None]:
     """Adjacency for the whole system, implied root edges included.
 
     For constraint ``var - base >= w``, an edge ``base -> var`` of
@@ -103,10 +110,13 @@ def _build_adjacency(system: ConstraintSystem
     chains that would push the root later show up as positive cycles,
     i.e. genuine conflicts.
 
-    Built once per :func:`solve` call; the may-relaxation loop masks
-    dropped constraints through the ``skipped`` sets the passes take
-    instead of rebuilding this structure (and N fresh implied
-    constraints) on every retry.
+    Built once per solve; the may-relaxation loop masks dropped
+    constraints through the ``skipped`` sets the passes take instead of
+    rebuilding this structure (and N fresh implied constraints) on
+    every retry.  Returns ``(outgoing, None)``, or with ``incoming``
+    also the reverse lists the incremental solver re-anchors from: per
+    variable, its constraints in system order, then its implied root
+    edge.  Phase-0 near-ties resolve by that order.
     """
     index = system.var_index
     count = len(system.variables)
@@ -115,17 +125,74 @@ def _build_adjacency(system: ConstraintSystem
     root = index[system.root_begin]
     outgoing: list[list[tuple[int, float, Constraint]]] = [
         [] for _ in range(count)]
+    reverse = [[] for _ in range(count)] if incoming else None
     for constraint in system.constraints:
-        outgoing[index[constraint.base]].append(
-            (index[constraint.var], constraint.weight_ms, constraint))
+        base = index[constraint.base]
+        var = index[constraint.var]
+        outgoing[base].append((var, constraint.weight_ms, constraint))
+        if reverse is not None:
+            reverse[var].append((base, constraint.weight_ms, constraint))
     root_var = system.root_begin
     for var, i in index.items():
         if i != root:
-            implied = Constraint(var, root_var, 0.0,
-                                 ConstraintKind.ROOT_ANCHOR,
-                                 note="implied arc with the root")
+            implied = _implied_root_arc(var, root_var)
             outgoing[root].append((i, 0.0, implied))
-    return outgoing
+            if reverse is not None:
+                reverse[i].append((root, 0.0, implied))
+    return outgoing, reverse
+
+
+def _relax(outgoing: list[list[tuple[int, float, Constraint]]],
+           index: dict[TimeVar, int], relaxation_policy: str,
+           budget: int, cleanup: str = CLEANUP_RANKED
+           ) -> tuple[list[float], list["Constraint | None"],
+                      list[Constraint], set[int], int]:
+    """The may-relaxation loop: solve, dropping may constraints off
+    positive cycles until the system is feasible.
+
+    Returns ``(dist, predecessor, dropped, skipped, iterations)`` —
+    ``skipped`` holds the ids of the ``dropped`` constraints.  Raises
+    :class:`SchedulingConflict` when a cycle has no relaxable member or
+    ``budget`` drops are spent.
+    """
+    count = len(outgoing)
+    skipped: set[int] = set()
+    dropped: list[Constraint] = []
+    iterations = 0
+    while True:
+        iterations += 1
+        dist = [0.0] * count      # every event starts no earlier than root
+        predecessor: list[Constraint | None] = [None] * count
+        rank = [count + node for node in range(count)]
+        try:
+            # Phase 1: one pass in topological order of the non-negative
+            # edges.  Real documents are almost pure DAGs there (upper
+            # bounds are the only negative edges), so this settles nearly
+            # every variable with exactly one relaxation per edge.
+            dirty = _topological_pass(outgoing, dist, predecessor, None,
+                                      count, skipped, rank)
+            # Phase 2: cleanup for whatever phase 1 cannot order —
+            # binding upper bounds and variables on (zero or positive)
+            # cycles — with the positive-cycle certificate for the
+            # latter.  On clean documents this costs nothing.
+            if dirty:
+                if cleanup == CLEANUP_RANKED:
+                    _ranked_cleanup(outgoing, dist, predecessor, rank,
+                                    dirty, index, skipped)
+                else:
+                    _spfa(outgoing, dist, predecessor, dirty, index,
+                          skipped)
+            return dist, predecessor, dropped, skipped, iterations
+        except _Infeasible as infeasible:
+            victim = _pick_relaxable(infeasible.cycle, relaxation_policy)
+            if victim is None or len(dropped) >= budget:
+                raise SchedulingConflict(
+                    "unsatisfiable synchronization constraints "
+                    "(conflict class 1, section 5.3.3): "
+                    + "; ".join(c.describe() for c in infeasible.cycle),
+                    cycle=infeasible.cycle) from None
+            skipped.add(id(victim))
+            dropped.append(victim)
 
 
 def _topological_pass(outgoing: list[list[tuple[int, float, "Constraint"]]],
@@ -370,48 +437,13 @@ def solve(system: ConstraintSystem, *,
     relaxable_total = sum(1 for c in system.constraints if c.relaxable)
     budget = (relaxable_total if max_relaxations is None
               else min(max_relaxations, relaxable_total))
-    outgoing = _build_adjacency(system)
+    outgoing, _ = _build_adjacency(system)
     index = system.var_index
-    count = len(system.variables)
-    skipped: set[int] = set()
-    dropped: list[Constraint] = []
-    iterations = 0
-    while True:
-        iterations += 1
-        dist = [0.0] * count      # every event starts no earlier than root
-        predecessor: list[Constraint | None] = [None] * count
-        rank = [count + node for node in range(count)]
-        try:
-            # Phase 1: one pass in topological order of the non-negative
-            # edges.  Real documents are almost pure DAGs there (upper
-            # bounds are the only negative edges), so this settles nearly
-            # every variable with exactly one relaxation per edge.
-            dirty = _topological_pass(outgoing, dist, predecessor, None,
-                                      count, skipped, rank)
-            # Phase 2: cleanup for whatever phase 1 cannot order —
-            # binding upper bounds and variables on (zero or positive)
-            # cycles — with the positive-cycle certificate for the
-            # latter.  On clean documents this costs nothing.
-            if dirty:
-                if cleanup == CLEANUP_RANKED:
-                    _ranked_cleanup(outgoing, dist, predecessor, rank,
-                                    dirty, index, skipped)
-                else:
-                    _spfa(outgoing, dist, predecessor, dirty, index,
-                          skipped)
-            times = {var: dist[index[var]] for var in system.variables}
-            return SolverResult(times_ms=times, dropped=dropped,
-                                iterations=iterations)
-        except _Infeasible as infeasible:
-            victim = _pick_relaxable(infeasible.cycle, relaxation_policy)
-            if victim is None or len(dropped) >= budget:
-                raise SchedulingConflict(
-                    "unsatisfiable synchronization constraints "
-                    "(conflict class 1, section 5.3.3): "
-                    + "; ".join(c.describe() for c in infeasible.cycle),
-                    cycle=infeasible.cycle) from None
-            skipped.add(id(victim))
-            dropped.append(victim)
+    dist, _, dropped, _, iterations = _relax(
+        outgoing, index, relaxation_policy, budget, cleanup)
+    times = {var: dist[index[var]] for var in system.variables}
+    return SolverResult(times_ms=times, dropped=dropped,
+                        iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +486,13 @@ class IncrementalSolver:
     full solve, so the re-relaxed times are identical to a from-scratch
     solve of the updated system (equality the property tests assert).
 
-    Fallbacks to a full solve happen when (a) a re-relaxation uncovers a
-    positive cycle — resolving it may require dropping *may* constraints,
-    which is inherently global — or (b) the previous solve already
+    A delta this cannot absorb comes back as a ``"full"`` outcome and
+    leaves the solver stale: the caller rebuilds the system and solves
+    it with a fresh solver.  That happens when (a) a re-relaxation
+    uncovers a positive cycle — resolving it may require dropping *may*
+    constraints, which is inherently global — or (b) the solve already
     dropped may constraints (an edit may allow one to be reinstated).
-    Topology-changing edits never reach this class; the engine rebuilds
-    the system and a fresh solver instead.
+    Topology-changing edits never reach this class either.
     """
 
     def __init__(self, system: ConstraintSystem, *,
@@ -468,42 +501,26 @@ class IncrementalSolver:
             raise SchedulingConflict(
                 f"unknown relaxation policy {relaxation_policy!r}; expected "
                 f"one of {RELAXATION_POLICIES}")
-        if system.root_begin is None:
-            raise SchedulingConflict("constraint system has no root anchor")
         self.system = system
-        self.relaxation_policy = relaxation_policy
-        self.full_solves = 0
-        self.incremental_solves = 0
+        self._outgoing, self._incoming = _build_adjacency(system,
+                                                          incoming=True)
         self._index: dict[TimeVar, int] = dict(system.var_index)
-        self._root = self._index[system.root_begin]
-        count = len(system.variables)
-        self._outgoing: list[list[tuple[int, float, Constraint]]] = [
-            [] for _ in range(count)]
-        self._incoming: list[list[tuple[int, float, Constraint]]] = [
-            [] for _ in range(count)]
-        for constraint in system.constraints:
-            self._attach(constraint)
-        root_var = system.root_begin
-        for var, position in self._index.items():
-            if position != self._root:
-                self._attach(Constraint(var, root_var, 0.0,
-                                        ConstraintKind.ROOT_ANCHOR,
-                                        note="implied arc with the root"))
-        self._dist: list[float] = [0.0] * count
-        self._pred: list[Constraint | None] = [None] * count
+        budget = sum(1 for constraint in system.constraints
+                     if constraint.relaxable)
+        # Ranked cleanup, like solve()'s default: the initial solve must
+        # pick the same cycles (hence the same may drops) as a
+        # from-scratch reference solve.
+        (self._dist, self._pred, self._dropped, self._skipped,
+         self._iterations) = _relax(self._outgoing, self._index,
+                                    relaxation_policy, budget)
+        self._times: dict[TimeVar, float] = {
+            var: self._dist[position]
+            for var, position in self._index.items()}
         #: support-graph reverse index (base position -> positions whose
-        #: SPFA predecessor hangs off it), maintained incrementally
-        #: alongside ``_pred``; None means "rebuild lazily on next use"
-        #: (set after a full resolve rewrites every predecessor).
+        #: SPFA predecessor hangs off it), built lazily on first use and
+        #: then maintained incrementally alongside ``_pred``.
         self._dependents: list[set[int]] | None = None
         self._dep_base: list[int] = []
-        self._times: dict[TimeVar, float] = {}
-        self._dropped: list[Constraint] = []
-        self._skipped: set[int] = set()
-        self._iterations = 0
-        self._degraded = False
-        self._conflict: SchedulingConflict | None = None
-        self._full_resolve()
 
     # -- adjacency ------------------------------------------------------
 
@@ -536,67 +553,16 @@ class IncrementalSolver:
                 self._dependents.append(set())
                 self._dep_base.append(-1)
             self._times[var] = 0.0
-            self._attach(Constraint(var, root_var, 0.0,
-                                    ConstraintKind.ROOT_ANCHOR,
-                                    note="implied arc with the root"))
-
-    # -- relaxation -----------------------------------------------------
-
-    def _full_resolve(self) -> None:
-        """From-scratch solve with the may-relaxation loop of :func:`solve`."""
-        count = len(self._dist)
-        self._dependents = None    # every predecessor is about to change
-        relaxable_total = sum(
-            1 for constraint in self.system.constraints
-            if constraint.relaxable)
-        skipped: set[int] = set()
-        dropped: list[Constraint] = []
-        iterations = 0
-        while True:
-            iterations += 1
-            self._dist[:] = [0.0] * count
-            self._pred[:] = [None] * count
-            rank = [count + node for node in range(count)]
-            try:
-                dirty = _topological_pass(self._outgoing, self._dist,
-                                          self._pred, None, count, skipped,
-                                          rank)
-                if dirty:
-                    # Ranked cleanup, like solve()'s default: the engine's
-                    # fallback solves must pick the same cycles (hence the
-                    # same may drops) as a from-scratch reference solve.
-                    _ranked_cleanup(self._outgoing, self._dist, self._pred,
-                                    rank, dirty, self._index, skipped)
-                break
-            except _Infeasible as infeasible:
-                victim = _pick_relaxable(infeasible.cycle,
-                                         self.relaxation_policy)
-                if victim is None or len(dropped) >= relaxable_total:
-                    self._conflict = SchedulingConflict(
-                        "unsatisfiable synchronization constraints "
-                        "(conflict class 1, section 5.3.3): "
-                        + "; ".join(c.describe() for c in infeasible.cycle),
-                        cycle=infeasible.cycle)
-                    raise self._conflict from None
-                skipped.add(id(victim))
-                dropped.append(victim)
-        self._dropped = dropped
-        self._skipped = skipped
-        self._iterations = iterations
-        self._degraded = bool(dropped)
-        self._conflict = None
-        self._times = {var: self._dist[position]
-                       for var, position in self._index.items()}
-        self.full_solves += 1
+            self._attach(_implied_root_arc(var, root_var))
 
     # -- support tracking -----------------------------------------------
 
     def _dependents_map(self) -> list[set[int]]:
         """``base position -> dependent positions`` of the support graph.
 
-        Rebuilt from ``_pred`` only after a full resolve invalidated it;
-        otherwise :meth:`_note_support_changes` has kept it current, so
-        removal deltas stop paying an O(V) map rebuild each.
+        Built from ``_pred`` on first use; from then on
+        :meth:`_note_support_changes` keeps it current, so removal
+        deltas stop paying an O(V) map rebuild each.
         """
         if self._dependents is None:
             count = len(self._pred)
@@ -662,32 +628,24 @@ class IncrementalSolver:
     @property
     def degraded(self) -> bool:
         """True when the current solution rests on dropped may arcs."""
-        return self._degraded
+        return bool(self._dropped)
 
     @property
     def result(self) -> SolverResult:
-        """A snapshot of the current solution (raises after a conflict)."""
-        if self._conflict is not None:
-            raise self._conflict
+        """A snapshot of the current solution."""
         return SolverResult(times_ms=dict(self._times),
                             dropped=list(self._dropped),
                             iterations=self._iterations)
 
-    def apply(self, delta: ConstraintDelta, *,
-              resolve_fallback: bool = True) -> IncrementalOutcome:
-        """Absorb ``delta``: update the system, then re-relax or fall back.
+    def apply(self, delta: ConstraintDelta) -> IncrementalOutcome:
+        """Absorb ``delta``: update the system, then re-relax.
 
         The solver owns applying the delta to ``self.system`` (callers
-        must not call ``apply_delta`` separately).  Raises
-        :class:`SchedulingConflict` when the edited system has a cycle of
-        must constraints; a later delta may make it feasible again.
-
-        With ``resolve_fallback=False``, a fallback condition returns a
-        ``"full"`` outcome *without* re-solving, leaving the solver
-        stale; the caller must then discard it and rebuild.  The engine
-        uses this to redo fallbacks on a canonically rebuilt system, so
-        order-sensitive may-arc drop choices match a from-scratch solve
-        exactly.
+        must not call ``apply_delta`` separately).  A ``"full"`` outcome
+        means the delta could not be absorbed and the solver is now
+        stale: the caller must discard it and solve a rebuilt system,
+        whose canonical constraint order makes the order-sensitive
+        may-arc drop choices match a from-scratch solve exactly.
         """
         if delta.full_rebuild:
             raise SchedulingConflict(
@@ -706,13 +664,10 @@ class IncrementalSolver:
         for constraint in delta.added:
             self._attach(constraint)
 
-        if self._conflict is not None:
-            return self._fallback("retrying after an unschedulable edit",
-                                  resolve_fallback)
-        if self._degraded:
-            return self._fallback(
-                "previous solve dropped may constraints; revalidating",
-                resolve_fallback)
+        if self._dropped:
+            return IncrementalOutcome(
+                "full", None,
+                "previous solve dropped may constraints; revalidating")
 
         affected = self._supported_by(removed_ids)
         # Phase 0: re-anchor every affected variable on its unaffected
@@ -743,9 +698,10 @@ class IncrementalSolver:
             changed = _spfa(self._outgoing, self._dist, self._pred,
                             seeds, self._index, self._skipped)
         except _Infeasible:
-            return self._fallback(
+            return IncrementalOutcome(
+                "full", None,
                 "edit made the region infeasible; re-solving with may "
-                "relaxation", resolve_fallback)
+                "relaxation")
         changed |= affected
         # Phases 0-2 only write predecessors inside the affected region
         # plus the SPFA-changed set; re-index exactly those.
@@ -756,14 +712,7 @@ class IncrementalSolver:
             var = variables[position]
             self._times[var] = self._dist[position]
             changed_vars.add(var)
-        self.incremental_solves += 1
         return IncrementalOutcome("incremental", changed_vars, delta.reason)
-
-    def _fallback(self, reason: str,
-                  resolve: bool = True) -> IncrementalOutcome:
-        if resolve:
-            self._full_resolve()
-        return IncrementalOutcome("full", None, reason)
 
 
 def check_solution(system: ConstraintSystem, times_ms: dict[TimeVar, float],

@@ -16,6 +16,7 @@ The layer's contract has three parts, and each gets its section here:
 """
 
 import json
+import os
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.corpus.ingest import (CATEGORY_INFRASTRUCTURE,
 from repro.faults import (FAULTS_ENV, STANDARD_PLAN_SPEC, CircuitBreaker,
                           FaultClock, FaultInjected, FaultPlan, RetryPolicy,
                           RobustnessStats, corrupt_block, parse_fault_plan,
-                          resolve_faults)
+                          resolve_faults, run_sharded)
 from repro.pipeline.capture import CaptureSession
 from repro.serving import SessionEngine
 from repro.store import (DataStore, FederatedStore, NetworkModel,
@@ -659,3 +660,21 @@ class TestRobustnessLedger:
         stats.recovered += 1
         text = stats.describe()
         assert "site-outage=1" in text and "balanced" in text
+
+
+def _tag_chunk(chunk):
+    return os.getpid(), list(chunk)
+
+
+def test_run_sharded_reruns_a_crashed_chunk_in_the_parent():
+    ledger = RobustnessStats()
+    results = run_sharded(list(range(7)), 3, _tag_chunk,
+                          faults=FaultPlan(seed=0, crash_shards=(0,)),
+                          ledger=ledger)
+    assert [items for _pid, items in results] == \
+        [[0, 1], [2, 3], [4, 5, 6]]
+    assert results[0][0] == os.getpid()
+    assert ledger.worker_crashes == ledger.recovered == 1
+    assert ledger.faults_injected == {"worker-crash": 1}
+    assert ledger.reshards >= 1 and ledger.resharded_items >= 2
+    assert ledger.balanced()

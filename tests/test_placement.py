@@ -546,6 +546,27 @@ class TestServingAffinity:
                    for session in sessions if session.admitted)
 
 
+class TestServeWorkloadReports:
+    def test_batch_rows_count_every_session(self):
+        """Each batch report's rows are the engine's deltas over that
+        batch, so the per-batch session counts sum to the stream."""
+        import dataclasses
+        from repro.transport.environments import (PERSONAL_SYSTEM,
+                                                  WORKSTATION)
+        workload = build_workload(dataclasses.replace(SMALL, sessions=12))
+        reports = serve_workload(workload, [WORKSTATION, PERSONAL_SYSTEM],
+                                 policy="replicate-hot",
+                                 rebalance_every=6, seed=3)
+        assert [report.sessions for report in reports] == [6, 6]
+        assert sum(report.sessions for report in reports) == \
+            len(workload.requests)
+        assert [len(report.sessions_served) for report in reports] == \
+            [6, 6]
+        assert all(report.wall_seconds > 0 for report in reports)
+        assert all(report.replays == report.admitted
+                   for report in reports)
+
+
 class TestPlacementReportCli:
     def test_federation_wide_report(self):
         workload = build_workload(SMALL)
