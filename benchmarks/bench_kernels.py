@@ -1,13 +1,12 @@
 """kernels — the vectorized numeric backend and multi-core sharding.
 
-PR 7 put every hot numeric loop behind the kernel axis
-(:mod:`repro.kernel`): the batch replay inner loop, the graph solver's
-relaxation sweep and the planner's inverted-index set operations each
-run on either the pure-python reference backend or the numpy vectorized
-backend, bit-identical by construction and by test
-(tests/test_kernels.py).  The embarrassingly parallel outer loops —
-corpus documents, serving sessions — additionally shard across a
-process pool via ``workers=N``.
+The kernel axis (:mod:`repro.kernel`) covers one hot loop, the batch
+replay inner loop: it runs on either the pure-python reference backend
+or the numpy vectorized backend, bit-identical by construction and by
+test (tests/test_kernels.py).  The graph solve and the planner's set
+intersections have a single scalar implementation each.  The
+embarrassingly parallel outer loops — corpus documents, serving
+sessions — additionally shard across a process pool via ``workers=N``.
 
 This bench checks the gates recorded in
 ``benchmarks/baselines/kernels.json``:

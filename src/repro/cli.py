@@ -466,15 +466,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"error: no {args.pattern} files in {directory}",
               file=sys.stderr)
         return 2
-    from repro.kernel import resolve_kernel
-    kernel = resolve_kernel(args.kernel)
     report = ingest_corpus(paths, engine=args.engine,
                            relaxation_policy=args.policy,
                            compile_programs=not args.no_programs,
-                           kernel=kernel, workers=args.workers,
-                           faults=args.faults)
+                           workers=args.workers, faults=args.faults)
     print(report.describe())
-    print(f"  kernel={kernel.name} workers={args.workers}")
+    print(f"  workers={args.workers}")
     return 1 if report.failures else 0
 
 
@@ -614,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generator and jitter seed")
     serve.add_argument("--kernel", choices=("auto", "numpy", "python"),
                        default="auto",
-                       help="numeric backend for solves and replays "
+                       help="numeric backend for the replay inner loop "
                             "(auto: numpy when available; bit-identical "
                             "either way)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
@@ -743,11 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(with --generate)")
     ingest.add_argument("--seed", type=int, default=1991,
                         help="generator seed (with --generate)")
-    ingest.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                        default="auto",
-                        help="numeric backend for the solve stage "
-                             "(auto: numpy when available; bit-identical "
-                             "either way)")
     ingest.add_argument("--workers", type=int, default=1, metavar="N",
                         help="shard the corpus across N processes "
                              "(default 1; report identical to serial)")

@@ -284,11 +284,6 @@ class CompiledDocument:
                 f"of this document?)")
         return event
 
-    @property
-    def total_duration_lower_bound_ms(self) -> float:
-        """Sum of event durations — a trivial lower bound used in views."""
-        return sum(event.duration_ms for event in self.events)
-
     def sharing_ratio(self) -> float:
         """Events per distinct data descriptor (figure 2's reuse claim).
 

@@ -229,8 +229,10 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
     resident for the serving path; pass existing caches to warm those
     instead.
 
-    ``kernel`` picks the numeric backend for the cold solves (the
-    ``kernel=`` axis, :mod:`repro.kernel`; bit-identical output).
+    ``kernel`` is accepted and ignored: the cold solve has a single
+    scalar implementation, and callers that name a replay kernel
+    everywhere may still pass it here.
+
     ``workers`` > 1 shards the corpus into contiguous path chunks
     across a process pool — documents are embarrassingly parallel —
     and merges the shard reports in path order, then re-warms the
@@ -276,7 +278,7 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
                               relaxation_policy=relaxation_policy,
                               channel_serialization=channel_serialization,
                               compile_programs=compile_programs,
-                              kernel=kernel, faults=faults, retry=retry),
+                              faults=faults, retry=retry),
             faults=faults, ledger=report.robustness)
     if shards is None:
         stage_seconds = report.stage_seconds
@@ -285,7 +287,7 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
                                      relaxation_policy,
                                      channel_serialization,
                                      compile_programs, schedule_cache,
-                                     program_cache, kernel, faults, retry)
+                                     program_cache, faults, retry)
             if entry is not None:
                 report.documents.append(entry)
     else:
@@ -316,7 +318,7 @@ def _ingest_document(path: Path, report: IngestReport,
                      stage_seconds: dict[str, float], engine: str,
                      relaxation_policy: str, channel_serialization: bool,
                      compile_programs: bool, schedule_cache: ScheduleCache,
-                     program_cache: ProgramCache | None, kernel,
+                     program_cache: ProgramCache | None,
                      faults: FaultPlan | None,
                      retry: RetryPolicy) -> IngestedDocument | None:
     """One document through the pipeline, with the recovery policy.
@@ -332,7 +334,7 @@ def _ingest_document(path: Path, report: IngestReport,
         outcome = _ingest_one(path, report, stage_seconds, engine,
                               relaxation_policy, channel_serialization,
                               compile_programs, schedule_cache,
-                              program_cache, kernel, faults=faults,
+                              program_cache, faults=faults,
                               attempt=attempt)
         if not isinstance(outcome, IngestFailure):
             return outcome
@@ -358,7 +360,7 @@ def _ingest_one(path: Path, report: IngestReport,
                 relaxation_policy: str, channel_serialization: bool,
                 compile_programs: bool, schedule_cache: ScheduleCache,
                 program_cache: ProgramCache | None,
-                kernel=None, faults: FaultPlan | None = None,
+                faults: FaultPlan | None = None,
                 attempt: int = 0) -> IngestedDocument | IngestFailure:
     """One attempt at one document; the failure on error (not recorded
     here — the caller's retry policy decides its fate)."""
@@ -396,7 +398,7 @@ def _ingest_one(path: Path, report: IngestReport,
         schedule = schedule_document(
             compiled, channel_serialization=channel_serialization,
             relaxation_policy=relaxation_policy, cache=schedule_cache,
-            engine=engine, kernel=kernel)
+            engine=engine)
         stage_seconds["solve"] += time.perf_counter() - start
         stage_documents["solve"] += 1
         stage_events["solve"] += len(schedule.events)

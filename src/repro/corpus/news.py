@@ -76,11 +76,6 @@ class NewsCorpus:
     store: DataStore
     story_count: int
 
-    @property
-    def fragment_path(self) -> str:
-        """Root-relative path of the figure-10 story, when present."""
-        return "/story-paintings"
-
 
 def declare_news_channels(builder: DocumentBuilder) -> None:
     """Declare the five figure-4 channels with figure-4a region hints.

@@ -1,11 +1,13 @@
 """The numeric kernel axis: one interface, two backends.
 
-Every hot numeric path — the :class:`~repro.pipeline.program.BatchPlayer`
-inner loop, the :func:`~repro.timing.graph.solve_graph` relaxation
-sweeps, the planner's inverted-index set operations — runs against a
-*kernel*: either the pure-Python reference backend or the NumPy
-vectorized backend, selected by the ``kernel=`` axis exactly like the
-schedule layer's ``engine=`` axis:
+The replay loop — the :class:`~repro.pipeline.program.BatchPlayer`
+transform, run and audit passes over a compiled playback program — runs
+against a *kernel*: either the pure-Python reference backend or the
+NumPy vectorized backend.  It is the one hot loop where a measurement
+shows vectorizing pays (``benchmarks/bench_kernels.py``); the graph
+solve and the planner's set intersections each have a single scalar
+implementation and take no kernel.  The ``kernel=`` axis works exactly
+like the schedule layer's ``engine=`` axis:
 
 * ``"auto"`` (the default) picks NumPy when it is importable, else the
   Python backend — so the package has **no hard NumPy dependency**;
@@ -17,7 +19,7 @@ schedule layer's ``engine=`` axis:
 
 The backends are bit-identical by construction and by test: a kernel
 choice changes cost, never one bit of output — which is why caches
-(schedules, programs, plans) never key on the kernel.
+(programs, run plans) never key on the kernel.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from repro.core.tree import iter_postorder
 from repro.pipeline.program import BatchPlayer
 from repro.timing.conflicts import (ConflictReport, invalid_arcs_after_seek)
 from repro.timing.intervals import arc_window
-from repro.timing.schedule import Schedule, ScheduleCache, schedule_for
+from repro.timing.schedule import Schedule
 from repro.transport.environments import SystemEnvironment, WORKSTATION
 
 
@@ -171,15 +171,13 @@ class Player:
 
     def __init__(self, environment: SystemEnvironment = WORKSTATION, *,
                  seed: int = 0, prefetch_lead_ms: float = 0.0,
-                 strict: bool = False,
-                 cache: ScheduleCache | None = None) -> None:
+                 strict: bool = False) -> None:
         self.environment = environment
         self.seed = seed
         if prefetch_lead_ms < 0:
             raise PlaybackError("prefetch lead cannot be negative")
         self.prefetch_lead_ms = prefetch_lead_ms
         self.strict = strict
-        self.cache = cache
         # One-slot compiled-program engine (see class docstring).
         self._batch: BatchPlayer | None = None
         # One-slot node-path cache for the reference path: replays and
@@ -234,21 +232,6 @@ class Player:
         return random.Random(self.seed + replay)
 
     # -- core playback -----------------------------------------------------
-
-    def play_document(self, document, *, rate: float = 1.0,
-                      freeze_at_ms: float | None = None,
-                      freeze_duration_ms: float = 0.0,
-                      seek_to_ms: float = 0.0,
-                      rng: random.Random | None = None) -> PlaybackReport:
-        """Schedule (through the cache, if any) and play a document.
-
-        Replays and seeks at an unchanged document revision reuse the
-        cached timeline instead of re-running the solver.
-        """
-        schedule = schedule_for(document, cache=self.cache)
-        return self.play(schedule, rate=rate, freeze_at_ms=freeze_at_ms,
-                         freeze_duration_ms=freeze_duration_ms,
-                         seek_to_ms=seek_to_ms, rng=rng)
 
     def play(self, schedule: Schedule, *, rate: float = 1.0,
              freeze_at_ms: float | None = None,

@@ -963,9 +963,8 @@ class BatchPlayer:
                      cache: ScheduleCache | None = None,
                      **kwargs) -> "BatchPlayer":
         """Schedule (through ``cache``, if any) and wrap a document."""
-        return cls(schedule_for(document, cache=cache,
-                                kernel=kwargs.get("kernel")),
-                   environment, **kwargs)
+        return cls(schedule_for(document, cache=cache), environment,
+                   **kwargs)
 
     def rng_for(self, replay: int = 0) -> random.Random:
         """The jitter RNG of the ``replay``-th run (seed + replay)."""

@@ -472,11 +472,10 @@ class SessionEngine:
             self.robustness.degraded_solves += 1
             self.robustness.recovered += 1
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=ENGINE_REFERENCE,
-                                    kernel=self.kernel)
+                                    engine=ENGINE_REFERENCE)
         else:
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=self.engine, kernel=self.kernel)
+                                    engine=self.engine)
         program = adapted_program_for(schedule, environment,
                                       program_cache=self.program_cache,
                                       requirements=requirements)

@@ -35,7 +35,7 @@ complete with ``payload_reads == 0``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
@@ -44,11 +44,6 @@ from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.errors import StoreError, ValueError_
 from repro.core.timebase import TimeBase
 from repro.ledger import Ledger
-
-#: Entries the sorted-rank-array cache may hold before it is cleared
-#: wholesale; each entry pins the index set it mirrors, so the cap also
-#: bounds how long dead (replaced) sets can linger.
-_RANK_CACHE_CAP = 512
 
 
 @dataclass
@@ -131,11 +126,6 @@ class DataStore:
         #: registration rank per id — planned queries return results in
         #: registration order, exactly like a scan would.
         self._insertion_rank: dict[str, int] = {}
-        self._rank_to_id: dict[int, str] = {}
-        #: id(index set) -> (version, set, sorted int64 rank array); the
-        #: numpy kernel's sorted-array form of live index sets, rebuilt
-        #: on any version mismatch (see :meth:`rank_array`).
-        self._rank_cache: dict[int, tuple] = {}
         self._next_rank = 0
         #: bumped on every mutation; keys summary caches and lets the
         #: federation detect stale site summaries.
@@ -163,17 +153,22 @@ class DataStore:
                 self._block_refs.get(descriptor.block_id, 0) + 1
         self._descriptors[descriptor.descriptor_id] = descriptor
         self._insertion_rank[descriptor.descriptor_id] = self._next_rank
-        self._rank_to_id[self._next_rank] = descriptor.descriptor_id
         self._next_rank += 1
         self._medium_index.setdefault(descriptor.medium, set()).add(
             descriptor.descriptor_id)
         self._index_attributes(descriptor)
         self._touch()
 
-    def register_pair(self, pair: tuple[DataBlock, DataDescriptor]) -> None:
-        """Register a (block, descriptor) pair from a media generator."""
-        block, descriptor = pair
-        self.register(descriptor, block)
+    def register_copy(self, descriptor: DataDescriptor,
+                      block: DataBlock | None = None) -> None:
+        """Register a replica of another store's descriptor and block.
+
+        The replica owns a copy of the attribute dict, so an attribute
+        update on either store never shows through the other.
+        """
+        self.register(replace(descriptor,
+                              attributes=dict(descriptor.attributes)),
+                      block)
 
     def unregister(self, descriptor_id: str) -> DataDescriptor:
         """Remove a descriptor (and its now-orphaned block, if any).
@@ -193,7 +188,6 @@ class DataStore:
             if not ids:
                 del self._medium_index[descriptor.medium]
         del self._descriptors[descriptor_id]
-        del self._rank_to_id[self._insertion_rank[descriptor_id]]
         del self._insertion_rank[descriptor_id]
         if descriptor.block_id is not None:
             remaining = self._block_refs.get(descriptor.block_id, 0) - 1
@@ -555,21 +549,18 @@ class DataStore:
         from repro.store.query import criteria_query
         return self.find_where(criteria_query(criteria))
 
-    def find_where(self, predicate: Callable[[DataDescriptor], bool],
-                   *, kernel=None) -> list[DataDescriptor]:
+    def find_where(self, predicate: Callable[[DataDescriptor], bool]
+                   ) -> list[DataDescriptor]:
         """Attribute search with a query AST or an arbitrary predicate.
 
         A :class:`~repro.store.query.Query` is planned against the
         inverted indexes (falling back to a scan only when no index
-        applies); a bare callable always scans.  ``kernel`` picks the
-        numeric backend for the plan's set intersections (bit-identical
-        results either way).
+        applies); a bare callable always scans.
         """
         from repro.store.planner import execute_plan
         from repro.store.query import Query
         if isinstance(predicate, Query):
-            return execute_plan(self, self.explain(predicate),
-                                kernel=kernel)
+            return execute_plan(self, self.explain(predicate))
         return self.scan_where(predicate)
 
     def scan_where(self, predicate: Callable[[DataDescriptor], bool]
@@ -594,35 +585,6 @@ class DataStore:
     def in_registration_order(self, ids) -> list[str]:
         """Candidate ids sorted the way a scan would visit them."""
         return sorted(ids, key=self._insertion_rank.__getitem__)
-
-    def rank_array(self, ids, np):
-        """A live index set as a sorted int64 insertion-rank array.
-
-        The numpy kernel's form of a candidate set: sorted unique ranks,
-        ready for ``np.intersect1d(..., assume_unique=True)``.  Cached
-        by set identity and store version, so repeated queries against
-        unchanged indexes pay the conversion once; the cache holds the
-        set itself, which keeps the identity key valid for the entry's
-        lifetime.
-        """
-        key = id(ids)
-        entry = self._rank_cache.get(key)
-        if entry is not None and entry[0] == self.version \
-                and entry[1] is ids:
-            return entry[2]
-        rank = self._insertion_rank
-        array = np.fromiter((rank[member] for member in ids),
-                            dtype=np.int64, count=len(ids))
-        array.sort()
-        if len(self._rank_cache) >= _RANK_CACHE_CAP:
-            self._rank_cache.clear()
-        self._rank_cache[key] = (self.version, ids, array)
-        return array
-
-    def ids_for_ranks(self, ranks) -> list[str]:
-        """Ids for a sorted rank array — registration order for free."""
-        rank_to_id = self._rank_to_id
-        return [rank_to_id[rank] for rank in ranks.tolist()]
 
     # -- document integration ---------------------------------------------------
 

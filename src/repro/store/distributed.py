@@ -708,13 +708,7 @@ class FederatedStore:
             if self.cache_payloads and origin is None:
                 descriptor = site.store.descriptor(descriptor_id)
                 if descriptor_id not in self.local.store:
-                    self.local.store.register(
-                        DataDescriptor(
-                            descriptor_id=descriptor.descriptor_id,
-                            medium=descriptor.medium,
-                            block_id=descriptor.block_id,
-                            attributes=dict(descriptor.attributes)),
-                        block)
+                    self.local.store.register_copy(descriptor, block)
                 # The local copy now serves lookups; a stale cache
                 # entry would shadow any later local update.
                 self._descriptor_cache.pop(descriptor_id, None)
@@ -888,13 +882,7 @@ class FederatedStore:
             if descriptor.block_id is not None:
                 block = source.store.block_for(move.descriptor_id)
                 size += block.size_bytes
-            target.store.register(
-                DataDescriptor(
-                    descriptor_id=descriptor.descriptor_id,
-                    medium=descriptor.medium,
-                    block_id=descriptor.block_id,
-                    attributes=dict(descriptor.attributes)),
-                block)
+            target.store.register_copy(descriptor, block)
             if move.action == "migrate":
                 source.store.unregister(move.descriptor_id)
             link = (self.topology.link(move.target, move.source)
@@ -962,11 +950,6 @@ class FederatedStore:
             except StoreError:
                 continue
         return delivered
-
-    def stream_document(self, document, *,
-                        origin: str | None = None) -> int:
-        """:meth:`stream` over :meth:`stream_ids_for`."""
-        return self.stream(self.stream_ids_for(document), origin=origin)
 
     # -- placement analysis ---------------------------------------------------------
 

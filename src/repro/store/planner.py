@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Callable
 
-from repro.kernel import resolve_kernel
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
                                MatchesAttr, MediumIs, Not, Or, Query, Range)
 
@@ -50,11 +49,6 @@ DEMOTE_FACTOR = 4
 #: Below this driver estimate the demotion threshold stops shrinking
 #: (materializing a few dozen ids is cheaper than deciding not to).
 DEMOTE_FLOOR = 64
-
-#: Below this many ids in the *most selective* step, python set
-#: intersection beats the sorted-rank-array form even with the arrays
-#: cached — the numpy kernel only engages past it.
-_NP_MIN_IDS = 64
 
 
 @dataclass
@@ -243,7 +237,7 @@ def _plan_or(store: "DataStore", node: Or) -> _Subplan | None:
             return _Subplan(matches_all=True)
         if not child.steps:
             return None
-        union |= _intersect_steps(store, child.steps)
+        union |= _intersect_steps(child.steps)
         if child.residuals or any(not s.exact for s in child.steps):
             exact = False
     step = IndexStep(index="union", description=node.description,
@@ -255,40 +249,16 @@ def _plan_or(store: "DataStore", node: Or) -> _Subplan | None:
     return subplan
 
 
-def _intersect_steps(store: "DataStore", steps: list[IndexStep],
-                     kernel=None) -> set[str]:
+def _intersect_steps(steps: list[IndexStep]) -> set[str]:
     """The steps' candidate intersection, smallest set first."""
     if not steps:
         return set()
     ordered = sorted(steps, key=lambda s: s.estimate)
-    np = resolve_kernel(kernel).np
-    if np is not None and len(ordered) > 1 \
-            and len(ordered[0].ids) >= _NP_MIN_IDS:
-        return set(store.ids_for_ranks(
-            _intersect_ranks(store, ordered, np)))
     result = set(ordered[0].ids)
     for step in ordered[1:]:
         if not result:
             break
         result = result & step.ids
-    return result
-
-
-def _intersect_ranks(store: "DataStore", ordered: list[IndexStep], np):
-    """Vectorized intersection over sorted insertion-rank arrays.
-
-    Each step's id set becomes a sorted unique int64 rank array (cached
-    on the store per set identity and version), so the intersection is
-    ``np.intersect1d(assume_unique=True)`` merges — and the result is
-    already in registration order, which is exactly the order
-    :func:`execute_plan` must examine candidates in.
-    """
-    result = store.rank_array(ordered[0].ids, np)
-    for step in ordered[1:]:
-        if not result.size:
-            break
-        result = np.intersect1d(result, store.rank_array(step.ids, np),
-                                assume_unique=True)
     return result
 
 
@@ -346,29 +316,15 @@ def _leaf_step(store: "DataStore", node: Query) -> IndexStep | None:
     return None
 
 
-def execute_plan(store: "DataStore", plan: Plan,
-                 kernel=None) -> list["DataDescriptor"]:
-    """Run a plan, charging one attribute read per examined descriptor.
-
-    ``kernel`` selects the set-intersection backend (the ``kernel=``
-    axis, :mod:`repro.kernel`); the examined candidates, their order
-    and the charged reads are identical under every kernel.
-    """
+def execute_plan(store: "DataStore", plan: Plan) -> list["DataDescriptor"]:
+    """Run a plan, charging one attribute read per examined descriptor."""
     if plan.scan:
         residual = plan.residual
         if residual is None:
             return store.scan_where(lambda descriptor: True)
         return store.scan_where(residual)
-    np = resolve_kernel(kernel).np
-    steps = list(plan.steps)
-    ordered = sorted(steps, key=lambda s: s.estimate)
-    if np is not None and ordered \
-            and len(ordered[0].ids) >= _NP_MIN_IDS:
-        examined = store.ids_for_ranks(
-            _intersect_ranks(store, ordered, np))
-    else:
-        examined = store.in_registration_order(
-            _intersect_steps(store, steps, kernel=kernel))
+    examined = store.in_registration_order(
+        _intersect_steps(list(plan.steps)))
     residual = plan.residual
     results: list["DataDescriptor"] = []
     for descriptor_id in examined:

@@ -44,11 +44,6 @@ class VarKind(enum.Enum):
     BEGIN = "begin"
     END = "end"
 
-    @classmethod
-    def from_anchor(cls, anchor: Anchor) -> "VarKind":
-        """Map an arc anchor to its time variable."""
-        return cls.BEGIN if anchor is Anchor.BEGIN else cls.END
-
 
 @dataclass(frozen=True)
 class TimeVar:

@@ -33,19 +33,8 @@ dropped constraints in the same order, same conflict cycles.  The
 pre-graph FIFO cleanup survives as ``solve(..., cleanup="fifo")``, the
 baseline ``benchmarks/bench_ingest.py`` gates against.
 
-Under the numpy kernel (the ``kernel=`` axis, see :mod:`repro.kernel`),
-phase 1 additionally runs as **layer-batched relaxation sweeps** over
-int64/float64 CSR arrays: the reference FIFO queue decomposes into
-Kahn layers (everything appended while draining layer *k* is layer
-*k+1*, ordered by the position of each node's last indegree-decrementing
-edge — which reconstructs the FIFO pop order exactly), and each layer's
-outgoing edges relax in one vector pass.  Per-target maxima are exact
-except where the reference's epsilon guard makes the outcome depend on
-edge order; the sweep detects those windows — any candidate within
-``_EPS`` below its target's maximum, any applicable negative-edge
-candidate below the maximum, any negative edge targeting the current
-layer — and falls back to the scalar pass for that solve, so the
-vector path never changes a bit of output.
+Both phases are scalar loops over the CSR lists; the ``kernel=`` axis
+covers only the replay loop.
 """
 
 from __future__ import annotations
@@ -55,7 +44,6 @@ from repro.core.errors import SchedulingConflict
 from repro.core.nodes import NodeKind
 from repro.core.paths import resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
-from repro.kernel import resolve_kernel
 from repro.timing.constraints import (Constraint, ConstraintKind,
                                       ConstraintSystem, TimeVar, VarKind)
 from repro.timing.solver import (RELAXATION_POLICIES, RELAX_DROP_LAST,
@@ -101,7 +89,7 @@ class ConstraintGraph:
                  "var_paths", "var_kinds", "cons_var", "cons_base",
                  "cons_weight", "cons_relax", "meta", "implied_vars",
                  "row_start", "edge_src", "edge_target", "edge_weight",
-                 "edge_cons", "_timevars", "_constraints", "_csr_np")
+                 "edge_cons", "_timevars", "_constraints")
 
     def __init__(self, compiled: CompiledDocument,
                  channel_serialization: bool) -> None:
@@ -124,7 +112,6 @@ class ConstraintGraph:
         self.edge_cons: list[int] = []
         self._timevars: list[TimeVar | None] = []
         self._constraints: dict[int, Constraint] = {}
-        self._csr_np = None
 
     # -- sizes ----------------------------------------------------------
 
@@ -474,139 +461,6 @@ def _graph_topo(graph: ConstraintGraph, skipped: bytearray,
     return dirty
 
 
-#: Below this many variables the scalar pass wins outright.
-_NP_MIN_VARS = 192
-#: After this many layers the pass judges the graph's shape and bails
-#: to scalar unless most variables have already popped.  Deep narrow
-#: graphs (seq chains, serialized channels) relax faster scalar; wide
-#: par fan-outs drain almost everything within the first few layers.
-_NP_BAIL_LAYERS = 8
-#: A serialized channel with this many events forces at least as many
-#: Kahn layers, so the pass is too deep to batch — known before it
-#: starts, for free, from the compiled channel map.
-_NP_MAX_CHAIN = 12
-
-
-def _np_csr(graph: ConstraintGraph, np):
-    """The graph's CSR arrays as cached int64/float64 numpy arrays."""
-    cached = graph._csr_np
-    if cached is None:
-        cached = (np.asarray(graph.row_start, dtype=np.int64),
-                  np.asarray(graph.edge_src, dtype=np.int64),
-                  np.asarray(graph.edge_target, dtype=np.int64),
-                  np.asarray(graph.edge_weight, dtype=np.float64),
-                  np.asarray(graph.edge_cons, dtype=np.int64))
-        graph._csr_np = cached
-    return cached
-
-
-def _graph_topo_np(graph: ConstraintGraph, skipped: bytearray, np):
-    """Layer-batched Kahn pass over the numpy CSR arrays (phase 1).
-
-    Decomposes the reference FIFO queue into Kahn layers — everything
-    appended while draining layer *k* is layer *k + 1*, ordered by the
-    position of each node's last indegree-decrementing edge, which is
-    exactly the FIFO append order — and relaxes each layer's outgoing
-    edges in one vector sweep.
-
-    Returns ``(dist, pred, rank, dirty)`` (arrays plus the dirty id
-    list) matching :func:`_graph_topo` bit for bit, or None to make the
-    caller fall back to the scalar pass wherever batching could change
-    the answer: a candidate inside the epsilon window below its
-    target's maximum (the reference outcome then depends on edge
-    order), an applicable negative-edge candidate below the maximum
-    (its dirty-list membership depends on edge order), a negative edge
-    targeting the layer being relaxed (the batch snapshot would go
-    stale mid-layer), or a graph too narrow for batching to pay.
-    """
-    if graph.channel_serialization:
-        per_channel = graph.compiled.per_channel
-        if per_channel and max(map(len, per_channel.values())) \
-                > _NP_MAX_CHAIN:
-            return None
-    row_start, edge_src, edge_target, edge_weight, edge_cons = \
-        _np_csr(graph, np)
-    count = graph.count
-    skip_np = np.frombuffer(skipped, dtype=np.uint8)
-    live = skip_np[edge_cons] == 0
-    indegree = np.bincount(edge_target[live & (edge_weight >= 0.0)],
-                           minlength=count)
-    dist = np.zeros(count, dtype=np.float64)
-    pred = np.full(count, -1, dtype=np.int64)
-    rank = np.arange(count, count + count, dtype=np.int64)
-    dirty_mask = np.zeros(count, dtype=bool)
-    in_layer = np.zeros(count, dtype=bool)
-    layer = np.nonzero(indegree == 0)[0]
-    popped = 0
-    layers = 0
-    while layer.size:
-        layers += 1
-        if layers == _NP_BAIL_LAYERS and popped * 3 < count * 2:
-            return None
-        rank[layer] = np.arange(popped, popped + layer.size)
-        popped += layer.size
-        starts = row_start[layer]
-        lengths = row_start[layer + 1] - starts
-        total = int(lengths.sum())
-        if total:
-            ends = np.cumsum(lengths)
-            # Edge ids in (pop order, row order) — the exact sequence
-            # the reference relaxes them in.
-            eidx = (np.repeat(starts - (ends - lengths), lengths)
-                    + np.arange(total))
-            eidx = eidx[live[eidx]]
-        else:
-            eidx = starts[:0]
-        if not eidx.size:
-            layer = eidx
-            continue
-        tgt = edge_target[eidx]
-        weight = edge_weight[eidx]
-        neg = weight < 0.0
-        if neg.any():
-            in_layer[layer] = True
-            hit = bool(in_layer[tgt[neg]].any())
-            in_layer[layer] = False
-            if hit:
-                return None
-        cand = dist[edge_src[eidx]] + weight
-        peak = np.full(count, -np.inf)
-        np.maximum.at(peak, tgt, cand)
-        peak_t = peak[tgt]
-        if bool(((cand >= peak_t - _EPS) & (cand < peak_t)).any()):
-            return None
-        if bool((neg & (cand > dist[tgt] + _EPS)
-                 & (cand < peak_t)).any()):
-            return None
-        movers = np.nonzero(peak > dist + _EPS)[0]
-        if movers.size:
-            # pred is the first edge attaining the maximum, exactly as
-            # the sequential relaxation would leave it.
-            attain = cand == peak_t
-            first = np.full(count, total, dtype=np.int64)
-            np.minimum.at(first, tgt[attain], np.nonzero(attain)[0])
-            dist[movers] = peak[movers]
-            lead = first[movers]
-            pred[movers] = eidx[lead]
-            dirty_mask[movers[neg[lead]]] = True
-        dec = np.nonzero(weight >= 0.0)[0]
-        if dec.size:
-            dec_t = tgt[dec]
-            indegree -= np.bincount(dec_t, minlength=count)
-            last = np.full(count, -1, dtype=np.int64)
-            np.maximum.at(last, dec_t, dec)
-            zeroed = np.nonzero((indegree == 0) & (last >= 0))[0]
-            layer = zeroed[np.argsort(last[zeroed])]
-        else:
-            layer = dec
-    dirty = np.nonzero(dirty_mask)[0].tolist()
-    if popped < count:
-        # The ranked cleanup dedups seeds and sorts them by rank, so
-        # set equality with the reference dirty list is exact here.
-        dirty.extend(np.nonzero(indegree != 0)[0].tolist())
-    return dist, pred, rank, dirty
-
-
 def _find_cycle_edges(graph: ConstraintGraph, pred: list[int],
                       start: int) -> list[int] | None:
     """Mirror of the reference ``_find_cycle`` over edge ids."""
@@ -679,20 +533,9 @@ def _ranked_cleanup(graph: ConstraintGraph, skipped: bytearray,
         batch = next_batch
 
 
-def _solve_pass(graph: ConstraintGraph, skipped: bytearray,
-                kernel) -> list[float]:
+def _solve_pass(graph: ConstraintGraph, skipped: bytearray) -> list[float]:
     """One full relaxation pass; raises :class:`_GraphInfeasible`."""
     count = graph.count
-    if kernel.np is not None and count >= _NP_MIN_VARS:
-        state = _graph_topo_np(graph, skipped, kernel.np)
-        if state is not None:
-            dist_np, pred_np, rank_np, dirty = state
-            dist = dist_np.tolist()
-            if dirty:
-                pred = pred_np.tolist()
-                rank = rank_np.tolist()
-                _ranked_cleanup(graph, skipped, dist, pred, rank, dirty)
-            return dist
     dist = [0.0] * count
     pred = [-1] * count
     # Unordered members keep a deterministic rank past every popped one.
@@ -734,8 +577,7 @@ def _window_width(graph: ConstraintGraph, cons_id: int) -> float:
 
 def solve_graph(graph: ConstraintGraph, *,
                 relaxation_policy: str = RELAX_DROP_LAST,
-                max_relaxations: int | None = None,
-                kernel=None) -> SolverResult:
+                max_relaxations: int | None = None) -> SolverResult:
     """Solve a compiled graph; drop-in equivalent of :func:`solve`.
 
     Returns the same :class:`SolverResult` (times keyed by materialized
@@ -743,18 +585,11 @@ def solve_graph(graph: ConstraintGraph, *,
     the same :class:`SchedulingConflict` on must-constraint cycles.
     Adjacency is never rebuilt: each may-relaxation retry only flips a
     bit in the skip mask.
-
-    ``kernel`` selects the numeric backend for phase 1 (the
-    ``kernel=`` axis; see :mod:`repro.kernel`) — under the numpy
-    kernel large graphs relax in layer-batched vector sweeps, with a
-    bit-exact fallback to the scalar pass.  The result is identical
-    under every kernel.
     """
     if relaxation_policy not in RELAXATION_POLICIES:
         raise SchedulingConflict(
             f"unknown relaxation policy {relaxation_policy!r}; expected "
             f"one of {RELAXATION_POLICIES}")
-    kernel = resolve_kernel(kernel)
     relaxable_total = sum(graph.cons_relax)
     budget = (relaxable_total if max_relaxations is None
               else min(max_relaxations, relaxable_total))
@@ -764,7 +599,7 @@ def solve_graph(graph: ConstraintGraph, *,
     while True:
         iterations += 1
         try:
-            dist = _solve_pass(graph, skipped, kernel)
+            dist = _solve_pass(graph, skipped)
         except _GraphInfeasible as infeasible:
             victim = _pick_relaxable_row(graph, infeasible.cycle_edges,
                                          relaxation_policy)

@@ -298,15 +298,14 @@ class ScheduleCache:
     def schedule_for(self, document: CmifDocument, *,
                      channel_serialization: bool = True,
                      relaxation_policy: str = RELAX_DROP_LAST,
-                     engine: str = ENGINE_REFERENCE,
-                     kernel=None) -> Schedule:
+                     engine: str = ENGINE_REFERENCE) -> Schedule:
         """The document's schedule, compiled and solved at most once.
 
         On a miss this pays the full compile → build → solve → wrap
         pipeline; every further call at the same revision is a lookup.
-        The two engines (and both kernels) are bit-identical, so the
-        key ignores ``engine`` and ``kernel`` and a graph-warmed entry
-        (corpus ingest) serves reference-path consumers directly.
+        The two engines are bit-identical, so the key ignores
+        ``engine`` and a graph-warmed entry (corpus ingest) serves
+        reference-path consumers directly.
         """
         cached = self.get(document,
                           channel_serialization=channel_serialization,
@@ -317,7 +316,7 @@ class ScheduleCache:
             document.compile(),
             channel_serialization=channel_serialization,
             relaxation_policy=relaxation_policy,
-            engine=engine, kernel=kernel)
+            engine=engine)
         self.put(document, schedule,
                  channel_serialization=channel_serialization,
                  relaxation_policy=relaxation_policy)
@@ -339,8 +338,7 @@ def schedule_document(compiled: CompiledDocument, *,
                       channel_serialization: bool = True,
                       relaxation_policy: str = RELAX_DROP_LAST,
                       cache: ScheduleCache | None = None,
-                      engine: str = ENGINE_REFERENCE,
-                      kernel=None) -> Schedule:
+                      engine: str = ENGINE_REFERENCE) -> Schedule:
     """Compile-to-timeline in one call: build constraints, solve, wrap.
 
     This is the main scheduling entry point used by the player, viewer
@@ -349,10 +347,7 @@ def schedule_document(compiled: CompiledDocument, *,
     cold-path solver: ``"reference"`` is the pinned object-form solve,
     ``"graph"`` the compiled-graph lowering
     (:mod:`repro.timing.graph`) — bit-identical output, so cache keys
-    deliberately ignore the engine.  ``kernel`` picks the numeric
-    backend for the graph engine's relaxation sweeps (the ``kernel=``
-    axis, :mod:`repro.kernel`) — also bit-identical, also absent from
-    cache keys.
+    deliberately ignore the engine.
     """
     if engine not in SCHEDULE_ENGINES:
         raise ValueError_(f"unknown schedule engine {engine!r}; expected "
@@ -366,8 +361,7 @@ def schedule_document(compiled: CompiledDocument, *,
     if engine == ENGINE_GRAPH:
         graph = compile_graph(
             compiled, channel_serialization=channel_serialization)
-        result = solve_graph(graph, relaxation_policy=relaxation_policy,
-                             kernel=kernel)
+        result = solve_graph(graph, relaxation_policy=relaxation_policy)
     else:
         system = build_constraints(
             compiled, channel_serialization=channel_serialization)
@@ -431,13 +425,14 @@ def schedule_for(document: CmifDocument, *,
     """The document's schedule, through a cache when one is given.
 
     The one cache-or-solve branch the player, viewer and CLI share.
+    ``kernel`` is accepted and ignored: the solve has a single scalar
+    implementation, and callers that name a replay kernel everywhere
+    may still pass it here.
     """
     if cache is not None:
         return cache.schedule_for(
             document, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy, engine=engine,
-            kernel=kernel)
+            relaxation_policy=relaxation_policy, engine=engine)
     return schedule_document(
         document.compile(), channel_serialization=channel_serialization,
-        relaxation_policy=relaxation_policy, engine=engine,
-        kernel=kernel)
+        relaxation_policy=relaxation_policy, engine=engine)

@@ -79,10 +79,6 @@ class SolverResult:
     dropped: list[Constraint] = field(default_factory=list)
     iterations: int = 1
 
-    def time_of(self, var: TimeVar) -> float:
-        """The scheduled time of ``var`` in milliseconds."""
-        return self.times_ms[var]
-
 
 class _Infeasible(Exception):
     """Internal: raised by one solve attempt with the offending cycle."""

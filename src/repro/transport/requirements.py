@@ -496,7 +496,8 @@ class RequirementsCache:
     environment profile; this cache makes the tree walk a once-per-
     revision cost.  Entries pin their document so ``id()`` reuse is
     impossible, and any edit (revision bump) moves the key — the same
-    discipline the schedule and program caches follow.
+    discipline the schedule and program caches follow, including their
+    eviction of a document's superseded revisions on insert.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -525,6 +526,11 @@ class RequirementsCache:
             return entry[1]
         self.misses += 1
         profile = compute_requirements(document, compiled)
+        # Lookups key on the current revision, so the document's entries
+        # at other revisions can never hit again.
+        stale = [old for old in self._entries if old[0] == key[0]]
+        for old in stale:
+            del self._entries[old]
         self._entries[key] = (document, profile)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

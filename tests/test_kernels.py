@@ -2,29 +2,22 @@
 
 The contract under test is the one the caches rely on: a kernel choice
 (or a worker count) changes cost, never one bit of output.  Replay
-reports, solved schedules and planner result sets are pinned equal
-across the python and numpy backends on randomized documents; sharded
-ingest and serving runs are pinned equal to their serial twins in
-everything but the ``*_seconds`` timings.
+reports are pinned equal across the python and numpy backends on
+randomized documents; sharded ingest and serving runs are pinned equal
+to their serial twins in everything but the ``*_seconds`` timings.
 """
 
 import pickle
 
 import pytest
 
-from repro.core.channels import Medium
-from repro.core.descriptors import DataDescriptor
-from repro.corpus.generate import (make_flat_document, make_media_document,
-                                   make_random_document)
+from repro.corpus.generate import make_media_document
 from repro.corpus.ingest import INGEST_STAGES, generate_corpus, ingest_corpus
 from repro.kernel import (HAVE_NUMPY, KERNEL_ENV, KernelError,
                           PYTHON_KERNEL, KernelError as _KernelError,
                           resolve_kernel)
 from repro.pipeline.program import BatchPlayer
 from repro.serving.engine import SessionEngine
-from repro.store import attr_eq, execute_plan, keyword, medium_is
-from repro.store.datastore import DataStore
-from repro.timing.schedule import ENGINE_GRAPH, schedule_document
 from repro.transport.environments import PROFILES, WORKSTATION
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
@@ -96,95 +89,6 @@ class TestReplayEquivalence:
                 b = numpy_.run_one(rate=rate, seek_to_ms=seek,
                                    replay=replay)
                 assert _replay_fields(a) == _replay_fields(b)
-
-
-def _schedule_fields(schedule):
-    return ({str(var): value for var, value in schedule.times_ms.items()},
-            [str(constraint) for constraint in
-             schedule.dropped_constraints],
-            schedule.solver_iterations)
-
-
-@needs_numpy
-class TestSolverEquivalence:
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("policy", ("drop-last", "drop-widest"))
-    def test_random_documents(self, seed, policy):
-        compiled = make_random_document(seed, events=48).compile()
-        a = schedule_document(compiled, engine=ENGINE_GRAPH,
-                              relaxation_policy=policy, kernel="python")
-        b = schedule_document(compiled, engine=ENGINE_GRAPH,
-                              relaxation_policy=policy, kernel="numpy")
-        assert _schedule_fields(a) == _schedule_fields(b)
-
-    def test_wide_documents_exercise_the_vector_sweep(self):
-        # Wide par fan-outs are the layer-batched sweep's home turf;
-        # prove the vector path actually engages and matches exactly.
-        from repro.kernel._np import np
-        from repro.timing.graph import (_NP_MIN_VARS, _graph_topo,
-                                        _graph_topo_np, compile_graph)
-        compiled = make_flat_document(400, channels=200).compile()
-        graph = compile_graph(compiled, channel_serialization=True)
-        assert graph.count >= _NP_MIN_VARS
-        skipped = bytearray(len(graph.cons_var) +
-                            len(graph.implied_vars))
-        state = _graph_topo_np(graph, skipped, np)
-        assert state is not None, "vector sweep bailed on a wide graph"
-        dist_np, _pred, _rank, dirty = state
-        count = graph.count
-        dist = [0.0] * count
-        pred = [-1] * count
-        rank = [count + node for node in range(count)]
-        scalar_dirty = _graph_topo(graph, skipped, dist, pred, rank)
-        assert dist_np.tolist() == dist
-        assert sorted(dirty) == sorted(scalar_dirty)
-        # and end to end through the solver
-        a = schedule_document(compiled, engine=ENGINE_GRAPH,
-                              kernel="python")
-        b = schedule_document(compiled, engine=ENGINE_GRAPH,
-                              kernel="numpy")
-        assert _schedule_fields(a) == _schedule_fields(b)
-
-
-KEYWORD_POOL = ("alpha", "beta", "gamma", "delta")
-MEDIA = (Medium.TEXT, Medium.AUDIO, Medium.VIDEO, Medium.IMAGE)
-
-
-def _populated_store(count: int = 600) -> DataStore:
-    store = DataStore()
-    for index in range(count):
-        store.register(DataDescriptor(
-            descriptor_id=f"d{index:05d}",
-            medium=MEDIA[index % len(MEDIA)],
-            attributes={
-                "keywords": (KEYWORD_POOL[index % 4],
-                             KEYWORD_POOL[(index // 2) % 4]),
-                "grade": index % 5,
-                "duration": float(500 + index % 900),
-            }))
-    return store
-
-
-@needs_numpy
-class TestPlannerEquivalence:
-    @pytest.mark.parametrize("query_builder", [
-        lambda: keyword("alpha") & medium_is("audio"),
-        lambda: keyword("beta") & keyword("gamma"),
-        lambda: keyword("delta") & medium_is("video") & attr_eq("grade", 2),
-        lambda: medium_is("text") & attr_eq("grade", 0),
-    ])
-    def test_result_sets_and_stats_identical(self, query_builder):
-        store = _populated_store()
-        query = query_builder()
-        plan = store.explain(query)
-        store.stats.reset()
-        python_results = execute_plan(store, plan, kernel="python")
-        python_reads = store.stats.attribute_reads
-        store.stats.reset()
-        numpy_results = execute_plan(store, plan, kernel="numpy")
-        assert [d.descriptor_id for d in python_results] == \
-               [d.descriptor_id for d in numpy_results]
-        assert store.stats.attribute_reads == python_reads
 
 
 def _env_rows(stats_map):

@@ -252,6 +252,20 @@ class TestCacheRetention:
         # Still perfectly warm: the entries moved with the revisions.
         assert len(engine.program_cache) == baseline_programs
 
+    def test_requirements_cache_keeps_one_revision_across_edits(self):
+        document = make_media_document(3, events=12)
+        engine = SessionEngine()
+        engine.admit(document, PROFILES[0])
+        leaves = [event.event.node_path for event
+                  in engine.schedule_cache.get(document).events]
+        for index in range(6):
+            engine.apply_edit(document,
+                              {"op": "retime", "path": leaves[index],
+                               "duration_ms": float(300 + index)})
+            engine.admit(document, PROFILES[0])
+        assert len(engine.requirements_cache) == 1
+        assert len(engine.schedule_cache) == 1
+
     def test_editor_is_cached_per_document(self):
         document = make_media_document(3, events=12)
         engine = SessionEngine()
