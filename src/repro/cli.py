@@ -246,8 +246,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _serve_placement(args, documents, environments)
     edit_script = (_load_edit_script(args.edit_script)
                    if args.edit_script else None)
-    engine = SessionEngine(engine=args.engine, seed=args.seed,
-                           kernel=args.kernel, faults=args.faults)
+    engine = SessionEngine(seed=args.seed, kernel=args.kernel,
+                           faults=args.faults)
     report = engine.serve(documents, environments,
                           sessions_per_pair=args.sessions,
                           replays=args.replays,
@@ -283,8 +283,7 @@ def _serve_placement(args: argparse.Namespace, documents,
                         seed=args.seed)
     workload = build_workload(spec, documents=documents,
                               faults=args.faults)
-    engine = SessionEngine(engine=args.engine, seed=args.seed,
-                           kernel=args.kernel,
+    engine = SessionEngine(seed=args.seed, kernel=args.kernel,
                            federation=workload.federation)
     reports = serve_workload(workload, environments,
                              policy=args.placement,
@@ -595,9 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--follows", type=int, default=2,
                        help="link follows per interactive reader's "
                             "scripted trace (default 2)")
-    serve.add_argument("--engine", choices=("graph", "reference"),
-                       default="graph",
-                       help="cold-path solver for cache misses")
     serve.add_argument("--generate", type=int, metavar="N",
                        help="first write N synthetic serving packages "
                             "into the directory")

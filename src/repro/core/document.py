@@ -22,7 +22,8 @@ from typing import Any, Callable, Iterator
 
 from repro.core.channels import Channel, ChannelDictionary, Medium
 from repro.core.descriptors import (DataDescriptor, EventDescriptor, Slice)
-from repro.core.errors import (ChannelError, StructureError, ValueError_)
+from repro.core.errors import (ChannelError, FormatError, StructureError,
+                               ValueError_)
 from repro.core.nodes import (ContainerNode, ImmNode, Node, NodeKind,
                               SeqNode)
 from repro.core.paths import node_path
@@ -118,13 +119,19 @@ class CmifDocument:
         timebase = TimeBase()
         timebase_group = root.attributes.get("timebase")
         if timebase_group:
-            timebase = TimeBase(
-                frame_rate=float(timebase_group.get("frame-rate", 25.0)),
-                sample_rate=float(timebase_group.get("sample-rate", 44100.0)),
-                byte_rate=float(timebase_group.get("byte-rate", 176400.0)),
-                chars_per_second=float(
-                    timebase_group.get("chars-per-second", 15.0)),
-            )
+            try:
+                timebase = TimeBase(
+                    frame_rate=float(timebase_group.get("frame-rate", 25.0)),
+                    sample_rate=float(
+                        timebase_group.get("sample-rate", 44100.0)),
+                    byte_rate=float(
+                        timebase_group.get("byte-rate", 176400.0)),
+                    chars_per_second=float(
+                        timebase_group.get("chars-per-second", 15.0)),
+                )
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"malformed timebase {timebase_group!r}: "
+                                  f"{exc}") from None
         return cls(root, channels, styles, timebase)
 
     # -- views -------------------------------------------------------------

@@ -215,7 +215,7 @@ def parse_arc(expression: list) -> SyncArc:
         fields[head] = item[1:]
 
     def require(name: str) -> list:
-        if name not in fields:
+        if not fields.get(name):
             raise FormatError(f"sync-arc is missing its ({name} ...) field")
         return fields[name]
 
@@ -245,7 +245,7 @@ def parse_arc(expression: list) -> SyncArc:
             source=source, destination=destination, src_anchor=src_anchor,
             dst_anchor=dst_anchor, strictness=strictness, offset=offset,
             min_delay=min_delay, max_delay=max_delay,
-            condition=str(fields["when"][0]))
+            condition=str(require("when")[0]))
     return SyncArc(
         source=source, destination=destination, src_anchor=src_anchor,
         dst_anchor=dst_anchor, strictness=strictness, offset=offset,

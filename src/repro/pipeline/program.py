@@ -30,10 +30,10 @@ which the equivalence tests and the playback bench both gate.
 
 from __future__ import annotations
 
-import collections
 import random
 from dataclasses import dataclass, field
 
+from repro.cache import LRUCache
 from repro.core.channels import Medium
 from repro.core.errors import PathError, PlaybackError
 from repro.kernel import resolve_kernel
@@ -482,7 +482,7 @@ def _endpoint_time(events: tuple[int, ...], anchor_begin: bool,
     return value
 
 
-class ProgramCache:
+class ProgramCache(LRUCache):
     """Compiled programs keyed by (schedule identity, revision,
     environment fingerprint).
 
@@ -495,11 +495,9 @@ class ProgramCache:
     so ``id()`` reuse is impossible, and a document edit (revision
     bump) moves the key.
 
-    Superseded revisions are evicted eagerly: inserting an entry for a
-    document drops every entry of the *same document* at a different
-    revision (those keys embed the old ``id(schedule)`` and can never
-    be probed again, so without this a long edit session leaks an
-    entry per edit per level).  The live-edit patcher instead calls
+    Entries are owned by the schedule's document, so inserting an entry
+    evicts the document's entries at other revisions (see
+    :mod:`repro.cache`).  The live-edit patcher instead calls
     :meth:`take` *before* the revision moves, re-keying the still-valid
     compiled programs it patched in place.
 
@@ -511,25 +509,11 @@ class ProgramCache:
     :meth:`level_of` names the classification.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity <= 0:
-            raise PlaybackError(
-                f"program cache capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: collections.OrderedDict[
-            tuple, tuple[Schedule, PlaybackProgram]] = \
-            collections.OrderedDict()
-        #: id(document) -> set of live keys, so superseded-revision
-        #: eviction and live-edit re-keying never scan the whole table.
-        self._by_document: dict[int, set] = {}
+    name = "program cache"
 
     @staticmethod
-    def _key(schedule: Schedule,
-             environment: SystemEnvironment | None = None) -> tuple:
-        return (id(schedule), schedule.compiled.document.revision,
-                None if environment is None else environment.fingerprint())
+    def _key(schedule: Schedule, slot) -> tuple:
+        return (id(schedule), schedule.compiled.document.revision, slot)
 
     @staticmethod
     def level_of(slot) -> str:
@@ -546,42 +530,25 @@ class ProgramCache:
             return slot[1]
         return "adaptation"
 
-    def _insert(self, schedule: Schedule, key: tuple, value) -> None:
+    def _lookup(self, schedule: Schedule, slot):
+        entry = super().get(self._key(schedule, slot))
+        return None if entry is None else entry[1]
+
+    def _insert(self, schedule: Schedule, slot, value) -> None:
         document = schedule.compiled.document
-        doc_keys = self._by_document.setdefault(id(document), set())
-        revision = key[1]
-        stale = [old for old in doc_keys if old[1] != revision]
-        for old in stale:
-            doc_keys.discard(old)
-            self._entries.pop(old, None)
-        self._entries[key] = (schedule, value)
-        self._entries.move_to_end(key)
-        doc_keys.add(key)
-        while len(self._entries) > self.capacity:
-            evicted_key, (evicted_schedule, _) = \
-                self._entries.popitem(last=False)
-            evicted_doc = id(evicted_schedule.compiled.document)
-            keys = self._by_document.get(evicted_doc)
-            if keys is not None:
-                keys.discard(evicted_key)
-                if not keys:
-                    del self._by_document[evicted_doc]
+        super().put(self._key(schedule, slot), (schedule, value),
+                    owner=document, revision=document.revision)
 
     def get(self, schedule: Schedule, *,
             environment: SystemEnvironment | None = None
             ) -> PlaybackProgram | None:
-        key = self._key(schedule, environment)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[1]
+        return self._lookup(schedule, None if environment is None
+                            else environment.fingerprint())
 
     def put(self, schedule: Schedule, program: PlaybackProgram, *,
             environment: SystemEnvironment | None = None) -> None:
-        self._insert(schedule, self._key(schedule, environment), program)
+        self._insert(schedule, None if environment is None
+                     else environment.fingerprint(), program)
 
     def get_derived(self, schedule: Schedule, tag: str):
         """A derived compiled artifact keyed by (schedule, revision, tag).
@@ -592,20 +559,10 @@ class ProgramCache:
         schedule is pinned identically, and a document edit (revision
         bump) invalidates the whole pyramid level in one move.
         """
-        key = (id(schedule), schedule.compiled.document.revision,
-               ("derived", tag))
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[1]
+        return self._lookup(schedule, ("derived", tag))
 
     def put_derived(self, schedule: Schedule, tag: str, value) -> None:
-        key = (id(schedule), schedule.compiled.document.revision,
-               ("derived", tag))
-        self._insert(schedule, key, value)
+        self._insert(schedule, ("derived", tag), value)
 
     def take(self, schedule: Schedule) -> dict:
         """Remove and return every entry pinned to ``schedule``.
@@ -617,27 +574,13 @@ class ProgramCache:
         :meth:`restore` — the only path on which a superseded entry
         survives an edit.
         """
-        document = schedule.compiled.document
-        taken: dict = {}
-        doc_keys = self._by_document.get(id(document))
-        if not doc_keys:
-            return taken
-        for key in [key for key in doc_keys
-                    if key[0] == id(schedule)]:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] is not schedule:
-                continue
-            doc_keys.discard(key)
-            del self._entries[key]
-            taken[key[2]] = entry[1]
-        if not doc_keys:
-            self._by_document.pop(id(document), None)
-        return taken
+        taken = super().take(schedule.compiled.document,
+                             lambda key, entry: entry[0] is schedule)
+        return {key[2]: entry[1] for key, entry in taken}
 
     def restore(self, schedule: Schedule, slot, value) -> None:
         """Re-insert a :meth:`take`-n entry under ``schedule``'s key."""
-        key = (id(schedule), schedule.compiled.document.revision, slot)
-        self._insert(schedule, key, value)
+        self._insert(schedule, slot, value)
 
     def program_for(self, schedule: Schedule) -> PlaybackProgram:
         """The schedule's base (environment-free) program, compiled at
@@ -649,17 +592,6 @@ class ProgramCache:
         program = compile_program(schedule)
         self.put(schedule, program)
         return program
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._by_document.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def describe(self) -> str:
-        return (f"program cache: {len(self._entries)} entr(y/ies), "
-                f"{self.hits} hit(s), {self.misses} miss(es)")
 
 
 class CompactReport:
@@ -864,20 +796,6 @@ class CompactReport:
 CONFIG_CACHE_CAPACITY = 64
 
 
-def _cache_get(table: collections.OrderedDict, key):
-    entry = table.get(key)
-    if entry is not None:
-        table.move_to_end(key)
-    return entry
-
-
-def _cache_put(table: collections.OrderedDict, key, value) -> None:
-    table[key] = value
-    table.move_to_end(key)
-    while len(table) > CONFIG_CACHE_CAPACITY:
-        table.popitem(last=False)
-
-
 @dataclass
 class SweepCell:
     """One (environment, rate, seek) point of a sweep with its runs."""
@@ -942,20 +860,13 @@ class BatchPlayer:
         # each entry holds O(events) arrays — these must not grow with
         # the number of distinct configurations ever seen.
         #: (rate, freeze_at, freeze_duration) -> (begin, end) arrays
-        self._transforms: collections.OrderedDict[
-            tuple, tuple[list[float], list[float]]] = \
-            collections.OrderedDict()
+        self._transforms = LRUCache(CONFIG_CACHE_CAPACITY)
         #: (transform key, seek) -> shared ConflictReport list
-        self._nav: collections.OrderedDict[
-            tuple, list[ConflictReport]] = collections.OrderedDict()
+        self._nav = LRUCache(CONFIG_CACHE_CAPACITY)
         #: id(environment) -> (environment, per-event latency array)
-        self._latencies: collections.OrderedDict[
-            int, tuple[SystemEnvironment, list[float]]] = \
-            collections.OrderedDict()
+        self._latencies = LRUCache(CONFIG_CACHE_CAPACITY)
         #: (transform key, seek, id(environment)) -> (environment, plan)
-        self._plans: collections.OrderedDict[
-            tuple, tuple[SystemEnvironment, RunPlan]] = \
-            collections.OrderedDict()
+        self._plans = LRUCache(CONFIG_CACHE_CAPACITY)
 
     @classmethod
     def for_document(cls, document,
@@ -999,7 +910,7 @@ class BatchPlayer:
         freezing = freeze_at_ms is not None and freeze_duration_ms > 0
         key = (rate, freeze_at_ms if freezing else None,
                freeze_duration_ms if freezing else 0.0)
-        cached = _cache_get(self._transforms, key)
+        cached = self._transforms.get(key)
         if cached is not None:
             return key, cached[0], cached[1]
         kernel = self.kernel
@@ -1012,38 +923,38 @@ class BatchPlayer:
         if freezing:
             tb, te = kernel.freeze(tb, te, freeze_at_ms,
                                    freeze_duration_ms)
-        _cache_put(self._transforms, key, (tb, te))
+        self._transforms.put(key, (tb, te))
         return key, tb, te
 
     def _navigation(self, transform_key: tuple, tb: list[float],
                     te: list[float], seek_to_ms: float
                     ) -> list[ConflictReport]:
         key = (transform_key, seek_to_ms)
-        cached = _cache_get(self._nav, key)
+        cached = self._nav.get(key)
         if cached is None:
             cached = self.program.navigation_conflicts(tb, te, seek_to_ms)
-            _cache_put(self._nav, key, cached)
+            self._nav.put(key, cached)
         return cached
 
     def _latency_for(self, environment: SystemEnvironment) -> list[float]:
-        entry = _cache_get(self._latencies, id(environment))
+        entry = self._latencies.get(id(environment))
         if entry is None or entry[0] is not environment:
             entry = (environment, self.kernel.time_array(
                 self.program.event_latencies(environment)))
-            _cache_put(self._latencies, id(environment), entry)
+            self._latencies.put(id(environment), entry)
         return entry[1]
 
     def _plan_for(self, transform_key: tuple, tb: list[float],
                   te: list[float], seek_to_ms: float,
                   environment: SystemEnvironment) -> RunPlan:
         key = (transform_key, seek_to_ms, id(environment))
-        entry = _cache_get(self._plans, key)
+        entry = self._plans.get(key)
         if entry is None or entry[0] is not environment:
             plan = self.kernel.build_plan(
                 self.program, tb, te, seek_to_ms,
                 self._latency_for(environment), self.prefetch_lead_ms)
             entry = (environment, plan)
-            _cache_put(self._plans, key, entry)
+            self._plans.put(key, entry)
         return entry[1]
 
     def prime_seek(self, seek_to_ms: float, *, rate: float = 1.0,

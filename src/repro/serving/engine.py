@@ -13,8 +13,8 @@ once and shares it:
   requirement-profile walk per document revision, reused by every
   environment's negotiation;
 * :class:`~repro.timing.schedule.ScheduleCache` — one constraint solve
-  per document revision (cold solves default to the compiled graph
-  engine of PR 4), shared across all environments;
+  per document revision (cold solves run the compiled graph engine),
+  shared across all environments;
 * :class:`~repro.pipeline.program.ProgramCache` — one base playback
   program per schedule plus one compiled adaptation per environment
   fingerprint (:func:`~repro.pipeline.adaptation.adapted_program_for`);
@@ -37,6 +37,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.cache import LRUCache
 from repro.core.document import CmifDocument
 from repro.core.errors import ValueError_
 from repro.faults import (FaultPlan, RobustnessStats, resolve_faults,
@@ -50,8 +51,7 @@ from repro.pipeline.patch import EditRecord, LiveEditor
 from repro.pipeline.program import BatchPlayer, PlaybackProgram, \
     ProgramCache
 from repro.timing.schedule import (ENGINE_GRAPH, ENGINE_REFERENCE,
-                                   SCHEDULE_ENGINES, Schedule,
-                                   ScheduleCache, schedule_for)
+                                   Schedule, ScheduleCache, schedule_for)
 from repro.transport.environments import SystemEnvironment
 from repro.transport.negotiate import negotiate
 from repro.transport.requirements import RequirementsCache
@@ -64,12 +64,11 @@ from repro.serving.session import (PLAYABLE, SESSION_SEED_STRIDE,
 #: per-configuration transform caches, so the table is LRU-bounded.
 PLAYER_CACHE_CAPACITY = 128
 
-#: Schedules (and requirement profiles) an engine keeps cached when it
-#: creates its own caches.
+#: Schedules (and requirement profiles) an engine keeps cached.
 SCHEDULE_CACHE_CAPACITY = 128
 
 #: Playback programs (base and environment-adapted) an engine keeps
-#: cached when it creates its own cache.
+#: cached.
 PROGRAM_CACHE_CAPACITY = 512
 
 
@@ -253,18 +252,9 @@ def _drive_shard(tasks: list
 class SessionEngine:
     """Admit, adapt and replay sessions across shared compiled caches."""
 
-    def __init__(self, *, engine: str = ENGINE_GRAPH, seed: int = 0,
-                 prefetch_lead_ms: float = 0.0,
-                 schedule_cache: ScheduleCache | None = None,
-                 program_cache: ProgramCache | None = None,
-                 requirements_cache: RequirementsCache | None = None,
-                 kernel=None,
+    def __init__(self, *, seed: int = 0, kernel=None,
                  faults: FaultPlan | str | None = None,
                  federation=None) -> None:
-        if engine not in SCHEDULE_ENGINES:
-            raise ValueError_(f"unknown schedule engine {engine!r}; "
-                              f"expected one of {SCHEDULE_ENGINES}")
-        self.engine = engine
         self.kernel = resolve_kernel(kernel)
         #: Fault plan for this engine's sessions (explicit, a spec
         #: string, or the ``REPRO_FAULTS`` environment default).
@@ -272,25 +262,17 @@ class SessionEngine:
         #: Lifetime fault/recovery ledger (``serve`` reports deltas).
         self.robustness = RobustnessStats()
         self.seed = seed
-        self.prefetch_lead_ms = prefetch_lead_ms
-        self.schedule_cache = (schedule_cache if schedule_cache is not None
-                               else ScheduleCache(
-                                   capacity=SCHEDULE_CACHE_CAPACITY))
-        self.program_cache = (program_cache if program_cache is not None
-                              else ProgramCache(
-                                  capacity=PROGRAM_CACHE_CAPACITY))
-        self.requirements_cache = (
-            requirements_cache if requirements_cache is not None
-            else RequirementsCache(capacity=SCHEDULE_CACHE_CAPACITY))
+        self.schedule_cache = ScheduleCache(capacity=SCHEDULE_CACHE_CAPACITY)
+        self.program_cache = ProgramCache(capacity=PROGRAM_CACHE_CAPACITY)
+        self.requirements_cache = RequirementsCache(
+            capacity=SCHEDULE_CACHE_CAPACITY)
         self.stats: dict[str, EnvironmentStats] = {}
         self.session_count = 0
         #: The most recent drive's run queue (scheduler observability).
         self.last_queue: RunQueue | None = None
         #: (id(program), environment fingerprint) -> (program, player);
         #: pinning the program keeps id() reuse impossible.
-        self._players: collections.OrderedDict[
-            tuple, tuple[PlaybackProgram, BatchPlayer]] = \
-            collections.OrderedDict()
+        self._players = LRUCache(PLAYER_CACHE_CAPACITY)
         #: id(document) -> (document, live editor); pinning the
         #: document keeps id() reuse impossible.
         self._editors: dict[int, tuple[CmifDocument, LiveEditor]] = {}
@@ -300,8 +282,6 @@ class SessionEngine:
         #: the session origin's pinned replica set (session affinity);
         #: placement may change the traffic bill, never the reports.
         self.federation = federation
-        #: id(document) -> (document, stream ids) for federation pulls.
-        self._stream_ids: dict[int, tuple[CmifDocument, tuple]] = {}
 
     # -- shared-resource plumbing -----------------------------------------
 
@@ -318,15 +298,10 @@ class SessionEngine:
         key = (id(program), environment.fingerprint())
         entry = self._players.get(key)
         if entry is not None and entry[0] is program:
-            self._players.move_to_end(key)
             return entry[1]
         player = BatchPlayer(schedule, environment, seed=self.seed,
-                             prefetch_lead_ms=self.prefetch_lead_ms,
                              program=program, kernel=self.kernel)
-        self._players[key] = (program, player)
-        self._players.move_to_end(key)
-        while len(self._players) > PLAYER_CACHE_CAPACITY:
-            self._players.popitem(last=False)
+        self._players.put(key, (program, player))
         return player
 
     # -- live authoring ------------------------------------------------------
@@ -403,25 +378,6 @@ class SessionEngine:
 
     # -- admission ----------------------------------------------------------
 
-    def _streamer_for(self, document: CmifDocument,
-                      origin: str | None, stream_ids):
-        """The content-pull closure a federation-backed session runs
-        per replay.  ``stream_ids`` overrides the document-derived id
-        set (the workload catalog's namespaced ids)."""
-        if stream_ids is None:
-            entry = self._stream_ids.get(id(document))
-            if entry is not None and entry[0] is document:
-                stream_ids = entry[1]
-            else:
-                stream_ids = self.federation.stream_ids_for(document)
-                self._stream_ids[id(document)] = (document, stream_ids)
-        federation = self.federation
-        ids = tuple(stream_ids)
-
-        def stream() -> int:
-            return federation.stream(ids, origin=origin)
-        return stream
-
     def admit(self, document: CmifDocument,
               environment: SystemEnvironment, *,
               origin: str | None = None,
@@ -433,13 +389,16 @@ class SessionEngine:
         can report *why* without exception plumbing on the hot path.
 
         With a federation attached, ``origin`` names the site this
-        tenant reads from: every replay pulls the document's payloads
-        (``stream_ids`` when given, else the document's file references
-        plus its package payload) through the federation from the
-        origin's nearest replicas — the traffic the placement policies
-        optimize.  Streaming is accounting only; admission verdicts and
-        replay reports are identical with or without it.
+        tenant reads from and ``stream_ids`` (required) the federation
+        ids of the document's payloads: every replay pulls them through
+        the federation from the origin's nearest replicas — the traffic
+        the placement policies optimize.  Streaming is accounting only;
+        admission verdicts and replay reports are identical with or
+        without it.
         """
+        if self.federation is not None and stream_ids is None:
+            raise ValueError_("a federated admission needs the "
+                              "document's stream_ids")
         stats = self.stats_for(environment)
         start = time.perf_counter()
         requirements = self.requirements_cache.requirements_for(document)
@@ -475,7 +434,7 @@ class SessionEngine:
                                     engine=ENGINE_REFERENCE)
         else:
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=self.engine)
+                                    engine=ENGINE_GRAPH)
         program = adapted_program_for(schedule, environment,
                                       program_cache=self.program_cache,
                                       requirements=requirements)
@@ -483,9 +442,9 @@ class SessionEngine:
         session.program = program
         session.player = self._player_for(schedule, program, environment)
         if self.federation is not None:
+            federation, ids = self.federation, tuple(stream_ids)
             session.origin = origin
-            session.streamer = self._streamer_for(document, origin,
-                                                  stream_ids)
+            session.streamer = lambda: federation.stream(ids, origin=origin)
         if negotiation.verdict == PLAYABLE:
             stats.playable += 1
         else:
@@ -717,7 +676,7 @@ class SessionEngine:
 
     def describe(self) -> str:
         lines = [f"session engine: {self.session_count} session(s) "
-                 f"admitted or rejected, engine={self.engine}"]
+                 "admitted or rejected"]
         lines.extend(f"  {stats.describe()}"
                      for stats in self.stats.values())
         lines.append(f"  {self.requirements_cache.describe()}")

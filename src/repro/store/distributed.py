@@ -910,28 +910,6 @@ class FederatedStore:
 
     # -- streaming ---------------------------------------------------------
 
-    def stream_ids_for(self, document) -> tuple[str, ...]:
-        """Every federation id a presentation of ``document`` pulls:
-        its EXT file references plus, by the ``<name>/package``
-        convention, the document's packed program payload."""
-        styles = document.styles_or_none()
-        from repro.core.nodes import NodeKind
-        from repro.core.tree import iter_preorder
-        ids: list[str] = []
-        seen: set[str] = set()
-        package_id = f"{document.root.name}/package"
-        if self.holders(package_id):
-            ids.append(package_id)
-            seen.add(package_id)
-        for node in iter_preorder(document.root):
-            if node.kind is not NodeKind.EXT:
-                continue
-            file_id = node.effective("file", styles=styles)
-            if file_id is not None and file_id not in seen:
-                seen.add(file_id)
-                ids.append(file_id)
-        return tuple(ids)
-
     def stream(self, stream_ids, *, origin: str | None = None) -> int:
         """Pull every listed payload toward ``origin`` — one session's
         content traffic.  Ids nobody holds, and ids whose every replica

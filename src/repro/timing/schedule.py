@@ -10,9 +10,9 @@ viewing tools.
 from __future__ import annotations
 
 import bisect
-import collections
 from dataclasses import dataclass, field
 
+from repro.cache import LRUCache
 from repro.core.descriptors import EventDescriptor
 from repro.core.document import CmifDocument, CompiledDocument
 from repro.core.errors import SchedulingConflict, ValueError_
@@ -228,7 +228,7 @@ class Schedule:
         )
 
 
-class ScheduleCache:
+class ScheduleCache(LRUCache):
     """Solved schedules keyed by document revision (LRU, bounded).
 
     The authoring loop and the player re-request the same timeline many
@@ -237,23 +237,15 @@ class ScheduleCache:
     :attr:`~repro.core.document.CmifDocument.revision`.  The cache keys
     on ``(document identity, revision, solve parameters)``, so a stale
     schedule can never be served: any edit moves the document to a new
-    key.  Entries hold a reference to their document, which both pins
-    the identity and keeps ``id()`` reuse impossible.
+    key.  Entries are owned by their document, which both pins the
+    identity and evicts superseded revisions (see :mod:`repro.cache`).
 
     The incremental engine (:mod:`repro.timing.incremental`) publishes
     its patched schedule here after every edit, so cache consumers get
     incremental re-solves for free.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity <= 0:
-            raise ValueError_(f"cache capacity must be positive, "
-                              f"got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: collections.OrderedDict[
-            tuple, tuple[CmifDocument, Schedule]] = collections.OrderedDict()
+    name = "schedule cache"
 
     @staticmethod
     def _key(document: CmifDocument, channel_serialization: bool,
@@ -265,35 +257,17 @@ class ScheduleCache:
             channel_serialization: bool = True,
             relaxation_policy: str = RELAX_DROP_LAST) -> Schedule | None:
         """The cached schedule for the document's current revision."""
-        key = self._key(document, channel_serialization, relaxation_policy)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[1]
+        return super().get(self._key(document, channel_serialization,
+                                     relaxation_policy))
 
     def put(self, document: CmifDocument, schedule: Schedule, *,
             channel_serialization: bool = True,
             relaxation_policy: str = RELAX_DROP_LAST) -> None:
-        """Store a schedule under the document's current revision.
-
-        Entries of the same document at *other* revisions are evicted:
-        their keys embed a superseded revision and can never be probed
-        again (``get`` always keys on the current revision), so keeping
-        them would leak one entry per edit for as long as the document
-        lives.
-        """
-        key = self._key(document, channel_serialization, relaxation_policy)
-        stale = [old for old in self._entries
-                 if old[0] == id(document) and old[1] != document.revision]
-        for old in stale:
-            del self._entries[old]
-        self._entries[key] = (document, schedule)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        """Store a schedule under the document's current revision,
+        evicting the document's entries at other revisions."""
+        super().put(self._key(document, channel_serialization,
+                              relaxation_policy),
+                    schedule, owner=document, revision=document.revision)
 
     def schedule_for(self, document: CmifDocument, *,
                      channel_serialization: bool = True,
@@ -321,17 +295,6 @@ class ScheduleCache:
                  channel_serialization=channel_serialization,
                  relaxation_policy=relaxation_policy)
         return schedule
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def describe(self) -> str:
-        return (f"schedule cache: {len(self._entries)} entr(y/ies), "
-                f"{self.hits} hit(s), {self.misses} miss(es)")
 
 
 def schedule_document(compiled: CompiledDocument, *,

@@ -226,10 +226,11 @@ def unpack(package_text: str, *, verify: bool = True,
     the ``REPRO_FAULTS`` environment default) simulates deliveries that
     corrupt embedded block payloads in flight; checksum verification is
     what catches them, and each caught corruption re-requests the
-    package (rebuilding the blocks from the received text) up to the
-    ``retry`` policy's attempt budget.  A mismatch with *no* injected
-    corruption is the package itself being damaged — deterministic, so
-    it fails immediately, exactly as without a plan.
+    package (a fresh copy of the decoded blocks) up to the ``retry``
+    policy's attempt budget.  A mismatch with *no* injected corruption
+    is the package itself being damaged — deterministic, so it fails
+    immediately, exactly as without a plan.  A package whose JSON does
+    not have the package's shape fails with :class:`TransportError`.
     """
     faults = resolve_faults(faults)
     if retry is None:
@@ -239,20 +240,27 @@ def unpack(package_text: str, *, verify: bool = True,
         payload = json.loads(package_text)
     except json.JSONDecodeError as exc:
         raise TransportError(f"corrupt package: {exc}") from None
-    body = payload.get("cmif-package")
+    body = payload.get("cmif-package") if isinstance(payload, dict) \
+        else None
     if not isinstance(body, dict):
         raise TransportError("not a CMIF package (missing 'cmif-package')")
     version = body.get("version")
     if version not in SUPPORTED_PACKAGE_VERSIONS:
         raise TransportError(
             f"unsupported package version {version!r}")
-    document = parse_document(body["document"])
+    try:
+        document = parse_document(body["document"])
+        block_objs = body.get("blocks") or {}
+        received = {block_id: _block_from_obj(obj, version)
+                    for block_id, obj in block_objs.items()}
+        descriptors = {file_id: _descriptor_from_obj(obj) for file_id, obj
+                       in (body.get("descriptors") or {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TransportError(f"malformed package: {exc!r}") from None
     store = DataStore(name="unpacked")
-    block_objs = body.get("blocks") or {}
     attempt = 0
     while True:
-        blocks = {block_id: _block_from_obj(obj, version)
-                  for block_id, obj in block_objs.items()}
+        blocks = dict(received)
         injected = 0
         if faults is not None and faults.package_corrupt_rate > 0:
             for block_id in blocks:
@@ -266,7 +274,7 @@ def unpack(package_text: str, *, verify: bool = True,
         if verify:
             for block_id, obj in block_objs.items():
                 actual = blocks[block_id].checksum()
-                if actual != obj["checksum"]:
+                if actual != obj.get("checksum"):
                     mismatched = block_id
                     break
                 verified += 1
@@ -285,8 +293,7 @@ def unpack(package_text: str, *, verify: bool = True,
         # A fresh delivery masks every corruption of this attempt.
         robustness.retries += 1
         robustness.recovered += injected
-    for file_id, obj in (body.get("descriptors") or {}).items():
-        descriptor = _descriptor_from_obj(obj)
+    for file_id, descriptor in descriptors.items():
         block = blocks.get(descriptor.block_id) \
             if descriptor.block_id else None
         store.register(descriptor, block)

@@ -34,9 +34,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.cache import LRUCache
 from repro.core.channels import Medium
 from repro.core.document import CmifDocument
-from repro.core.errors import SyncArcError, ValueError_
+from repro.core.errors import SyncArcError
 from repro.core.syncarc import ConditionalArc, Strictness
 from repro.core.tree import iter_preorder
 from repro.transport.environments import SystemEnvironment
@@ -489,62 +490,32 @@ def compute_requirements(document: CmifDocument,
     )
 
 
-class RequirementsCache:
+class RequirementsCache(LRUCache):
     """Requirement profiles keyed by (document identity, revision).
 
     The admission path negotiates every arriving document against every
     environment profile; this cache makes the tree walk a once-per-
-    revision cost.  Entries pin their document so ``id()`` reuse is
-    impossible, and any edit (revision bump) moves the key — the same
-    discipline the schedule and program caches follow, including their
-    eviction of a document's superseded revisions on insert.
+    revision cost.  Entries are owned by their document, so ``id()``
+    reuse is impossible and any edit (revision bump) moves the key and
+    evicts the superseded profile — the discipline of
+    :mod:`repro.cache`, shared with the schedule and program caches.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity <= 0:
-            raise ValueError_(f"requirements cache capacity must be "
-                              f"positive, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: collections.OrderedDict[
-            tuple, tuple[CmifDocument, DocumentRequirements]] = \
-            collections.OrderedDict()
+    name = "requirements cache"
 
-    @staticmethod
-    def _key(document: CmifDocument) -> tuple:
-        return (id(document), document.revision)
+    def __init__(self, capacity: int = 64) -> None:
+        super().__init__(capacity)
 
     def requirements_for(self, document: CmifDocument,
                          compiled=None) -> DocumentRequirements:
         """The document's profile, derived at most once per revision."""
-        key = self._key(document)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        profile = compute_requirements(document, compiled)
-        # Lookups key on the current revision, so the document's entries
-        # at other revisions can never hit again.
-        stale = [old for old in self._entries if old[0] == key[0]]
-        for old in stale:
-            del self._entries[old]
-        self._entries[key] = (document, profile)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        key = (id(document), document.revision)
+        profile = self.get(key)
+        if profile is None:
+            profile = compute_requirements(document, compiled)
+            self.put(key, profile, owner=document,
+                     revision=document.revision)
         return profile
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def describe(self) -> str:
-        return (f"requirements cache: {len(self._entries)} entr(y/ies), "
-                f"{self.hits} hit(s), {self.misses} miss(es)")
 
 
 def requirements_for(document: CmifDocument, *,

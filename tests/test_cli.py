@@ -236,6 +236,12 @@ class TestServe:
         assert "run queue" in out
         assert "jumps" in out
 
+    def test_serve_has_no_engine_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(tmp_path), "--engine", "graph"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_serve_interactive_rejects_negative(self, tmp_path, capsys):
         directory = tmp_path / "catalog"
         assert main(["serve", str(directory), "--generate", "2",

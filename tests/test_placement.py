@@ -527,6 +527,21 @@ class TestServingAffinity:
         session.play()
         assert session.bytes_streamed > 0
 
+    def test_federated_admission_requires_stream_ids(self):
+        from repro.core.errors import ValueError_
+        from repro.serving import SessionEngine
+        from repro.transport.environments import WORKSTATION
+        workload = build_workload(SMALL)
+        engine = SessionEngine(federation=workload.federation, seed=1)
+        document = workload.documents[0]
+        with pytest.raises(ValueError_, match="stream_ids"):
+            engine.admit(document, WORKSTATION)
+        with pytest.raises(ValueError_, match="stream_ids"):
+            engine.admit_interactive(document, WORKSTATION)
+        # Rejected before negotiating: nothing was admitted or derived.
+        assert engine.session_count == 0
+        assert engine.requirements_cache.misses == 0
+
     def test_federation_forces_serial_drive(self):
         """Worker forking would lose the shared federation's traffic;
         the drive must stay serial and keep every counter."""
