@@ -46,6 +46,10 @@ class DataBlock:
     medium: Medium
     payload: Any = b""
     generator: bool = False
+    #: ``(payload, digest)`` of the last :meth:`checksum` of an immutable
+    #: payload; the digest is valid while ``payload`` is that object.
+    _digest: tuple[Any, str] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.block_id:
@@ -67,28 +71,46 @@ class DataBlock:
     def size_bytes(self) -> int:
         """Size of the concrete payload in bytes.
 
-        Handles byte strings, text, and array payloads (anything with an
-        ``nbytes`` attribute, i.e. numpy media data); other payload
-        types report 0.
+        Handles byte strings, text (its UTF-8 length), and array
+        payloads (anything with an ``nbytes`` attribute, i.e. numpy
+        media data); other payload types report 0.  ASCII text answers
+        without walking the payload: ``str.isascii`` reads a flag
+        CPython keeps on every string, and an ASCII character is one
+        UTF-8 byte.
         """
         data = self.materialize()
         if isinstance(data, (bytes, bytearray)):
             return len(data)
         if isinstance(data, str):
-            return len(data.encode("utf-8"))
+            return len(data) if data.isascii() \
+                else len(data.encode("utf-8"))
         nbytes = getattr(data, "nbytes", None)
         if isinstance(nbytes, int):
             return nbytes
         return 0
 
     def checksum(self) -> str:
-        """A content digest used by the transport packager for integrity."""
+        """A content digest used by the transport packager for integrity.
+
+        The digest of a ``str`` or ``bytes`` payload is remembered for
+        as long as ``payload`` is that same object, so verifying a
+        block against its source hashes the source once; assigning a
+        new payload recomputes.  Mutable (``bytearray``, array) and
+        generated payloads are hashed on every call.
+        """
+        payload = self.payload
+        memo = self._digest
+        if memo is not None and memo[0] is payload:
+            return memo[1]
         data = self.materialize()
         if isinstance(data, str):
             data = data.encode("utf-8")
         if not isinstance(data, (bytes, bytearray)):
             data = repr(data).encode("utf-8")
-        return hashlib.sha256(bytes(data)).hexdigest()
+        digest = hashlib.sha256(bytes(data)).hexdigest()
+        if isinstance(payload, (str, bytes)):
+            self._digest = (payload, digest)
+        return digest
 
 
 @dataclass

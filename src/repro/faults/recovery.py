@@ -268,13 +268,22 @@ def run_sharded(items: Sequence, workers: int, run_chunk: Callable, *,
     try:
         with ProcessPoolExecutor(max_workers=count,
                                  mp_context=context) as pool:
-            futures = [pool.submit(_run_chunk, run_chunk, payload, crash)
-                       for payload, crash in zip(payloads, crashes)]
+            futures = []
+            for payload, crash in zip(payloads, crashes):
+                try:
+                    futures.append(pool.submit(_run_chunk, run_chunk,
+                                               payload, crash))
+                except BrokenProcessPool:
+                    # An earlier chunk's worker already died (a planned
+                    # crash can win the race against these submits):
+                    # the chunks left over re-run below like dead ones.
+                    break
             for index, future in enumerate(futures):
                 try:
                     results[index] = future.result()
                 except _POOL_FAILURES:
                     dead.append(index)
+            dead.extend(range(len(futures), count))
     except _POOL_FAILURES:
         # No usable pool (a restricted sandbox): the caller's serial
         # path is always correct, only slower.

@@ -576,13 +576,14 @@ class FederatedStore:
             if descriptor_id in self.local.store:
                 return self.local.store.descriptor(descriptor_id)
         else:
-            self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
             home = self._sites_by_name.get(origin)
             if home is not None and descriptor_id in home.store:
                 self.traffic.local_requests += 1
+                self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
                 return home.store.descriptor(descriptor_id)
         cached = self._descriptor_cache.get(descriptor_id)
         if cached is not None:
+            self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
             return cached
         pending = 0
         failed: list[str] = []
@@ -608,6 +609,7 @@ class FederatedStore:
             self._classify_failover(pending, failed)
             self._descriptor_cache[descriptor_id] = descriptor
             self._record_route(descriptor_id, site.name)
+            self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
             return descriptor
         if failed:
             self.traffic.robustness.unrecovered += pending
@@ -652,24 +654,34 @@ class FederatedStore:
         cheapest link and a replica at the origin serves for free —
         the block returned is identical either way.
         """
+        return self._read_block(descriptor_id, origin)[0]
+
+    def _read_block(self, descriptor_id: str,
+                    origin: str | None) -> tuple[DataBlock, int]:
+        """:meth:`block_for`'s read, returning the block and its size in
+        bytes.  The size is taken once per read and shared by the
+        traffic bill, the hot-set tracker and :meth:`stream`."""
         origin = self._effective_origin(origin)
         if origin is None:
             if descriptor_id in self.local.store:
-                return self.local.store.block_for(descriptor_id)
+                block = self.local.store.block_for(descriptor_id)
+                return block, block.size_bytes
         else:
             home = self._sites_by_name.get(origin)
             if home is not None and descriptor_id in home.store:
                 block = home.store.block_for(descriptor_id)
+                size = block.size_bytes
                 self.traffic.local_requests += 1
-                self._track(origin, descriptor_id, block.size_bytes)
-                return block
+                self._track(origin, descriptor_id, size)
+                return block, size
         pending = 0
         failed: list[str] = []
         for site in self._holding_sites(descriptor_id, origin):
             network = self._link(origin, site)
 
             def fetch(attempt: int, site: Site = site,
-                      network: NetworkModel = network) -> DataBlock:
+                      network: NetworkModel = network
+                      ) -> tuple[DataBlock, int]:
                 block = site.store.block_for(descriptor_id)
                 size = block.size_bytes
                 self.traffic.requests += 1
@@ -689,22 +701,21 @@ class FederatedStore:
                             f"checksum mismatch on block for "
                             f"{descriptor_id!r} from {site.name}")
                     robust.absorbed += 1    # pragma: no cover
-                return block
+                return block, size
 
             rate = 0.0 if self.faults is None \
                 else self.faults.block_failure_rate
             try:
-                block = self._remote_call(site, "block", descriptor_id,
-                                          fetch, rate=rate,
-                                          network=network)
+                block, size = self._remote_call(
+                    site, "block", descriptor_id, fetch, rate=rate,
+                    network=network)
             except SiteUnavailable as exc:
                 pending += exc.pending
                 failed.append(site.name)
                 continue
             self._classify_failover(pending, failed)
             self._record_route(descriptor_id, site.name)
-            if origin is not None:
-                self._track(origin, descriptor_id, block.size_bytes)
+            self._track(origin, descriptor_id, size)
             if self.cache_payloads and origin is None:
                 descriptor = site.store.descriptor(descriptor_id)
                 if descriptor_id not in self.local.store:
@@ -712,7 +723,7 @@ class FederatedStore:
                 # The local copy now serves lookups; a stale cache
                 # entry would shadow any later local update.
                 self._descriptor_cache.pop(descriptor_id, None)
-            return block
+            return block, size
         if failed:
             self.traffic.robustness.unrecovered += pending
             raise StoreError(
@@ -923,8 +934,8 @@ class FederatedStore:
                 descriptor = self.descriptor(descriptor_id,
                                              origin=origin)
                 if descriptor.block_id is not None:
-                    delivered += self.block_for(
-                        descriptor_id, origin=origin).size_bytes
+                    delivered += self._read_block(descriptor_id,
+                                                  origin)[1]
             except StoreError:
                 continue
         return delivered

@@ -10,8 +10,9 @@ into *action*:
   :class:`~repro.store.distributed.NetworkModel` links (asymmetric
   costs allowed), with ``star`` / ``chain`` / ``mesh`` constructors;
 * :class:`HotSetTracker` — a bounded space-saving top-K sketch per
-  origin site (Metwally et al.), so demand accounting stays O(K) no
-  matter how many descriptors the federation holds;
+  origin site (Metwally et al.), so demand accounting stays O(K) in
+  space no matter how many descriptors the federation holds, and a
+  min-heap keeps each read's bookkeeping at O(log K) amortized;
 * :class:`PlacementPolicy` and friends — cost-model-driven policies
   (``static`` / ``replicate-hot`` / ``migrate-owner`` / ``hybrid``)
   that turn a hot set into an explicit :class:`ReplicationPlan` of
@@ -27,6 +28,7 @@ stay bit-identical, which the placement tests and
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.store.distributed import NetworkModel
@@ -153,12 +155,22 @@ class HotEntry:
 class HotSetTracker:
     """Space-saving top-K demand sketch, one sketch per origin site.
 
-    ``record`` is O(1) amortized (O(K) worst case on eviction) and the
-    whole tracker is O(origins × K) space regardless of how many
-    distinct descriptors flow through — the property that keeps
-    placement viable at million-descriptor scale.  Counters weight by
-    both request count and payload bytes; policies rank by the byte
-    volume a placement move could actually save.
+    ``record`` is O(1) for an id already tracked and O(log K) amortized
+    when a new id evicts the minimum counter, and the whole tracker is
+    O(origins × K) space regardless of how many distinct descriptors
+    flow through — the property that keeps placement viable at
+    million-descriptor scale.  Counters weight by both request count
+    and payload bytes; policies rank by the byte volume a placement
+    move could actually save.
+
+    Each origin keeps a min-heap of ``(requests, payload_bytes,
+    descriptor_id)`` keys beside its sketch, one key per tracked id.
+    A hit only bumps the sketch entry, leaving its heap key stale but
+    never above the entry's true key (a counter only grows, and every
+    hit adds a request).  Eviction re-pushes stale tops with their
+    current keys until the top is current: that id then holds the
+    smallest key of the sketch, and since the id makes every key
+    unique, it is the victim a full scan would pick.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -166,31 +178,44 @@ class HotSetTracker:
             raise ValueError("tracker capacity must be >= 1")
         self.capacity = capacity
         self._sketches: dict[str, dict[str, HotEntry]] = {}
+        self._heaps: dict[str, list[tuple[int, int, str]]] = {}
 
     def record(self, origin: str, descriptor_id: str,
                payload_bytes: int = 0) -> None:
         """Note one read of ``descriptor_id`` issued from ``origin``."""
-        sketch = self._sketches.setdefault(origin, {})
+        sketch = self._sketches.get(origin)
+        if sketch is None:
+            sketch = self._sketches[origin] = {}
+            self._heaps[origin] = []
         entry = sketch.get(descriptor_id)
         if entry is not None:
             entry.requests += 1
             entry.payload_bytes += payload_bytes
             return
+        heap = self._heaps[origin]
         if len(sketch) < self.capacity:
             sketch[descriptor_id] = HotEntry(
                 descriptor_id, requests=1, payload_bytes=payload_bytes)
+            heapq.heappush(heap, (1, payload_bytes, descriptor_id))
             return
         # Space-saving eviction: recycle the minimum counter, the new
         # id inherits its counts as the overestimate bound.
-        victim = min(sketch.values(),
-                     key=lambda e: (e.requests, e.payload_bytes,
-                                    e.descriptor_id))
-        del sketch[victim.descriptor_id]
-        sketch[descriptor_id] = HotEntry(
+        while True:
+            requests, _, victim_id = heap[0]
+            victim = sketch[victim_id]
+            if victim.requests == requests:     # no hit since pushed
+                break
+            heapq.heapreplace(heap, (victim.requests,
+                                     victim.payload_bytes, victim_id))
+        del sketch[victim_id]
+        entry = HotEntry(
             descriptor_id,
             requests=victim.requests + 1,
             payload_bytes=victim.payload_bytes + payload_bytes,
             error=victim.requests)
+        sketch[descriptor_id] = entry
+        heapq.heapreplace(heap, (entry.requests, entry.payload_bytes,
+                                 descriptor_id))
 
     def hot_set(self, origin: str) -> list[HotEntry]:
         """The origin's hot entries, heaviest (by bytes) first."""
@@ -214,6 +239,7 @@ class HotSetTracker:
 
     def reset(self) -> None:
         self._sketches.clear()
+        self._heaps.clear()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Unit tests for blocks, descriptors and events (repro.core.descriptors)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.channels import Medium
@@ -40,6 +42,69 @@ class TestDataBlock:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError_):
             DataBlock("", Medium.TEXT)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestBlockSizeAndDigest:
+    @pytest.mark.parametrize("payload, size", [
+        ("hello", 5), ("héllo", 6), ("日本", 6), ("", 0),
+        (b"h\xc3\xa9", 3), (bytearray(b"abcd"), 4)])
+    def test_size_counts_utf8_bytes(self, payload, size):
+        assert DataBlock("b", Medium.TEXT, payload).size_bytes == size
+
+    @pytest.mark.parametrize("payload, data", [
+        ("text", b"text"), ("héllo", "héllo".encode("utf-8")),
+        (b"\x00raw", b"\x00raw")])
+    def test_memoized_digest_equals_a_fresh_sha256(self, payload, data):
+        block = DataBlock("b", Medium.TEXT, payload)
+        assert block.checksum() == sha256(data)
+        assert block._digest == (payload, sha256(data))
+        assert block.checksum() == sha256(data)
+
+    def test_reassigned_payload_recomputes(self):
+        block = DataBlock("b", Medium.TEXT, "first")
+        assert block.checksum() == sha256(b"first")
+        block.payload = "second"
+        assert block.checksum() == sha256(b"second")
+        # An equal but distinct object is a new payload too.
+        block.payload = "".join(["sec", "ond"])
+        assert block.checksum() == sha256(b"second")
+
+    def test_mutable_payloads_rehash_every_call(self):
+        np = pytest.importorskip("numpy")
+        raw = bytearray(b"abc")
+        frames = np.zeros(4, dtype=np.uint8)
+        for payload, view in ((raw, lambda: bytes(raw)),
+                              (frames, lambda: repr(frames).encode())):
+            block = DataBlock("b", Medium.VIDEO, payload)
+            before = block.checksum()
+            payload[0] ^= 1
+            assert block.checksum() == sha256(view()) != before
+            assert block._digest is None
+
+    def test_generator_called_on_every_checksum(self):
+        calls = []
+
+        def render():
+            calls.append(None)
+            return f"frame {len(calls)}"
+
+        block = DataBlock("b", Medium.PROGRAM, render, generator=True)
+        assert block.checksum() == sha256(b"frame 1")
+        assert block.checksum() == sha256(b"frame 2")
+        assert len(calls) == 2
+        assert block._digest is None
+
+    def test_memo_invisible_to_eq_and_repr(self):
+        warm = DataBlock("b", Medium.TEXT, "same")
+        cold = DataBlock("b", Medium.TEXT, "same")
+        warm.checksum()
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        assert "_digest" not in repr(warm)
 
 
 class TestDataDescriptor:

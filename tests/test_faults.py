@@ -15,8 +15,12 @@ The layer's contract has three parts, and each gets its section here:
   (``TestRobustnessLedger``).
 """
 
+import hashlib
 import json
 import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -316,6 +320,35 @@ class TestFederationRecovery:
         ledger = faulted.traffic.robustness
         assert ledger.checksum_rejects >= 1
         assert ledger.faults_injected.get("block-corrupt", 0) >= 1
+        assert ledger.unrecovered == 0
+        assert ledger.balanced()
+
+    def test_corrupt_delivery_rejected_on_every_read(self, monkeypatch):
+        import repro.core.descriptors as descriptors
+
+        digests = []
+
+        def sha256(data):
+            digests.append(len(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(descriptors, "hashlib",
+                            SimpleNamespace(sha256=sha256))
+        plan = transient_plan("block_corrupt_rate", "block-corrupt",
+                              "r/clip")
+        faulted = replicated_federation(plan)
+        source = faulted.site("site-1").store.block_for("r/clip")
+        ledger = faulted.traffic.robustness
+        for read in range(1, 5):
+            before = len(digests)
+            assert faulted.block_for("r/clip") is source
+            # Every read's first delivery is corrupt and rejected; the
+            # source digest is computed once, then only each damaged
+            # copy is hashed, in full.
+            assert ledger.checksum_rejects == read
+            assert digests[before:] == ([source.size_bytes] * 2
+                                        if read == 1
+                                        else [source.size_bytes])
         assert ledger.unrecovered == 0
         assert ledger.balanced()
 
@@ -677,4 +710,35 @@ def test_run_sharded_reruns_a_crashed_chunk_in_the_parent():
     assert ledger.worker_crashes == ledger.recovered == 1
     assert ledger.faults_injected == {"worker-crash": 1}
     assert ledger.reshards >= 1 and ledger.resharded_items >= 2
+    assert ledger.balanced()
+
+
+class _LateSubmitPool(ProcessPoolExecutor):
+    """A pool whose submits after the first wait until the pool has
+    broken: the order a busy machine can produce when chunk 0's planned
+    crash kills its worker before the other chunks are handed over."""
+
+    def submit(self, *args, **kwargs):
+        if getattr(self, "_submits", 0):
+            deadline = time.monotonic() + 30.0
+            while not self._broken and time.monotonic() < deadline:
+                time.sleep(0.005)
+        self._submits = getattr(self, "_submits", 0) + 1
+        return super().submit(*args, **kwargs)
+
+
+def test_run_sharded_books_a_crash_that_breaks_the_pool_mid_submit(
+        monkeypatch):
+    monkeypatch.setattr("repro.faults.recovery.ProcessPoolExecutor",
+                        _LateSubmitPool)
+    ledger = RobustnessStats()
+    results = run_sharded(list(range(7)), 3, _tag_chunk,
+                          faults=FaultPlan(seed=0, crash_shards=(0,)),
+                          ledger=ledger)
+    assert results is not None
+    assert [items for _pid, items in results] == \
+        [[0, 1], [2, 3], [4, 5, 6]]
+    assert all(pid == os.getpid() for pid, _items in results)
+    assert ledger.worker_crashes == ledger.recovered == 1
+    assert ledger.reshards == 3 and ledger.resharded_items == 7
     assert ledger.balanced()

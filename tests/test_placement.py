@@ -24,6 +24,7 @@ from repro.store import (DataStore, FederatedStore, HotSetTracker,
                          ReplicationPlan, Site, SiteTopology,
                          resolve_policy)
 from repro.store.placement import LOCAL_LINK
+from tests.oracles.hot_set import ScanHotSetTracker
 
 
 def text_descriptor(descriptor_id, payload):
@@ -107,6 +108,67 @@ class TestHotSetTracker:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             HotSetTracker(capacity=0)
+
+    def test_reset_clears_the_heaps(self):
+        tracker = HotSetTracker(capacity=2)
+        for descriptor_id in ("a", "b", "c"):
+            tracker.record("o", descriptor_id, 8)
+        tracker.reset()
+        assert tracker._heaps == {}
+        tracker.record("o", "d", 8)
+        assert [entry.descriptor_id for entry in tracker.hot_set("o")] \
+            == ["d"]
+
+
+def entry_rows(entries):
+    return [(entry.descriptor_id, entry.requests, entry.payload_bytes,
+             entry.error) for entry in entries]
+
+
+class TestHeapTrackerMatchesScan:
+    """The heap-backed ``record`` builds exactly the sketch the full
+    eviction scan builds (``tests/oracles/hot_set.py``), record by
+    record."""
+
+    ORIGINS = ("hub", "edge-1", "edge-2")
+    #: Few distinct sizes, zero included: (requests, bytes) ties are
+    #: common, so the id has to break them.
+    SIZES = (0, 0, 64, 128)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 8])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_identical_after_every_record(self, capacity, seed):
+        rng = random.Random(seed)
+        heap_tracker = HotSetTracker(capacity=capacity)
+        scan_tracker = ScanHotSetTracker(capacity=capacity)
+        pool = [f"d{index}" for index in range(3 * capacity + 4)]
+        tied_evictions = 0
+        for _ in range(1500):
+            origin = rng.choice(self.ORIGINS)
+            # A skewed pick keeps a hot head above the churning tail.
+            descriptor_id = pool[min(int(rng.expovariate(0.3)),
+                                     len(pool) - 1)]
+            size = rng.choice(self.SIZES)
+            sketch = scan_tracker._sketches.get(origin, {})
+            if descriptor_id not in sketch and len(sketch) == capacity:
+                keys = [(e.requests, e.payload_bytes)
+                        for e in sketch.values()]
+                tied_evictions += keys.count(min(keys)) > 1
+            heap_tracker.record(origin, descriptor_id, size)
+            scan_tracker.record(origin, descriptor_id, size)
+            assert heap_tracker.origins() == scan_tracker.origins()
+            for name in heap_tracker.origins():
+                assert entry_rows(heap_tracker.hot_set(name)) == \
+                    entry_rows(scan_tracker.hot_set(name))
+                heap = heap_tracker._heaps[name]
+                assert len(heap) == len(heap_tracker._sketches[name]) \
+                    <= capacity
+            assert {o: entry_rows([e]) for o, e in
+                    heap_tracker.demand(descriptor_id).items()} == \
+                {o: entry_rows([e]) for o, e in
+                 scan_tracker.demand(descriptor_id).items()}
+        # One counter cannot tie with another.
+        assert tied_evictions > 0 or capacity == 1
 
 
 class TestSiteTopology:
@@ -374,6 +436,32 @@ class TestRoutingInvalidation:
         assert breaker.allow(7) == (True, False)
 
 
+class TestFederatedDemand:
+    def test_unresolved_reads_leave_the_hot_set_alone(self):
+        names = ["hub", "a", "b"]
+        federation = make_federation(
+            {"hub": [], "a": [], "b": [("real", "r" * 500)]},
+            topology=star_topology(names))
+        delivered = federation.stream(["ghost1", "ghost2", "real"],
+                                      origin="a")
+        assert delivered == 500
+        # Only "real" resolved: its descriptor and its block read.
+        assert entry_rows(federation.hot_tracker.hot_set("a")) == \
+            [("real", 2, 500 + 512, 0)]
+
+    def test_cached_and_local_descriptor_reads_count(self):
+        names = ["hub", "a", "b"]
+        federation = make_federation(
+            {"hub": [], "a": [("mine", "m" * 10)],
+             "b": [("theirs", "t" * 10)]},
+            topology=star_topology(names))
+        for _ in range(2):      # replica read, then descriptor cache
+            federation.descriptor("theirs", origin="a")
+        federation.descriptor("mine", origin="a")
+        assert entry_rows(federation.hot_tracker.hot_set("a")) == \
+            [("theirs", 2, 1024, 0), ("mine", 1, 512, 0)]
+
+
 class TestSummarySizeCache:
     """Satellite: summary wire bytes computed once per (site, version)."""
 
@@ -467,6 +555,46 @@ class TestPlacementEquivalence:
             static.traffic["total_bytes"]
         assert placed.traffic["local_requests"] > \
             static.traffic["local_requests"]
+
+
+class TestWarmStateBounds:
+    """ROADMAP item 4: the federation's warm state stays bounded over a
+    long seeded read stream with placement moving ids around."""
+
+    def test_bounded_over_ten_thousand_reads(self):
+        workload = build_workload(
+            WorkloadSpec(sites=4, topology="star", documents=24,
+                         events=6, sessions=1500, zipf_s=1.1,
+                         locality=0.75, seed=31),
+            faults=parse_fault_plan("seed=31,blocks=0.05,corrupt=0.02"))
+        federation = workload.federation
+        tracker = federation.hot_tracker
+        capacity = tracker.capacity
+        held = {descriptor.descriptor_id
+                for name in workload.topology.sites
+                for descriptor in federation.site(name).store.descriptors()}
+        origins = len(workload.topology.sites)
+        assert len(held) > capacity     # the sketches must evict
+        reads = 0
+        for serial, request in enumerate(workload.requests):
+            if serial and serial % 100 == 0:
+                federation.rebalance("replicate-hot")
+            stream_ids = workload.catalog[request.document_index]
+            federation.stream(stream_ids, origin=request.origin)
+            reads += len(stream_ids)
+            for origin in tracker.origins():
+                sketch = tracker._sketches[origin]
+                assert len(tracker._heaps[origin]) == len(sketch) \
+                    <= capacity
+            assert len(federation._descriptor_cache) <= len(held)
+            assert len(federation._routes) <= len(held)
+            assert sum(len(pins) for pins in
+                       federation._affinity.values()) \
+                <= len(held) * origins
+        assert reads >= 10_000
+        assert federation.traffic.placement_moves > 0
+        assert max(len(tracker._sketches[origin])
+                   for origin in tracker.origins()) == capacity
 
 
 class TestWorkloadDeterminism:
