@@ -22,7 +22,12 @@ early cycle certificate, bit-identical to ``solve()``
   ``play_reference`` — by the baseline factor (>=5x), with bit-identical
   schedules;
 * **ingest_smoke**: the end-to-end ingest engine over a generated
-  corpus must come back failure-free with both serving caches warmed.
+  corpus must come back failure-free with both serving caches warmed;
+* **parse**: on the smoke corpus's texts, the one-pass reader behind
+  ``parse_document`` must beat the retired token-stream reader
+  (``tests/oracles/reader.py``), timed in the same process, by the
+  baseline factor (>=1.5x), building identical trees.  Both MB/s
+  figures go to ``$BENCH_RESULTS``.
 
 Run directly for a small report::
 
@@ -36,20 +41,30 @@ or through pytest (the CI smoke pass)::
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.corpus import generate_corpus, ingest_corpus, \
     make_random_document
+from repro.format import parse_document, write_document
 from repro.timing import (build_constraints, compile_graph, make_schedule,
                           solve, solve_graph)
 from repro.timing.solver import CLEANUP_FIFO
+
+from results import record_result
+
+# The retired reader is a test oracle; importable from the checkout
+# root, which a direct ``python benchmarks/bench_ingest.py`` lacks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import reader as retired_reader  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "ingest.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
 COLD = BASELINE["cold_schedule"]
 SMOKE = BASELINE["ingest_smoke"]
+PARSE = BASELINE["parse"]
 
 
 def _corpus_documents():
@@ -152,11 +167,51 @@ def test_ingest_smoke(tmp_path):
               f"({events_per_s:,.0f} events/s)")
 
 
+def _seconds(read, texts) -> float:
+    start = time.perf_counter()
+    for text in texts:
+        read(text)
+    return time.perf_counter() - start
+
+
+def test_parse_throughput(tmp_path):
+    """The one-pass reader vs the retired one: >=1.5x, same trees."""
+    paths = generate_corpus(tmp_path / "corpus",
+                            documents=SMOKE["documents"],
+                            events=SMOKE["events"])
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    for text in texts:
+        assert write_document(parse_document(text)) \
+            == write_document(retired_reader.parse_document(text))
+    megabytes = sum(len(text.encode("utf-8")) for text in texts) / 1e6
+    retired_s = reader_s = float("inf")
+    for _ in range(PARSE["rounds"]):     # interleaved: same machine state
+        retired_s = min(retired_s,
+                        _seconds(retired_reader.parse_document, texts))
+        reader_s = min(reader_s, _seconds(parse_document, texts))
+    speedup = retired_s / max(reader_s, 1e-12)
+    print(f"\n[ingest] parse {megabytes:.2f} MB: retired reader "
+          f"{megabytes / retired_s:.2f} MB/s, one-pass reader "
+          f"{megabytes / reader_s:.2f} MB/s -> {speedup:.2f}x")
+    record_result("parse", {
+        "megabytes": round(megabytes, 4),
+        "retired_mb_per_s": round(megabytes / retired_s, 3),
+        "reader_mb_per_s": round(megabytes / reader_s, 3),
+        "speedup": round(speedup, 3),
+        "min_speedup": PARSE["min_speedup"],
+    })
+    assert speedup >= PARSE["min_speedup"], (
+        f"the one-pass reader is only {speedup:.2f}x faster than the "
+        f"retired one (baseline floor {PARSE['min_speedup']}x)")
+
+
 def main():
     test_cold_schedule_throughput()
     import tempfile
     with tempfile.TemporaryDirectory() as scratch:
         test_ingest_smoke(Path(scratch))
+    with tempfile.TemporaryDirectory() as scratch:
+        test_parse_throughput(Path(scratch))
     print(f"floor               : {COLD['min_speedup']}x "
           f"(recorded reference {COLD['reference_speedup']}x)")
 

@@ -202,19 +202,23 @@ class ContainerNode(Node):
                  children: list[Node] | None = None) -> None:
         super().__init__(name, attributes)
         self._children: list[Node] = []
+        names: set[str] = set()
         for child in children or []:
-            self.add(child)
+            self.add(child, names)
 
     @property
     def children(self) -> tuple[Node, ...]:
         return tuple(self._children)
 
-    def add(self, child: Node) -> Node:
+    def add(self, child: Node, names: set[str] | None = None) -> Node:
         """Append ``child``, enforcing sibling-name uniqueness.
 
         The paper: "no two (direct) children of the same parent may have
         the same name, but otherwise a name may occur more than once in
-        the tree."
+        the tree."  A caller attaching every child of a new container
+        (the parser, the constructor) passes one ``names`` set for it:
+        the check is then a set lookup instead of a scan of every
+        sibling, and add() records the child's name in the set.
         """
         if child.parent is not None:
             raise StructureError(
@@ -226,11 +230,16 @@ class ContainerNode(Node):
                 f"a cycle in the document tree")
         name = child.name
         if name is not None:
-            for sibling in self._children:
-                if sibling.name == name:
-                    raise StructureError(
-                        f"two direct children of {self.label()} share the "
-                        f"name {name!r}")
+            if names is None:
+                taken = any(sibling.name == name
+                            for sibling in self._children)
+            else:
+                taken = name in names
+                names.add(name)
+            if taken:
+                raise StructureError(
+                    f"two direct children of {self.label()} share the "
+                    f"name {name!r}")
         child.parent = self
         self._children.append(child)
         return child

@@ -35,10 +35,20 @@ from repro.core.values import Rect
 from repro.format.sexpr import Symbol, head_symbol, parse_one
 
 _TAGGED_HEADS = frozenset({"time", "rect"})
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
 
 
 def parse_document(text: str) -> CmifDocument:
     """Parse concrete CMIF text into a :class:`CmifDocument`."""
+    try:
+        return _parse_document(text)
+    except RecursionError:
+        # The node walk is iterative; what still recurses is decoding a
+        # nested attribute value, or printing a nested form in a message.
+        raise FormatError("expression nested too deeply") from None
+
+
+def _parse_document(text: str) -> CmifDocument:
     expression = parse_one(text)
     if head_symbol(expression) != "cmif":
         raise FormatError("document must be a (cmif ...) form")
@@ -51,7 +61,7 @@ def parse_document(text: str) -> CmifDocument:
             if version != 1:
                 raise FormatError(f"unsupported CMIF format version "
                                   f"{version!r}")
-        elif head in {kind.value for kind in NodeKind}:
+        elif head in _NODE_KINDS:
             if node_form is not None:
                 raise FormatError("document has more than one root node")
             node_form = item
@@ -67,24 +77,53 @@ def parse_document(text: str) -> CmifDocument:
 
 
 def parse_node(expression: object) -> Node:
-    """Parse one node form (recursively)."""
+    """Parse one node form and its whole subtree.
+
+    One linear walk with an explicit stack of open containers, so the
+    tree's depth is bounded by memory, not by the recursion limit.
+    Errors come in document order: a node's attributes are checked
+    before its children, and each child is attached (its name checked
+    against one set per container) as soon as its own subtree is built.
+    """
+    root, child_forms = _node_from_form(expression)
+    # Frames: (container, its remaining child forms, its child names).
+    stack = [(root, iter(child_forms), set())]
+    while stack:
+        parent, forms, names = stack[-1]
+        form = next(forms, None)
+        if form is None:            # the container's subtree is built
+            stack.pop()
+            if stack:
+                above, _, above_names = stack[-1]
+                above.add(parent, above_names)
+            continue
+        node, grandchildren = _node_from_form(form)
+        if grandchildren:
+            stack.append((node, iter(grandchildren), set()))
+        else:
+            parent.add(node, names)
+    return root
+
+
+def _node_from_form(expression: object) -> tuple[Node, list]:
+    """Build one node with its attributes; return it and its child forms.
+
+    The child forms are left unparsed (always empty for a leaf).
+    """
     head = head_symbol(expression)
-    kinds = {kind.value: kind for kind in NodeKind}
-    if head not in kinds:
+    kind = _NODE_KINDS.get(head)
+    if kind is None:
         raise FormatError(f"expected a node form, got ({head} ...)")
-    kind = kinds[head]
-    body = list(expression[1:])
+    body = expression[1:]
     attribute_forms: list = []
     if body and head_symbol(body[0]) == "attributes":
-        attribute_forms = body.pop(0)[1:]
+        attribute_forms = body[0][1:]
+        body = body[1:]
 
     if kind.is_container:
         node = make_node(kind)
         _apply_attributes(node, attribute_forms)
-        assert isinstance(node, ContainerNode)
-        for child_form in body:
-            node.add(parse_node(child_form))
-        return node
+        return node, body
 
     if kind is NodeKind.IMM:
         data = _parse_immediate_data(body)
@@ -93,13 +132,13 @@ def parse_node(expression: object) -> Node:
         if node.attributes.get("medium") not in (None, "text") \
                 and isinstance(data, str):
             node.data = _maybe_decode_binary(node, data)
-        return node
+        return node, []
 
     if body:
         raise FormatError("ext nodes take no children or data")
     node = make_node(kind)
     _apply_attributes(node, attribute_forms)
-    return node
+    return node, []
 
 
 def _parse_immediate_data(body: list) -> str:

@@ -48,107 +48,114 @@ class Token:
     column: int
 
 
-_DELIMITERS = set("()\";")
+#: The reader's one scanner.  Each match skips any whitespace and
+#: comments, then takes one token; the group that matched names its
+#: kind (``Match.lastindex``).  Every character can start some
+#: alternative, so ``finditer`` walks the whole text with no gaps; the
+#: last match, with no group, is the end of the text.
+_READ_RE = re.compile(
+    r"""(?:\s+|;[^\n]*)*              # whitespace and comments: skip
+      (?: ([^\s()";]+)                  # 1 atom
+        | (\()                          # 2 open
+        | (\))                          # 3 close
+        | "([^"\\\n]*)"                 # 4 string: one line, no escapes
+        | "([^"\\]*(?:\\.[^"\\]*)*)"    # 5 string with escapes/newlines
+        | "()                           # 6 unterminated string
+        | \Z)
+    """, re.VERBOSE | re.DOTALL)
+_ATOM, _OPEN, _CLOSE, _PLAIN_STRING, _ESCAPED_STRING, _UNTERMINATED = \
+    range(1, 7)
 
-#: One master scanner instead of the seed's char-by-char loop: every
-#: position matches exactly one alternative (atoms swallow anything that
-#: is not whitespace or a delimiter), except a ``"`` opening a string
-#: with escapes/newlines, which falls through to :func:`_read_string`.
-#: The parse stage is the corpus-ingest pipeline's front door, so the
-#: tokenizer is the one place in the format layer worth this treatment.
-_TOKEN_RE = re.compile(
-    r"""[^\S\n]+                  # whitespace except newline: skip
-      | \n+                       # newlines: tracked for positions
-      | ;[^\n]*                   # comment to end of line
-      | (?P<open>\()
-      | (?P<close>\))
-      | (?P<string>"[^"\\\n]*")   # fast path: no escapes, single line
-      | (?P<atom>[^\s()";]+)
-    """, re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+
+
+def _atom(word: str) -> int | float | Symbol:
+    r"""The value of one scanned atom: a number, else a symbol.
+
+    The symbol skips :class:`Symbol`'s whitespace scan: the atom group
+    ``[^\s()";]+`` already excludes every character ``str.isspace()``
+    accepts (``re``'s ``\s`` matches exactly those).  A caller's
+    ``Symbol(...)`` keeps the check.
+    """
+    number = _try_number(word)
+    if number is not None:
+        return number
+    symbol = object.__new__(Symbol)
+    object.__setattr__(symbol, "text", word)
+    return symbol
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``text[offset]``.
+
+    Computed only when raising: the scanners keep no line bookkeeping.
+    """
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _string_value(text: str, quote: int, end: int | None) -> str:
+    """Decode the string whose opening ``"`` is at ``text[quote]``.
+
+    ``end`` is the offset just past its closing quote, or None when the
+    string runs unterminated to the end of the text.  Supports the
+    escapes ``\\\\``, ``\\\"``, ``\\n``, ``\\t``.  An unknown escape is
+    reported at the string's line and the backslash's column.
+    """
+    body = text[quote + 1:len(text) if end is None else end - 1]
+
+    def unescape(escape: re.Match) -> str:
+        char = escape.group(1)
+        value = _ESCAPES.get(char)
+        if value is None:
+            line = _position(text, quote)[0]
+            column = _position(text, quote + 1 + escape.start())[1]
+            raise FormatError(f"unknown string escape \\{char}", line,
+                              column)
+        return value
+
+    # Decoded even when unterminated: reading left to right, an unknown
+    # escape is met before the missing end quote.
+    value = _ESCAPE_RE.sub(unescape, body)
+    if end is None:
+        raise FormatError("unterminated string literal",
+                          *_position(text, quote))
+    return value
 
 
 def tokenize(text: str) -> Iterator[Token]:
     """Tokenize s-expression source text, tracking line/column."""
     line = 1
     line_start = 0   # offset of the current line's first character
-    position = 0
-    length = len(text)
-    match = _TOKEN_RE.match
-    while position < length:
-        found = match(text, position)
-        if found is None:
-            # Only a quote can fail the master pattern: a string with
-            # escapes, embedded newlines, or no terminator.
-            column = position - line_start + 1
-            value, consumed, newlines, end_column = _read_string(
-                text, position, line, column)
-            yield Token("string", value, line, column)
-            position += consumed
-            if newlines:
-                line += newlines
-                line_start = position - (end_column - 1)
-            continue
-        kind = found.lastgroup
-        start = found.start()
-        end = found.end()
-        if kind is None:            # whitespace, newlines or a comment
-            if text[start] == "\n":
-                line += end - start
-                line_start = end
-            position = end
-            continue
+    counted = 0      # newlines before this offset are in ``line``
+    for found in _READ_RE.finditer(text):
+        kind = found.lastindex
+        if kind is None:
+            return
+        start = found.start(kind)
+        if kind >= _PLAIN_STRING:
+            start -= 1          # the opening quote
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
         column = start - line_start + 1
-        if kind == "atom":
-            word = found.group("atom")
-            number = _try_number(word)
-            if number is not None:
-                yield Token("number", number, line, column)
-            else:
-                yield Token("symbol", Symbol(word), line, column)
-        elif kind == "string":
-            yield Token("string", text[start + 1:end - 1], line, column)
-        elif kind == "open":
+        if kind == _ATOM:
+            value = _atom(found.group(kind))
+            yield Token("symbol" if isinstance(value, Symbol) else "number",
+                        value, line, column)
+        elif kind == _OPEN:
             yield Token("open", "(", line, column)
-        else:
+        elif kind == _CLOSE:
             yield Token("close", ")", line, column)
-        position = end
-
-
-def _read_string(text: str, start: int, line: int,
-                 column: int) -> tuple[str, int, int, int]:
-    """Read a quoted string starting at ``text[start]`` (a ``\"``).
-
-    Returns (value, characters consumed, newlines inside, column after).
-    Supports the escapes ``\\\\``, ``\\\"``, ``\\n``, ``\\t``.
-    """
-    out: list[str] = []
-    i = start + 1
-    newlines = 0
-    current_column = column + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), i - start + 1, newlines, current_column + 1
-        if ch == "\\":
-            if i + 1 >= len(text):
-                break
-            escape = text[i + 1]
-            mapping = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-            if escape not in mapping:
-                raise FormatError(f"unknown string escape \\{escape}",
-                                  line, current_column)
-            out.append(mapping[escape])
-            i += 2
-            current_column += 2
-            continue
-        if ch == "\n":
-            newlines += 1
-            current_column = 1
+        elif kind == _PLAIN_STRING:
+            yield Token("string", found.group(kind), line, column)
         else:
-            current_column += 1
-        out.append(ch)
-        i += 1
-    raise FormatError("unterminated string literal", line, column)
+            yield Token("string", _string_value(
+                text, start, None if kind == _UNTERMINATED else found.end()),
+                line, column)
 
 
 def _try_number(word: str) -> int | float | None:
@@ -173,25 +180,46 @@ def _try_number(word: str) -> int | float | None:
 
 
 def parse_all(text: str) -> list[object]:
-    """Parse the source text into a list of top-level expressions."""
-    stack: list[list[object]] = [[]]
-    opens: list[Token] = []
-    for token in tokenize(text):
-        if token.kind == "open":
-            stack.append([])
-            opens.append(token)
-        elif token.kind == "close":
-            if len(stack) == 1:
-                raise FormatError("unbalanced ')'", token.line, token.column)
-            finished = stack.pop()
+    """Parse the source text into a list of top-level expressions.
+
+    One pass from scanner matches to nested lists: no tokens, no line
+    bookkeeping (a position is derived from the offset only to raise),
+    and each distinct atom is converted once per text.
+    """
+    top: list[object] = []
+    current = top
+    enclosing: list[list[object]] = []   # the lists around ``current``
+    opens: list[int] = []                # offsets of the unclosed '('
+    atoms: dict[str, object] = {}
+    for found in _READ_RE.finditer(text):
+        kind = found.lastindex
+        if kind == _ATOM:
+            word = found.group(kind)
+            value = atoms.get(word)
+            if value is None:
+                value = atoms[word] = _atom(word)
+            current.append(value)
+        elif kind == _OPEN:
+            child: list[object] = []
+            current.append(child)
+            enclosing.append(current)
+            current = child
+            opens.append(found.start(kind))
+        elif kind == _CLOSE:
+            if not enclosing:
+                raise FormatError("unbalanced ')'",
+                                  *_position(text, found.start(kind)))
+            current = enclosing.pop()
             opens.pop()
-            stack[-1].append(finished)
-        else:
-            stack[-1].append(token.value)
-    if len(stack) != 1:
-        token = opens[-1]
-        raise FormatError("unbalanced '('", token.line, token.column)
-    return stack[0]
+        elif kind == _PLAIN_STRING:
+            current.append(found.group(kind))
+        elif kind is not None:
+            current.append(_string_value(
+                text, found.start(kind) - 1,
+                None if kind == _UNTERMINATED else found.end()))
+    if enclosing:
+        raise FormatError("unbalanced '('", *_position(text, opens[-1]))
+    return top
 
 
 def parse_one(text: str) -> object:

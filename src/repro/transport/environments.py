@@ -156,17 +156,23 @@ class SystemEnvironment:
         capability-identical environments negotiate, filter and compile
         identically, so the serving caches (program cache, adaptation
         cache) should share one entry between them.  Everything that can
-        influence negotiation, filtering or playback is included.
+        influence negotiation, filtering or playback is included.  Built
+        once per instance: the environment is frozen, and a copy made by
+        ``dataclasses.replace`` is a new instance that builds its own.
         """
-        return (
-            self.screen_width, self.screen_height, self.color_depth,
-            self.max_frame_rate, self.audio_channels,
-            self.max_sample_rate, self.bandwidth_bps,
-            tuple(sorted(medium.value for medium in self.supported_media)),
-            tuple(sorted((medium.value, latency) for medium, latency
-                         in self.start_latency_ms.items())),
-            self.jitter_ms,
-        )
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            fingerprint = self.__dict__["_fingerprint"] = (
+                self.screen_width, self.screen_height, self.color_depth,
+                self.max_frame_rate, self.audio_channels,
+                self.max_sample_rate, self.bandwidth_bps,
+                tuple(sorted(medium.value
+                             for medium in self.supported_media)),
+                tuple(sorted((medium.value, latency) for medium, latency
+                             in self.start_latency_ms.items())),
+                self.jitter_ms,
+            )
+        return fingerprint
 
 
 def _latencies(text: float = 1.0, audio: float = 5.0, video: float = 20.0,

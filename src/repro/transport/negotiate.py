@@ -11,7 +11,8 @@ then checked against a
 :class:`~repro.transport.environments.SystemEnvironment`, returning a
 structured verdict with per-requirement findings.  Negotiating one
 document against N environments therefore walks the tree once, not N
-times — the serving engine's admission path relies on this.
+times — the serving engine's admission path relies on this — and each
+(profile, environment) verdict is computed once and then shared.
 
 Three verdicts are possible, mirroring the pipeline's options:
 
@@ -33,7 +34,7 @@ after its filter plan is applied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.document import CmifDocument
 from repro.transport.environments import SystemEnvironment
@@ -73,13 +74,17 @@ class Finding:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NegotiationResult:
-    """The structured verdict of a negotiation."""
+    """The structured verdict of a negotiation.
+
+    Frozen, so every session admitted under one (profile, environment)
+    pair can share the one memoized result :func:`negotiate` returns.
+    """
 
     environment: str
     verdict: str
-    findings: list[Finding] = field(default_factory=list)
+    findings: tuple[Finding, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -125,9 +130,27 @@ def negotiate(document: CmifDocument,
     ``requirements`` short-circuits the profile derivation when the
     caller already holds one (the serving engine); ``cache`` makes the
     derivation once-per-revision without the caller managing profiles.
+    The verdict is memoized on the profile per environment, so every
+    call with one profile and one environment returns the same frozen
+    result.
     """
     if requirements is None:
         requirements = requirements_for(document, cache=cache)
+    # Given the profile, the verdict is a pure function of the frozen
+    # environment, so it is memoized on the profile next to plan_for's
+    # plans, keyed by the environment itself: the result carries the
+    # environment's name, which the fingerprint leaves out.
+    verdicts = requirements.__dict__.setdefault("_verdicts", {})
+    result = verdicts.get(environment)
+    if result is None:
+        result = verdicts[environment] = _negotiate(requirements,
+                                                    environment)
+    return result
+
+
+def _negotiate(requirements: DocumentRequirements,
+               environment: SystemEnvironment) -> NegotiationResult:
+    """Check one requirement profile against ``environment``."""
     findings: list[Finding] = []
 
     for medium in sorted(requirements.media, key=lambda m: m.value):
@@ -224,4 +247,4 @@ def negotiate(document: CmifDocument,
     else:
         verdict = UNPLAYABLE
     return NegotiationResult(environment=environment.name, verdict=verdict,
-                             findings=findings)
+                             findings=tuple(findings))

@@ -142,11 +142,22 @@ def _descriptor_to_obj(descriptor: DataDescriptor) -> dict:
     }
 
 
+def _identifier(obj: dict, key: str, *, optional: bool = False
+                ) -> str | None:
+    """A descriptor or block id from the package: a string (or absent,
+    where ``optional``), since the store indexes and sorts by it."""
+    value = obj.get(key) if optional else obj[key]
+    if not (isinstance(value, str) or (optional and value is None)):
+        raise TransportError(f"malformed package: {key} must be a string, "
+                             f"got {type(value).__name__}")
+    return value
+
+
 def _descriptor_from_obj(obj: dict) -> DataDescriptor:
     return DataDescriptor(
-        descriptor_id=obj["descriptor_id"],
+        descriptor_id=_identifier(obj, "descriptor_id"),
         medium=Medium.from_name(obj["medium"]),
-        block_id=obj.get("block_id"),
+        block_id=_identifier(obj, "block_id", optional=True),
         attributes={name: value_from_obj(value)
                     for name, value in (obj.get("attributes") or {}).items()},
     )
@@ -212,7 +223,7 @@ def _block_from_obj(obj: dict,
         payload = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     else:
         raise TransportError(f"unknown block encoding {encoding!r}")
-    return DataBlock(block_id=obj["block_id"],
+    return DataBlock(block_id=_identifier(obj, "block_id"),
                      medium=Medium.from_name(obj["medium"]),
                      payload=payload)
 
@@ -238,7 +249,9 @@ def unpack(package_text: str, *, verify: bool = True,
     robustness = RobustnessStats()
     try:
         payload = json.loads(package_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json recurses once per array/object level, as does decoding a
+        # nested attribute value below.
         raise TransportError(f"corrupt package: {exc}") from None
     body = payload.get("cmif-package") if isinstance(payload, dict) \
         else None
@@ -255,7 +268,8 @@ def unpack(package_text: str, *, verify: bool = True,
                     for block_id, obj in block_objs.items()}
         descriptors = {file_id: _descriptor_from_obj(obj) for file_id, obj
                        in (body.get("descriptors") or {}).items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:
         raise TransportError(f"malformed package: {exc!r}") from None
     store = DataStore(name="unpacked")
     attempt = 0

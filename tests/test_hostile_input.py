@@ -104,3 +104,55 @@ def test_cli_unpack_of_package_without_document_exits_2(package, tmp_path,
     assert main(["unpack", str(path), "-o", str(tmp_path / "out.cmif")]) \
         == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _nested(depth, inner):
+    return "(seq " * depth + inner + ")" * depth
+
+
+def test_parse_document_reads_a_deeply_nested_tree():
+    depth = 5000
+    text = ("(cmif (version 1) "
+            + _nested(depth, '(imm (attributes (name leaf)) "x")') + ")")
+    node = parse_document(text).root
+    levels = 0
+    while node.children:
+        (node,) = node.children
+        levels += 1
+    assert levels == depth
+    assert node.name == "leaf"
+
+
+def test_attribute_value_nested_past_the_recursion_limit_is_a_format_error():
+    depth = 5000
+    value = "(a " * depth + "1" + ")" * depth
+    text = f"(cmif (version 1) (seq (attributes (name d) (deep {value}))))"
+    with pytest.raises(FormatError, match="nested too deeply"):
+        parse_document(text)
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_unpack_of_deeply_nested_json_raises_transport_error():
+    with pytest.raises(TransportError, match="corrupt package"):
+        unpack(DEEP_JSON)
+
+
+def test_cli_unpack_of_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.cmifpkg"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["unpack", str(path), "-o", str(tmp_path / "out.cmif")]) \
+        == 2
+    assert "error: corrupt package" in capsys.readouterr().err
+
+
+def test_unpack_of_a_deeply_nested_descriptor_attribute_raises_transport_error(
+        package):
+    damaged = copy.deepcopy(package)
+    deep = 1
+    for _ in range(800):
+        deep = {"group": deep}
+    _descriptor(damaged["cmif-package"])["attributes"]["deep"] = deep
+    with pytest.raises(TransportError, match="malformed package"):
+        unpack(json.dumps(damaged))
