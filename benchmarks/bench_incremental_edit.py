@@ -10,6 +10,8 @@ both paths on a ~1k-node document and asserts the tentpole claim:
 * the incremental loop is at least 10x faster than full re-solves;
 * the incremental schedule stays bit-identical to the full solve.
 
+The best trial's figures go to ``$BENCH_RESULTS``.
+
 Run directly for a small report::
 
     PYTHONPATH=src python benchmarks/bench_incremental_edit.py
@@ -29,6 +31,8 @@ from repro.core.builder import DocumentBuilder
 from repro.core.syncarc import Strictness, SyncArc
 from repro.core.timebase import MediaTime
 from repro.timing import IncrementalScheduler, schedule_document
+
+from results import record_result
 
 _MEDIA = ("video", "audio", "image", "text")
 
@@ -144,6 +148,7 @@ def measure(seed: int = 1991):
 def test_incremental_edit_loop_speedup():
     """Tentpole acceptance: >= 10x on a ~1k-node document, bit-identical."""
     best = None
+    best_outcome = None
     for trial in range(2):
         outcome = measure()
         assert outcome["nodes"] >= 1000, "document must be 1k-node scale"
@@ -158,8 +163,17 @@ def test_incremental_edit_loop_speedup():
               f"({outcome['stats'].describe()})")
         if best is None or outcome["speedup"] > best:
             best = outcome["speedup"]
+            best_outcome = outcome
         if best >= TARGET_SPEEDUP:
             break  # retry once only on a miss: wall-clock CI noise
+    record_result("incremental_edit", {
+        "nodes": best_outcome["nodes"],
+        "edits": best_outcome["edits"],
+        "full_s": round(best_outcome["full_s"], 4),
+        "incremental_s": round(best_outcome["incremental_s"], 4),
+        "speedup": round(best, 2),
+        "min_speedup": TARGET_SPEEDUP,
+    })
     assert best >= TARGET_SPEEDUP, (
         f"incremental loop only {best:.1f}x faster "
         f"(target {TARGET_SPEEDUP:g}x, best of 2 trials)")

@@ -10,17 +10,19 @@ one variable, which on conflicted documents means seconds of cycle
 pumping before the first may constraint can even be dropped.
 
 The compiled graph engine (:mod:`repro.timing.graph`) lowers the same
-semantics onto dense ids, CSR edge arrays and a ranked cleanup with an
-early cycle certificate, bit-identical to ``solve()``
-(tests/test_graph_solver.py).  This bench checks the gates recorded in
-``benchmarks/baselines/ingest.json``:
+semantics straight onto the solver's row layout, solved with a ranked
+cleanup and an early cycle certificate.  The retired object-form solver
+(``tests/oracles/solver.py``) supplies both comparison paths.  This
+bench checks the gates recorded in ``benchmarks/baselines/ingest.json``:
 
 * **cold_schedule**: scheduling 1000-event corpus documents through the
-  graph engine must beat the pre-graph reference path — object
-  constraint build + ``solve(cleanup="fifo")``, the exact pre-PR
-  algorithm, kept for this comparison the way the batch player keeps
-  ``play_reference`` — by the baseline factor (>=5x), with bit-identical
-  schedules;
+  graph engine must beat the pre-graph path — object constraint build +
+  the retired ``solve(cleanup="fifo")``, the exact pre-graph algorithm,
+  kept for this comparison the way the batch player keeps
+  ``play_reference`` — by the baseline factor (>=5x).  The graph
+  schedules must be bit-identical to the retired ranked ``solve()``,
+  an independent implementation of the same semantics.  The figures go
+  to ``$BENCH_RESULTS``;
 * **ingest_smoke**: the end-to-end ingest engine over a generated
   corpus must come back failure-free with both serving caches warmed;
 * **parse**: on the smoke corpus's texts, the one-pass reader behind
@@ -49,15 +51,16 @@ from repro.corpus import generate_corpus, ingest_corpus, \
     make_random_document
 from repro.format import parse_document, write_document
 from repro.timing import (build_constraints, compile_graph, make_schedule,
-                          solve, solve_graph)
-from repro.timing.solver import CLEANUP_FIFO
+                          solve_graph)
 
 from results import record_result
 
-# The retired reader is a test oracle; importable from the checkout
-# root, which a direct ``python benchmarks/bench_ingest.py`` lacks.
+# The retired reader and solver are test oracles; importable from the
+# checkout root, which a direct ``python benchmarks/bench_ingest.py``
+# lacks.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.oracles import reader as retired_reader  # noqa: E402
+from tests.oracles import solver as retired_solver  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "ingest.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -78,13 +81,15 @@ def _corpus_documents():
 def _schedule_pre_pr(compiled):
     """The pre-PR cold path: object build + FIFO-cleanup solve."""
     system = build_constraints(compiled)
-    return make_schedule(compiled, solve(system, cleanup=CLEANUP_FIFO))
+    return make_schedule(compiled,
+                         retired_solver.solve(system, cleanup="fifo"))
 
 
 def _schedule_reference(compiled):
-    """The current object reference (ranked cleanup) — context line."""
+    """The retired object-form ranked solve — the bit-identity
+    reference, and a context line."""
     system = build_constraints(compiled)
-    return make_schedule(compiled, solve(system))
+    return make_schedule(compiled, retired_solver.solve(system))
 
 
 def _schedule_graph(compiled):
@@ -105,8 +110,8 @@ def _assert_identical(mine, theirs) -> None:
 def test_cold_schedule_throughput():
     """Tentpole acceptance: >=5x cold scheduling vs the pre-PR path.
 
-    The graph schedule must be bit-identical to the current object
-    reference (ranked cleanup).  The pre-PR FIFO path is the timing
+    The graph schedule must be bit-identical to the retired object
+    solver's ranked cleanup.  The pre-graph FIFO path is the timing
     baseline only: on documents needing may relaxation it can certify a
     different (equally valid) cycle and therefore drop a different may
     constraint, so it is held to the weaker contract of producing a
@@ -142,6 +147,16 @@ def test_cold_schedule_throughput():
           f"{graph_s * 1000:.0f}ms ({docs_per_s:.1f} docs/s) "
           f"-> {speedup:.0f}x vs pre-PR, "
           f"{ranked_s / max(graph_s, 1e-12):.1f}x vs ranked")
+    record_result("cold_schedule", {
+        "documents": len(documents),
+        "events": events,
+        "pre_pr_s": round(pre_pr_s, 4),
+        "ranked_reference_s": round(ranked_s, 4),
+        "graph_s": round(graph_s, 4),
+        "docs_per_s": round(docs_per_s, 2),
+        "speedup": round(speedup, 2),
+        "min_speedup": COLD["min_speedup"],
+    })
     assert speedup >= COLD["min_speedup"], (
         f"graph cold scheduling only {speedup:.1f}x faster than the "
         f"pre-PR reference path (baseline floor {COLD['min_speedup']}x)")

@@ -4,7 +4,7 @@ No absolute numbers appear in the paper; these benches characterize the
 reproduction's own subsystems on generated documents from 10 to 2000
 events, so regressions are visible and EXPERIMENTS.md can record the
 observed complexity (near-linear for parse/write, near-linear for the
-SPFA solve on tree-shaped systems).
+two-phase solve on tree-shaped systems).
 """
 
 import pytest

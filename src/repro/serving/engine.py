@@ -273,9 +273,10 @@ class SessionEngine:
         #: (id(program), environment fingerprint) -> (program, player);
         #: pinning the program keeps id() reuse impossible.
         self._players = LRUCache(PLAYER_CACHE_CAPACITY)
-        #: id(document) -> (document, live editor); pinning the
-        #: document keeps id() reuse impossible.
-        self._editors: dict[int, tuple[CmifDocument, LiveEditor]] = {}
+        #: id(document) -> (document, live editor), LRU-bounded like
+        #: the schedule cache; pinning the document keeps id() reuse
+        #: impossible.
+        self._editors = LRUCache(SCHEDULE_CACHE_CAPACITY)
         #: Optional :class:`~repro.store.distributed.FederatedStore`
         #: the engine streams content through.  Admission installs a
         #: per-session streamer that pulls the document's payloads from
@@ -309,11 +310,14 @@ class SessionEngine:
     def editor_for(self, document: CmifDocument) -> LiveEditor:
         """The document's live editor over this engine's shared caches.
 
-        One editor per document, kept for the engine's lifetime: it
-        owns the incremental solver state that makes successive edits
+        One editor per document, kept for the
+        :data:`SCHEDULE_CACHE_CAPACITY` most recently edited documents:
+        it owns the incremental solver state that makes successive edits
         O(affected events), and it adopts the exact schedule object the
         admission path published so the cached program pyramid patches
-        in place instead of going cold.
+        in place instead of going cold.  An evicted document's next edit
+        builds a fresh editor, which rebuilds its scheduler and adopts
+        the cached schedule the way every first edit does.
         """
         entry = self._editors.get(id(document))
         if entry is not None and entry[0] is document:
@@ -321,7 +325,7 @@ class SessionEngine:
         editor = LiveEditor(document,
                             schedule_cache=self.schedule_cache,
                             program_cache=self.program_cache)
-        self._editors[id(document)] = (document, editor)
+        self._editors.put(id(document), (document, editor))
         return editor
 
     def apply_edit(self, document: CmifDocument, spec: dict, *,

@@ -29,15 +29,13 @@ from repro.timing.schedule import (ENGINE_GRAPH, ENGINE_REFERENCE,
                                    event_order, make_schedule,
                                    schedule_document, schedule_for,
                                    wrap_event)
-from repro.timing.solver import (CLEANUP_ALGORITHMS, CLEANUP_FIFO,
-                                 CLEANUP_RANKED, IncrementalOutcome,
-                                 IncrementalSolver, RELAXATION_POLICIES,
-                                 RELAX_DROP_LAST, RELAX_DROP_WIDEST,
-                                 SolverResult, check_solution, solve)
+from repro.timing.solver import (IncrementalOutcome, IncrementalSolver,
+                                 RELAXATION_POLICIES, RELAX_DROP_LAST,
+                                 RELAX_DROP_WIDEST, SolverResult,
+                                 check_solution, solve)
 
 __all__ = [
-    "AUTHORING", "CLEANUP_ALGORITHMS", "CLEANUP_FIFO", "CLEANUP_RANKED",
-    "ConflictReport", "Constraint", "ConstraintDelta",
+    "AUTHORING", "ConflictReport", "Constraint", "ConstraintDelta",
     "ConstraintGraph", "ConstraintIndex", "ConstraintKind",
     "ConstraintSystem", "DEFAULT_TIMEBASE", "DEVICE", "ENGINE_GRAPH",
     "ENGINE_REFERENCE", "EngineStats", "IncrementalOutcome",

@@ -157,17 +157,6 @@ class ConstraintSystem:
         for constraint in delta.added:
             self.add(constraint)
 
-    def without(self, dropped: "Constraint") -> "ConstraintSystem":
-        """A copy of the system with one constraint removed."""
-        clone = ConstraintSystem()
-        clone.root_begin = self.root_begin
-        for constraint in self.constraints:
-            if constraint is not dropped:
-                clone.add(constraint)
-        if self.root_begin is not None:
-            clone.variable(self.root_begin)
-        return clone
-
     @property
     def size(self) -> tuple[int, int]:
         """``(variable count, constraint count)``."""

@@ -1,54 +1,78 @@
-"""Compiled constraint graphs: the cold-path solve lowered onto arrays.
+"""Constraint graphs: the one layout every solve runs on, and its core.
 
-:func:`repro.timing.constraints.build_constraints` +
-:func:`repro.timing.solver.solve` define the scheduling semantics, but
-they pay object-shaped costs on every *first* schedule of a document:
-every variable is an interned :class:`TimeVar` frozen dataclass, every
-rule a :class:`Constraint` dataclass with an eagerly formatted note, and
-the adjacency structure is a list of ``(target, weight, constraint)``
-tuples.  Corpus ingest (thousands of cold documents, no warm cache to
-help) pays all of it per document.
+A document's synchronization rules are difference constraints
+``var - base >= weight`` between time variables, and its ASAP schedule
+is their longest-path relaxation from the root anchor (the semantics
+are set out in :mod:`repro.timing.solver`).  :class:`ConstraintGraph`
+holds them as *rows* over dense variable ids, and two lowerings fill
+it:
 
-This module compiles a document straight into a flat graph:
+* :func:`compile_graph` compiles a document straight into rows, paying
+  none of the object-shaped costs of
+  :func:`~repro.timing.constraints.build_constraints` — an interned
+  :class:`TimeVar` frozen dataclass per variable and a
+  :class:`Constraint` dataclass with an eagerly formatted note per
+  rule.  Corpus ingest (thousands of cold documents, no warm cache to
+  help) would pay all of it per document.  Time variables are interned
+  to dense int ids in exactly the order ``build_constraints`` interns
+  them, and constraints are *rows in a metadata table*; the
+  corresponding :class:`Constraint` objects (with their formatted
+  notes) only materialize for cycle diagnostics, dropped-constraint
+  reporting and :func:`~repro.timing.solver.check_solution` audits.
+* :meth:`ConstraintGraph.from_system` lowers a built
+  :class:`ConstraintSystem`, each row standing for one of the system's
+  own constraint objects: what :func:`~repro.timing.solver.solve` and
+  the incremental solver run on.
 
-* time variables are interned to dense int ids in exactly the order
-  ``build_constraints`` interns them (so every downstream tie-break
-  matches the reference solver);
-* edges live in CSR arrays (``row_start``/``edge_target``/
-  ``edge_weight``/``edge_cons``), built once — implied root edges
-  included — and masked per may-relaxation retry instead of rebuilt;
-* constraints are *rows in a metadata table*; the corresponding
-  :class:`Constraint` objects (with their formatted notes) only
-  materialize for cycle diagnostics, dropped-constraint reporting and
-  :func:`~repro.timing.solver.check_solution` audits.
+For one document both produce the same rows in the same order, so
+every tie-break of the solve matches.  One core solves them:
 
-The solve itself is the array form of the reference algorithm: the same
-Kahn pass over the non-negative edges, then the same ranked cleanup with
-the same :data:`~repro.timing.solver.SUSPICION_LAPS` cycle-certificate
-schedule — mirrored operation for operation, so the certified conflict
-cycles (and therefore the may-constraint drops, under either relaxation
-policy) are identical to :func:`~repro.timing.solver.solve`.
-``tests/test_graph_solver.py`` pins the equivalence: same times, same
-dropped constraints in the same order, same conflict cycles.  The
-pre-graph FIFO cleanup survives as ``solve(..., cleanup="fifo")``, the
-baseline ``benchmarks/bench_ingest.py`` gates against.
+1. a Kahn pass in topological order of the non-negative rows.  Real
+   documents are almost pure DAGs there (upper bounds are the only
+   negative edges), so this settles nearly every variable with exactly
+   one relaxation per row;
+2. a label-correcting cleanup for whatever phase 1 cannot order —
+   binding upper bounds and variables on (zero or positive) cycles —
+   in phase-1 rank batches, with a walk of the predecessor graph that
+   certifies a positive cycle once a variable has been re-relaxed
+   :data:`SUSPICION_LAPS` times;
+3. the may-relaxation loop, which drops one may row off each certified
+   cycle and solves again, masking dropped rows instead of rebuilding
+   anything.
 
-Both phases are scalar loops over the CSR lists; the ``kernel=`` axis
-covers only the replay loop.
+The incremental solver reuses the Kahn pass and the cleanup's FIFO
+mode.  ``tests/test_graph_solver.py`` pins the two lowerings against
+each other, and ``tests/test_solver_oracle.py`` pins both against the
+retired object-form solver.  The solve is a scalar loop over the row
+lists; the ``kernel=`` axis covers only the replay loop.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.document import CompiledDocument
 from repro.core.errors import SchedulingConflict
 from repro.core.nodes import NodeKind
 from repro.core.paths import resolve_path
-from repro.core.syncarc import Anchor, ConditionalArc, Strictness
+from repro.core.syncarc import Anchor, ConditionalArc, Strictness, SyncArc
 from repro.timing.constraints import (Constraint, ConstraintKind,
                                       ConstraintSystem, TimeVar, VarKind)
-from repro.timing.solver import (RELAXATION_POLICIES, RELAX_DROP_LAST,
-                                 RELAX_DROP_WIDEST, SUSPICION_LAPS,
-                                 SolverResult)
+
+#: Relaxation policies for may-arc conflicts (ablation axis).
+RELAX_DROP_LAST = "drop-last"
+RELAX_DROP_WIDEST = "drop-widest"
+RELAXATION_POLICIES = (RELAX_DROP_LAST, RELAX_DROP_WIDEST)
+
+#: How many re-relaxations of one variable the ranked cleanup tolerates
+#: before walking the predecessor graph for a cycle certificate.  The
+#: lap at which a conflicted solve certifies decides which cycle it
+#: reports, and so which may constraint it drops: changing this value
+#: changes the schedules of conflicted documents, not just the speed.
+SUSPICION_LAPS = 16
+
+_EPS = 1e-9
 
 #: Metadata row codes — which rule produced a constraint, and from what.
 _M_DUR_LOW = 0
@@ -63,40 +87,59 @@ _M_CHANNEL = 8
 _M_ARC_LOW = 9
 _M_ARC_UP = 10
 
-_EPS = 1e-9
+
+@dataclass
+class SolverResult:
+    """The outcome of a (possibly relaxed) solve.
+
+    ``times_ms`` maps every variable to its ASAP time; ``dropped``
+    records the may constraints the solver had to relax, in the order
+    they were dropped; ``iterations`` counts the solve attempts (1 when
+    no relaxation was needed).
+    """
+
+    times_ms: dict[TimeVar, float]
+    dropped: list[Constraint] = field(default_factory=list)
+    iterations: int = 1
 
 
-class _GraphInfeasible(Exception):
-    """Internal: one solve attempt found a positive cycle (edge ids)."""
-
-    def __init__(self, cycle_edges: list[int]) -> None:
-        super().__init__("positive cycle")
-        self.cycle_edges = cycle_edges
+def check_relaxation_policy(relaxation_policy: str) -> None:
+    """Reject a relaxation policy outside :data:`RELAXATION_POLICIES`."""
+    if relaxation_policy not in RELAXATION_POLICIES:
+        raise SchedulingConflict(
+            f"unknown relaxation policy {relaxation_policy!r}; expected "
+            f"one of {RELAXATION_POLICIES}")
 
 
 class ConstraintGraph:
-    """One document's constraint system in flat array form.
+    """One document's constraint system as rows.
 
-    ``cons_var``/``cons_base``/``cons_weight`` are the constraint rows
-    (``var - base >= weight``); ``cons_relax`` flags may constraints.
-    The CSR arrays hold every edge ``base -> var`` plus the implied
-    root edges, in the reference solver's adjacency order.  ``meta``
-    carries just enough provenance to materialize the row's
-    :class:`Constraint` on demand.
+    Row ``r`` is the difference constraint ``cons_var[r] - cons_base[r]
+    >= cons_weight[r]``, followed as an edge ``cons_base[r] ->
+    cons_var[r]``; ``cons_relax[r]`` flags a may row.  The first
+    ``real_count`` rows are the document's constraints in
+    ``build_constraints`` order.  The implied root rows follow, one zero
+    row per variable in variable order: the paper's "All nodes have an
+    implied synchronization arc with the root node", so upper-bound
+    chains that would push the root later show up as positive cycles,
+    i.e. genuine conflicts.  ``out[v]`` lists the rows based at
+    variable ``v`` in row order, the adjacency order every tie-break of
+    the solve follows.
+
+    A compiled graph's ``meta`` carries, per document row, just enough
+    provenance to materialize the row's :class:`Constraint` on demand;
+    a graph lowered :meth:`from_system` holds the system's own
+    constraints and variables instead.
     """
 
-    __slots__ = ("compiled", "channel_serialization", "count", "root",
-                 "var_paths", "var_kinds", "cons_var", "cons_base",
-                 "cons_weight", "cons_relax", "meta", "implied_vars",
-                 "row_start", "edge_src", "edge_target", "edge_weight",
-                 "edge_cons", "_timevars", "_constraints")
+    __slots__ = ("count", "root", "real_count", "var_paths", "var_kinds",
+                 "cons_var", "cons_base", "cons_weight", "cons_relax",
+                 "meta", "out", "_timevars", "_constraints")
 
-    def __init__(self, compiled: CompiledDocument,
-                 channel_serialization: bool) -> None:
-        self.compiled = compiled
-        self.channel_serialization = channel_serialization
+    def __init__(self) -> None:
         self.count = 0
         self.root = 0
+        self.real_count = 0
         self.var_paths: list[str] = []
         self.var_kinds: list[int] = []          # 0 = begin, 1 = end
         self.cons_var: list[int] = []
@@ -104,26 +147,51 @@ class ConstraintGraph:
         self.cons_weight: list[float] = []
         self.cons_relax: list[int] = []
         self.meta: list[tuple] = []
-        self.implied_vars: list[int] = []
-        self.row_start: list[int] = []
-        self.edge_src: list[int] = []
-        self.edge_target: list[int] = []
-        self.edge_weight: list[float] = []
-        self.edge_cons: list[int] = []
+        self.out: list[list[int]] = []
         self._timevars: list[TimeVar | None] = []
         self._constraints: dict[int, Constraint] = {}
 
-    # -- sizes ----------------------------------------------------------
+    @classmethod
+    def from_system(cls, system: ConstraintSystem) -> "ConstraintGraph":
+        """Lower an object-form system onto rows.
+
+        Row ``r`` stands for ``system.constraints[r]`` itself, so
+        results and conflict cycles hold the caller's instances;
+        implied root rows materialize on demand.
+        """
+        if system.root_begin is None:
+            raise SchedulingConflict("constraint system has no root anchor")
+        graph = cls()
+        index = system.var_index
+        constraints = system.constraints
+        graph.cons_var = [index[constraint.var] for constraint in constraints]
+        graph.cons_base = [index[constraint.base]
+                           for constraint in constraints]
+        graph.cons_weight = [constraint.weight_ms
+                             for constraint in constraints]
+        graph.cons_relax = [1 if constraint.relaxable else 0
+                            for constraint in constraints]
+        graph._timevars = list(system.variables)
+        graph._constraints = dict(enumerate(constraints))
+        graph._close(len(system.variables), index[system.root_begin])
+        return graph
+
+    def _close(self, count: int, root: int) -> None:
+        """Append the implied root rows and index every row by base."""
+        self.count = count
+        self.root = root
+        self.real_count = len(self.cons_var)
+        implied = [var_id for var_id in range(count) if var_id != root]
+        self.cons_var.extend(implied)
+        self.cons_base.extend([root] * len(implied))
+        self.cons_weight.extend([0.0] * len(implied))
+        self.cons_relax.extend([0] * len(implied))
+        self.out = _rows_by(self.cons_base, count)
 
     @property
     def size(self) -> tuple[int, int]:
         """``(variable count, constraint count)`` — mirrors the system."""
-        return self.count, len(self.cons_var)
-
-    @property
-    def real_count(self) -> int:
-        """Constraint rows from the document (implied edges excluded)."""
-        return len(self.cons_var)
+        return self.count, self.real_count
 
     # -- lazy materialization -------------------------------------------
 
@@ -138,9 +206,9 @@ class ConstraintGraph:
         return cached
 
     def constraint(self, cons_id: int) -> Constraint:
-        """Materialize one metadata row as the reference Constraint.
+        """Materialize one row as the reference Constraint.
 
-        Ids at or past :attr:`real_count` are the implied root edges;
+        Ids at or past :attr:`real_count` are the implied root rows;
         both forms reproduce ``build_constraints`` output exactly (same
         kinds, notes, relaxability and arc references), so cycle
         diagnostics and dropped-constraint reports compare equal to the
@@ -149,11 +217,9 @@ class ConstraintGraph:
         cached = self._constraints.get(cons_id)
         if cached is not None:
             return cached
-        if cons_id >= len(self.cons_var):
-            var_id = self.implied_vars[cons_id - len(self.cons_var)]
-            built = Constraint(self.timevar(var_id), self.timevar(self.root),
-                               0.0, ConstraintKind.ROOT_ANCHOR,
-                               note="implied arc with the root")
+        if cons_id >= self.real_count:
+            built = _implied_root_arc(self.timevar(self.cons_var[cons_id]),
+                                      self.timevar(self.root))
         else:
             built = self._materialize(cons_id)
         self._constraints[cons_id] = built
@@ -205,9 +271,12 @@ class ConstraintGraph:
                           arc=row[2],
                           note=f"arc at {row[1]}: {row[2].describe()}")
 
-    def arc_of(self, cons_id: int):
+    def arc_of(self, cons_id: int) -> SyncArc | None:
         """The owning SyncArc of a row, without materializing (or None)."""
-        if cons_id >= len(self.cons_var):
+        cached = self._constraints.get(cons_id)
+        if cached is not None:
+            return cached.arc
+        if cons_id >= self.real_count:
             return None
         row = self.meta[cons_id]
         return row[2] if row[0] in (_M_ARC_LOW, _M_ARC_UP) else None
@@ -223,9 +292,22 @@ class ConstraintGraph:
         root_var = self.timevar(self.root)
         system.root_begin = root_var
         system.variable(root_var)
-        for cons_id in range(len(self.cons_var)):
+        for cons_id in range(self.real_count):
             system.add(self.constraint(cons_id))
         return system
+
+
+def _implied_root_arc(var: TimeVar, root_var: TimeVar) -> Constraint:
+    return Constraint(var, root_var, 0.0, ConstraintKind.ROOT_ANCHOR,
+                      note="implied arc with the root")
+
+
+def _rows_by(ends: list[int], count: int) -> list[list[int]]:
+    """Per variable, the rows whose entry in ``ends`` names it."""
+    lists: list[list[int]] = [[] for _ in range(count)]
+    for row, var_id in enumerate(ends):
+        lists[var_id].append(row)
+    return lists
 
 
 def compile_graph(compiled: CompiledDocument, *,
@@ -235,12 +317,12 @@ def compile_graph(compiled: CompiledDocument, *,
 
     Emits the same rules, in the same order, as
     :func:`~repro.timing.constraints.build_constraints` — but into flat
-    arrays, with no TimeVar or Constraint objects and no note
-    formatting.  Variable ids follow the reference interning order
-    (first mention in emission order, root begin first), so the graph
-    solver's topological and queue orders match the reference solver's.
+    rows, with no TimeVar or Constraint objects and no note formatting.
+    Variable ids follow the reference interning order (first mention in
+    emission order, root begin first), so the rows are the ones
+    :meth:`ConstraintGraph.from_system` lowers the built system to.
     """
-    graph = ConstraintGraph(compiled, channel_serialization)
+    graph = ConstraintGraph()
     document = compiled.document
     root = document.root
 
@@ -294,7 +376,7 @@ def compile_graph(compiled: CompiledDocument, *,
         cons_relax.append(1 if relaxable else 0)
         meta.append(row)
 
-    graph.root = intern(0)  # begin(root): key (seq 0 << 1) | 0
+    root_id = intern(0)  # begin(root): key (seq 0 << 1) | 0
 
     for seq in range(len(nodes)):
         node = nodes[seq]
@@ -356,267 +438,267 @@ def compile_graph(compiled: CompiledDocument, *,
                 lower(src_key, dst_key, -(offset_ms + epsilon_ms),
                       (_M_ARC_UP, owner_path, arc), relaxable)
 
-    graph.count = len(var_paths)
-    graph._timevars = [None] * graph.count
-    _build_csr(graph)
+    graph._timevars = [None] * len(var_paths)
+    graph._close(len(var_paths), root_id)
     return graph
 
 
-def _build_csr(graph: ConstraintGraph) -> None:
-    """Flatten the edge list — implied root edges last — into CSR form.
-
-    A stable counting sort by source keeps every row in the reference
-    adjacency order: constraint edges in emission order, then (for the
-    root row) the implied edges in variable-interning order.
-    """
-    count = graph.count
-    root = graph.root
-    graph.implied_vars = [var_id for var_id in range(count)
-                          if var_id != root]
-    real = len(graph.cons_var)
-    total = real + len(graph.implied_vars)
-
-    sources = graph.cons_base + [root] * len(graph.implied_vars)
-    targets = graph.cons_var + graph.implied_vars
-    weights = graph.cons_weight + [0.0] * len(graph.implied_vars)
-
-    counts = [0] * (count + 1)
-    for source in sources:
-        counts[source + 1] += 1
-    row_start = counts
-    for position in range(count):
-        row_start[position + 1] += row_start[position]
-    fill = list(row_start[:count])
-    edge_src = [0] * total
-    edge_target = [0] * total
-    edge_weight = [0.0] * total
-    edge_cons = [0] * total
-    for cons_id in range(total):
-        source = sources[cons_id]
-        slot = fill[source]
-        fill[source] = slot + 1
-        edge_src[slot] = source
-        edge_target[slot] = targets[cons_id]
-        edge_weight[slot] = weights[cons_id]
-        edge_cons[slot] = cons_id
-    graph.row_start = row_start
-    graph.edge_src = edge_src
-    graph.edge_target = edge_target
-    graph.edge_weight = edge_weight
-    graph.edge_cons = edge_cons
-
-
 # ---------------------------------------------------------------------------
-# The graph solve.
+# The core: Kahn pass, cleanup, cycle walk and may-relaxation loop.
 
 
-def _graph_topo(graph: ConstraintGraph, skipped: bytearray,
-                dist: list[float], pred: list[int],
-                rank: list[int]) -> list[int]:
-    """Kahn pass over the non-negative unmasked edges (phase 1).
+class _Infeasible(Exception):
+    """Internal: one solve attempt found a positive cycle (its rows)."""
 
-    Bit-exact mirror of the reference ``_topological_pass`` over the
-    whole graph: same indegree accounting, same FIFO order, same dirty
-    list (negative-edge movers in relaxation order, then unordered
-    members in id order).  Also records each variable's pop position in
-    ``rank`` for the ranked cleanup.
+    def __init__(self, cycle: list[int]) -> None:
+        super().__init__("positive cycle")
+        self.cycle = cycle
+
+
+def _kahn(graph: ConstraintGraph, skipped: bytearray, dist: list[float],
+          pred: list[int], members: Iterable[int] | None = None,
+          rank: list[int] | None = None) -> list[int]:
+    """Phase 1: Kahn's algorithm over the non-negative unmasked rows.
+
+    ``members=None`` means the whole graph; otherwise only rows between
+    members count (the incremental solver's affected region).  Relaxes
+    every unmasked row, negative ones included, out of each variable it
+    orders, and returns the variables that may still be unsettled:
+    targets a negative row moved after they were ordered (in relaxation
+    order), then members a non-negative cycle kept out of the order.
+    Phase 2 only needs to start from those.  When ``rank`` is given,
+    each ordered variable's pop position is recorded there (the ranked
+    cleanup's batch order).
     """
-    count = graph.count
-    row_start = graph.row_start
-    edge_target = graph.edge_target
-    edge_weight = graph.edge_weight
-    edge_cons = graph.edge_cons
-
+    out = graph.out
+    cons_var = graph.cons_var
+    cons_weight = graph.cons_weight
+    count = len(dist)
+    member: bytearray | None = None
+    if members is None:
+        members = range(count)
+    else:
+        members = list(members)
+        member = bytearray(count)
+        for node in members:
+            member[node] = 1
     indegree = [0] * count
-    for edge in range(len(edge_target)):
-        if not skipped[edge_cons[edge]] and edge_weight[edge] >= 0.0:
-            indegree[edge_target[edge]] += 1
-    ready = [node for node in range(count) if indegree[node] == 0]
-    head = 0
+    for node in members:
+        for row in out[node]:
+            if not skipped[row] and cons_weight[row] >= 0.0:
+                target = cons_var[row]
+                if member is None or member[target]:
+                    indegree[target] += 1
+    ready = [node for node in members if indegree[node] == 0]
     dirty: list[int] = []
-    popped = 0
+    head = 0
     while head < len(ready):
         here = ready[head]
+        if rank is not None:
+            rank[here] = head
         head += 1
-        rank[here] = popped
-        popped += 1
         base_dist = dist[here]
-        for edge in range(row_start[here], row_start[here + 1]):
-            if skipped[edge_cons[edge]]:
+        for row in out[here]:
+            if skipped[row]:
                 continue
-            target = edge_target[edge]
-            weight = edge_weight[edge]
-            candidate = base_dist + weight
-            if candidate > dist[target] + _EPS:
-                dist[target] = candidate
-                pred[target] = edge
-                if weight < 0.0:
-                    dirty.append(target)
-            if weight >= 0.0:
-                indegree[target] -= 1
-                if indegree[target] == 0:
-                    ready.append(target)
-    if popped < count:
-        dirty.extend(node for node in range(count) if indegree[node] != 0)
+            target = cons_var[row]
+            if member is None or member[target]:
+                weight = cons_weight[row]
+                candidate = base_dist + weight
+                if candidate > dist[target] + _EPS:
+                    dist[target] = candidate
+                    pred[target] = row
+                    if weight < 0.0:
+                        # Ordered before this inflow existed; revisit.
+                        dirty.append(target)
+                if weight >= 0.0:
+                    indegree[target] -= 1
+                    if indegree[target] == 0:
+                        ready.append(target)
+    if head < len(members):
+        # Non-negative cycles (zero cycles are feasible, positive ones
+        # are conflicts): every unordered member goes to the cleanup.
+        dirty.extend(node for node in members if indegree[node] != 0)
     return dirty
 
 
-def _find_cycle_edges(graph: ConstraintGraph, pred: list[int],
-                      start: int) -> list[int] | None:
-    """Mirror of the reference ``_find_cycle`` over edge ids."""
-    edge_src = graph.edge_src
+def _cleanup(graph: ConstraintGraph, skipped: bytearray, dist: list[float],
+             pred: list[int], seeds: Iterable[int],
+             rank: list[int] | None = None) -> set[int]:
+    """Phase 2: label-correcting relaxation to fixpoint from ``seeds``.
+
+    With ``rank`` (a full solve) it works in rounds, each processed in
+    phase-1 pop order: forward propagation through an already-settled
+    region completes within the round, and only genuinely backward
+    influence (binding upper bounds, cycle laps) carries a variable
+    into the next round.  A variable re-relaxed more than
+    :data:`SUSPICION_LAPS` times triggers the cycle walk, which on a
+    positive cycle fires after a few laps; that is what makes
+    conflicted documents cheap to diagnose.
+
+    Without ``rank`` (the incremental re-relaxation) the same loop is a
+    FIFO queue, and the walk waits for |V| relaxations of one variable.
+
+    Either way a relax count past the limit is only suspicion
+    (legitimate on interleaved chains); a loop in the predecessor graph
+    is proof, raised as :class:`_Infeasible`.  Returns the variables
+    whose times moved.
+    """
+    out = graph.out
+    cons_var = graph.cons_var
+    cons_base = graph.cons_base
+    cons_weight = graph.cons_weight
+    count = len(dist)
+    fifo = rank is None
+    limit = count if fifo else SUSPICION_LAPS
+    relax_count = [0] * count
+    queued = bytearray(count)
+    work: list[int] = []
+    for seed in seeds:
+        if not queued[seed]:
+            queued[seed] = 1
+            work.append(seed)
+    changed: set[int] = set()
+    while work:
+        if not fifo:
+            work.sort(key=rank.__getitem__)
+            queued = bytearray(count)
+        next_work: list[int] = []
+        for here in work:
+            if fifo:
+                queued[here] = 0
+            base_dist = dist[here]
+            for row in out[here]:
+                if skipped[row]:
+                    continue
+                target = cons_var[row]
+                candidate = base_dist + cons_weight[row]
+                if candidate > dist[target] + _EPS:
+                    dist[target] = candidate
+                    pred[target] = row
+                    changed.add(target)
+                    relax_count[target] += 1
+                    if relax_count[target] > limit:
+                        cycle = _find_cycle(cons_base, pred, target)
+                        if cycle is None:
+                            relax_count[target] = 1
+                        else:
+                            raise _Infeasible(cycle)
+                    if not queued[target]:
+                        queued[target] = 1
+                        next_work.append(target)
+        work = next_work
+    return changed
+
+
+def _find_cycle(cons_base: list[int], pred: list[int],
+                start: int) -> list[int] | None:
+    """The positive cycle in the predecessor graph through ``start``.
+
+    Walks supporting rows backward from ``start``; a repeated variable
+    proves a cycle (a loop in the label-correcting parent graph always
+    has positive total weight, the longest-path analogue of the classic
+    negative-cycle certificate).  Returns the cycle's rows, or ``None``
+    when the walk ends at an unsupported variable — the suspicion was a
+    false alarm.
+    """
     seen: dict[int, int] = {}
     chain: list[int] = []
     node = start
     while True:
-        edge = pred[node]
-        if edge < 0:
+        row = pred[node]
+        if row < 0:
             return None
         if node in seen:
             cycle = chain[seen[node]:]
             cycle.reverse()
             return cycle
         seen[node] = len(chain)
-        chain.append(edge)
-        node = edge_src[edge]
+        chain.append(row)
+        node = cons_base[row]
 
 
-def _ranked_cleanup(graph: ConstraintGraph, skipped: bytearray,
-                    dist: list[float], pred: list[int],
-                    rank: list[int], seeds: list[int]) -> None:
-    """Array form of the reference ranked cleanup (phase 2).
-
-    Bit-exact mirror of :func:`repro.timing.solver._ranked_cleanup`:
-    same batch order (phase-1 pop rank), same relaxation arithmetic,
-    same :data:`~repro.timing.solver.SUSPICION_LAPS` certification
-    schedule — so the certified cycle, and therefore the may-constraint
-    dropped under either policy, is identical to the object solver's.
-    """
-    count = graph.count
-    row_start = graph.row_start
-    edge_target = graph.edge_target
-    edge_weight = graph.edge_weight
-    edge_cons = graph.edge_cons
-    rank_of = rank.__getitem__
-
-    relax_count = [0] * count
-    in_batch = bytearray(count)
-    batch: list[int] = []
-    for seed in seeds:
-        if not in_batch[seed]:
-            in_batch[seed] = 1
-            batch.append(seed)
-    while batch:
-        batch.sort(key=rank_of)
-        next_batch: list[int] = []
-        in_batch = bytearray(count)
-        for here in batch:
-            base_dist = dist[here]
-            for edge in range(row_start[here], row_start[here + 1]):
-                if skipped[edge_cons[edge]]:
-                    continue
-                target = edge_target[edge]
-                candidate = base_dist + edge_weight[edge]
-                if candidate > dist[target] + _EPS:
-                    dist[target] = candidate
-                    pred[target] = edge
-                    relax_count[target] += 1
-                    if relax_count[target] > SUSPICION_LAPS:
-                        cycle = _find_cycle_edges(graph, pred, target)
-                        if cycle is None:
-                            relax_count[target] = 1
-                        else:
-                            raise _GraphInfeasible(cycle)
-                    if not in_batch[target]:
-                        in_batch[target] = 1
-                        next_batch.append(target)
-        batch = next_batch
-
-
-def _solve_pass(graph: ConstraintGraph, skipped: bytearray) -> list[float]:
-    """One full relaxation pass; raises :class:`_GraphInfeasible`."""
-    count = graph.count
-    dist = [0.0] * count
-    pred = [-1] * count
-    # Unordered members keep a deterministic rank past every popped one.
-    rank = [count + node for node in range(count)]
-    dirty = _graph_topo(graph, skipped, dist, pred, rank)
-    if dirty:
-        _ranked_cleanup(graph, skipped, dist, pred, rank, dirty)
-    return dist
-
-
-def _pick_relaxable_row(graph: ConstraintGraph, cycle_edges: list[int],
-                        policy: str) -> int | None:
-    """Mirror of the reference ``_pick_relaxable`` over metadata rows."""
-    edge_cons = graph.edge_cons
-    cons_relax = graph.cons_relax
-    real = len(cons_relax)
-    candidates = [edge_cons[edge] for edge in cycle_edges
-                  if edge_cons[edge] < real and cons_relax[edge_cons[edge]]]
-    if not candidates:
-        return None
-    if policy == RELAX_DROP_WIDEST:
-        best = candidates[0]
-        best_width = _window_width(graph, best)
-        for cons_id in candidates[1:]:
-            width = _window_width(graph, cons_id)
-            if width > best_width:
-                best = cons_id
-                best_width = width
-        return best
-    return candidates[-1]
-
-
-def _window_width(graph: ConstraintGraph, cons_id: int) -> float:
-    arc = graph.arc_of(cons_id)
+def _window_width(arc: SyncArc | None) -> float:
     if arc is None or arc.max_delay is None:
         return float("inf")
     return arc.max_delay.value - arc.min_delay.value
 
 
-def solve_graph(graph: ConstraintGraph, *,
-                relaxation_policy: str = RELAX_DROP_LAST,
-                max_relaxations: int | None = None) -> SolverResult:
-    """Solve a compiled graph; drop-in equivalent of :func:`solve`.
+def _pick_relaxable_row(graph: ConstraintGraph, cycle: list[int],
+                        policy: str) -> int | None:
+    """Choose which may row in ``cycle`` to drop, per policy."""
+    cons_relax = graph.cons_relax
+    candidates = [row for row in cycle if cons_relax[row]]
+    if not candidates:
+        return None
+    if policy == RELAX_DROP_WIDEST:
+        return max(candidates,
+                   key=lambda row: _window_width(graph.arc_of(row)))
+    return candidates[-1]
 
-    Returns the same :class:`SolverResult` (times keyed by materialized
-    TimeVars, dropped constraints materialized in drop order) and raises
-    the same :class:`SchedulingConflict` on must-constraint cycles.
-    Adjacency is never rebuilt: each may-relaxation retry only flips a
-    bit in the skip mask.
+
+def _relax(graph: ConstraintGraph, relaxation_policy: str, budget: int
+           ) -> tuple[list[float], list[int], list[int], bytearray, int]:
+    """The may-relaxation loop: solve, dropping may rows off positive
+    cycles until the system is feasible.
+
+    Returns ``(dist, pred, dropped, skipped, iterations)``: ``pred``
+    holds each variable's supporting row (-1 for none), ``dropped`` the
+    dropped rows in drop order and ``skipped`` their mask.  Raises
+    :class:`SchedulingConflict` when a cycle has no relaxable member or
+    ``budget`` drops are spent.
     """
-    if relaxation_policy not in RELAXATION_POLICIES:
-        raise SchedulingConflict(
-            f"unknown relaxation policy {relaxation_policy!r}; expected "
-            f"one of {RELAXATION_POLICIES}")
-    relaxable_total = sum(graph.cons_relax)
-    budget = (relaxable_total if max_relaxations is None
-              else min(max_relaxations, relaxable_total))
-    skipped = bytearray(len(graph.cons_var) + len(graph.implied_vars))
-    dropped_rows: list[int] = []
+    count = graph.count
+    skipped = bytearray(len(graph.cons_var))
+    dropped: list[int] = []
     iterations = 0
     while True:
         iterations += 1
+        dist = [0.0] * count      # every event starts no earlier than root
+        pred = [-1] * count
+        # Unordered variables keep a deterministic rank past every
+        # ordered one.
+        rank = list(range(count, 2 * count))
         try:
-            dist = _solve_pass(graph, skipped)
-        except _GraphInfeasible as infeasible:
-            victim = _pick_relaxable_row(graph, infeasible.cycle_edges,
+            dirty = _kahn(graph, skipped, dist, pred, rank=rank)
+            if dirty:
+                _cleanup(graph, skipped, dist, pred, dirty, rank)
+            return dist, pred, dropped, skipped, iterations
+        except _Infeasible as infeasible:
+            victim = _pick_relaxable_row(graph, infeasible.cycle,
                                          relaxation_policy)
-            if victim is None or len(dropped_rows) >= budget:
-                cycle = [graph.constraint(graph.edge_cons[edge])
-                         for edge in infeasible.cycle_edges]
+            if victim is None or len(dropped) >= budget:
+                cycle = [graph.constraint(row) for row in infeasible.cycle]
                 raise SchedulingConflict(
                     "unsatisfiable synchronization constraints "
                     "(conflict class 1, section 5.3.3): "
                     + "; ".join(c.describe() for c in cycle),
                     cycle=cycle) from None
             skipped[victim] = 1
-            dropped_rows.append(victim)
-            continue
-        times = {graph.timevar(var_id): dist[var_id]
-                 for var_id in range(graph.count)}
-        return SolverResult(
-            times_ms=times,
-            dropped=[graph.constraint(row) for row in dropped_rows],
-            iterations=iterations)
+            dropped.append(victim)
+
+
+def solve_graph(graph: ConstraintGraph, *,
+                relaxation_policy: str = RELAX_DROP_LAST,
+                max_relaxations: int | None = None) -> SolverResult:
+    """Solve a graph, relaxing may constraints as needed.
+
+    Returns the :class:`SolverResult` of
+    :func:`~repro.timing.solver.solve` (times keyed by the graph's
+    TimeVars in variable order, dropped constraints materialized in
+    drop order) and raises the same
+    :class:`~repro.core.errors.SchedulingConflict` on must-constraint
+    cycles.
+    """
+    check_relaxation_policy(relaxation_policy)
+    relaxable_total = sum(graph.cons_relax)
+    budget = (relaxable_total if max_relaxations is None
+              else min(max_relaxations, relaxable_total))
+    dist, _, dropped, _, iterations = _relax(graph, relaxation_policy,
+                                             budget)
+    timevar = graph.timevar
+    return SolverResult(
+        times_ms={timevar(var_id): dist[var_id]
+                  for var_id in range(graph.count)},
+        dropped=[graph.constraint(row) for row in dropped],
+        iterations=iterations)

@@ -24,6 +24,7 @@ from repro.corpus import make_media_document
 from repro.pipeline.navprogram import compile_navigation
 from repro.pipeline.program import compile_program
 from repro.serving import SessionEngine
+from repro.serving.engine import SCHEDULE_CACHE_CAPACITY
 from repro.timing.schedule import schedule_for
 from repro.transport import PROFILES
 
@@ -271,6 +272,34 @@ class TestCacheRetention:
         engine = SessionEngine()
         engine.admit(document, PROFILES[0])
         assert engine.editor_for(document) is engine.editor_for(document)
+
+    def test_editor_table_bounded_and_evicted_document_reedits(self):
+        engine = SessionEngine()
+        documents = [make_media_document(seed, events=6)
+                     for seed in range(SCHEDULE_CACHE_CAPACITY + 2)]
+        twin = make_media_document(0, events=6)
+        first = documents[0]
+        engine.admit(first, PROFILES[0])
+        leaf = engine.schedule_cache.get(first).events[0].event.node_path
+        engine.apply_edit(first, {"op": "retime", "path": leaf,
+                                  "duration_ms": 777.0})
+        core_edit.retime(twin, leaf, 777.0)
+        first_editor = engine.editor_for(first)
+        for document in documents[1:]:
+            engine.admit(document, PROFILES[0])
+            path = engine.schedule_cache.get(document) \
+                .events[0].event.node_path
+            engine.apply_edit(document, {"op": "retime", "path": path,
+                                         "duration_ms": 555.0})
+            assert len(engine._editors) <= SCHEDULE_CACHE_CAPACITY
+        # The first document's editor was evicted: its next edit builds
+        # a fresh one over the re-admitted (cached) schedule.
+        engine.admit(first, PROFILES[0])
+        engine.apply_edit(first, {"op": "retime", "path": leaf,
+                                  "duration_ms": 888.0})
+        core_edit.retime(twin, leaf, 888.0)
+        assert engine.editor_for(first) is not first_editor
+        _assert_pyramid_matches_cold(engine, first, twin)
 
 
 class TestStructuralFallback:
