@@ -18,7 +18,12 @@ This bench checks the gate recorded in
 navigate+replay drive must beat the retained interpretive per-session
 path by the baseline factor (>=10x) on an identical workload — with
 *bit-identical* segment reports and *equal* jump records (invalidation
-reports included) for every session, which the bench asserts.
+reports included) for every session, which the bench asserts.  The
+interpretive session is the test oracle in
+``tests/oracles/navigation.py``.  When the ``BENCH_RESULTS``
+environment variable names a file, the gate merges its measurements
+into that JSON document — CI uploads the consolidated
+``BENCH_results.json`` as an artifact.
 
 Run directly for a small report::
 
@@ -33,19 +38,27 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 from repro.corpus import make_linked_document
 from repro.pipeline.adaptation import compile_adaptation
 from repro.pipeline.filters import ConstraintFilter
-from repro.pipeline.navigation import NavigationSession
 from repro.pipeline.navprogram import random_trace
 from repro.pipeline.player import Player
 from repro.serving import SESSION_SEED_STRIDE, SessionEngine
 from repro.timing.schedule import schedule_document
 from repro.transport.environments import PROFILES
 from repro.transport.negotiate import negotiate
+
+from results import record_result
+
+# The interpretive navigation session is a test oracle; importable from
+# the checkout root, which a direct ``python
+# benchmarks/bench_navigation.py`` lacks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.navigation import NavigationSession  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "navigation.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -249,6 +262,13 @@ def test_interactive_mix_throughput():
           f"engine {engine_s * 1000:.0f}ms -> {speedup:.0f}x")
     print(f"  {engine.last_queue.stats().describe()}")
     print(f"  {engine.program_cache.describe()}")
+    record_result("navigation_interactive_mix", {
+        "sessions": sessions, "jumps": navigations,
+        "events": engine_events,
+        "interpretive_ms": round(naive_s * 1000, 1),
+        "engine_ms": round(engine_s * 1000, 1),
+        "speedup": round(speedup, 1),
+        "floor": GATE["min_speedup"]})
     assert speedup >= GATE["min_speedup"], (
         f"run-queue engine only {speedup:.1f}x faster than the "
         f"interpretive per-session path (baseline floor "

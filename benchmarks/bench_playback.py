@@ -18,6 +18,10 @@ the gates recorded in ``benchmarks/baselines/playback.json``:
   ``BatchPlayer.sweep`` must also clear its floor — transforms are
   arithmetic, not schedule copies.
 
+When the ``BENCH_RESULTS`` environment variable names a file, each
+gate merges its measurements into that JSON document — CI uploads the
+consolidated ``BENCH_results.json`` as an artifact.
+
 Run directly for a small report::
 
     PYTHONPATH=src python benchmarks/bench_playback.py
@@ -40,6 +44,8 @@ from repro.pipeline.player import Player
 from repro.pipeline.program import BatchPlayer
 from repro.timing import schedule_document
 from repro.transport.environments import PROFILES, WORKSTATION
+
+from results import record_result
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "playback.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -141,6 +147,13 @@ def test_batch_replay_throughput(schedule):
         assert_identical(reports[replay], player.play_reference(
             schedule, rng=player.rng_for(replay)))
 
+    record_result("playback_replay", {
+        "events": events, "replays": replays,
+        "reference_ms": round(reference_s * 1000, 4),
+        "batch_ms": round(batch_s * 1000, 4),
+        "events_per_s": round(events_per_s),
+        "speedup": round(speedup, 1),
+        "floor": REPLAY["min_speedup"]})
     assert speedup >= REPLAY["min_speedup"], (
         f"batch replay only {speedup:.1f}x faster than the seed loop "
         f"(baseline floor {REPLAY['min_speedup']}x)")
@@ -173,6 +186,12 @@ def test_sweep_throughput(schedule):
           f"in {elapsed * 1000:.1f}ms ({batch_s * 1000:.3f}ms/run) "
           f"-> {speedup:.0f}x")
     assert len(cells) == len(PROFILES) * len(rates) * len(seeks_ms)
+    record_result("playback_sweep", {
+        "cells": len(cells), "replays_per_cell": replays,
+        "reference_ms": round(reference_s * 1000, 4),
+        "batch_ms": round(batch_s * 1000, 4),
+        "speedup": round(speedup, 1),
+        "floor": SWEEP["min_speedup"]})
     assert speedup >= SWEEP["min_speedup"], (
         f"sweep replays only {speedup:.1f}x faster than the seed loop "
         f"(baseline floor {SWEEP['min_speedup']}x)")

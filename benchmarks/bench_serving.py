@@ -22,6 +22,10 @@ This bench checks the gates recorded in
   package corpus must come back with every admitted session replayed
   and the shared caches warmed exactly once per document.
 
+When the ``BENCH_RESULTS`` environment variable names a file, the
+admission gate merges its measurements into that JSON document — CI
+uploads the consolidated ``BENCH_results.json`` as an artifact.
+
 Run directly for a small report::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
@@ -47,6 +51,8 @@ from repro.serving import SESSION_SEED_STRIDE, SessionEngine
 from repro.timing.schedule import schedule_document
 from repro.transport.environments import PROFILES
 from repro.transport.negotiate import negotiate
+
+from results import record_result
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "serving.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -159,6 +165,14 @@ def test_admission_replay_throughput():
           f"({sessions / max(engine_s, 1e-12):.0f} sessions/s)")
     print(f"  {engine.schedule_cache.describe()}")
     print(f"  {engine.program_cache.describe()}")
+    record_result("serving_admission_replay", {
+        "sessions": sessions, "replays": GATE["replays"],
+        "events": engine_events,
+        "naive_ms": round(naive_s * 1000, 1),
+        "engine_ms": round(engine_s * 1000, 1),
+        "sessions_per_s": round(sessions / max(engine_s, 1e-12), 1),
+        "speedup": round(speedup, 1),
+        "floor": GATE["min_speedup"]})
     assert speedup >= GATE["min_speedup"], (
         f"session engine only {speedup:.1f}x faster than the naive "
         f"per-session path (baseline floor {GATE['min_speedup']}x)")

@@ -13,7 +13,7 @@ analysis firing when a jump skips over an arc's source.  Run it with::
 
 from repro.core import DocumentBuilder, MediaTime
 from repro.core.syncarc import ConditionalArc
-from repro.pipeline.navigation import NavigationSession
+from repro.pipeline.navprogram import compile_navigation
 from repro.pipeline.viewer import render_timeline
 from repro.timing import schedule_document
 
@@ -68,7 +68,7 @@ def main() -> None:
     print(render_timeline(schedule, slot_ms=5000.0, column_width=16))
     print()
 
-    session = NavigationSession(schedule)
+    session = compile_navigation(schedule).session()
     print(f"at t=0 the menu is not on screen; links: "
           f"{session.conditions_available()}")
     session.advance_to(5000.0)

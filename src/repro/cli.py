@@ -139,9 +139,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     batch = BatchPlayer.for_document(document, environment,
                                      seed=args.seed,
                                      prefetch_lead_ms=args.prefetch,
-                                     cache=cache, kernel=args.kernel)
-    if args.verbose:
-        print(f"kernel: {batch.kernel.name}")
+                                     cache=cache)
     if args.sweep:
         rates = (_parse_float_list(args.rates, "--rates")
                  if args.rates else [args.rate])
@@ -246,8 +244,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _serve_placement(args, documents, environments)
     edit_script = (_load_edit_script(args.edit_script)
                    if args.edit_script else None)
-    engine = SessionEngine(seed=args.seed, kernel=args.kernel,
-                           faults=args.faults)
+    engine = SessionEngine(seed=args.seed, faults=args.faults)
     report = engine.serve(documents, environments,
                           sessions_per_pair=args.sessions,
                           replays=args.replays,
@@ -256,7 +253,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                           workers=args.workers,
                           edit_script=edit_script)
     print(report.describe())
-    print(f"  kernel={engine.kernel.name} workers={args.workers}")
+    print(f"  workers={args.workers}")
     if args.interactive and engine.last_queue is not None:
         print(f"  {engine.last_queue.stats().describe()}")
     return 0 if report.admitted else 1
@@ -283,8 +280,7 @@ def _serve_placement(args: argparse.Namespace, documents,
                         seed=args.seed)
     workload = build_workload(spec, documents=documents,
                               faults=args.faults)
-    engine = SessionEngine(seed=args.seed, kernel=args.kernel,
-                           federation=workload.federation)
+    engine = SessionEngine(seed=args.seed, federation=workload.federation)
     reports = serve_workload(workload, environments,
                              policy=args.placement,
                              rebalance_every=args.rebalance_every,
@@ -321,7 +317,7 @@ def cmd_edit(args: argparse.Namespace) -> int:
     document = load_document(args.document)
     script = _load_edit_script(args.script)
     environments = _parse_environments(args.environments)
-    engine = SessionEngine(seed=args.seed, kernel=args.kernel)
+    engine = SessionEngine(seed=args.seed)
     sessions = [engine.admit(document, environment)
                 for environment in environments]
     for session in sessions:
@@ -549,11 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--seeks", metavar="CSV",
                       help="with --sweep: comma-separated seek points in "
                            "seconds (default: the single --seek)")
-    play.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                      default="auto",
-                      help="numeric backend for the replay inner loop "
-                           "(auto: numpy when available; bit-identical "
-                           "either way)")
     play.add_argument("--verbose", action="store_true")
     play.set_defaults(handler=cmd_play)
 
@@ -605,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "document (with --generate)")
     serve.add_argument("--seed", type=int, default=1991,
                        help="generator and jitter seed")
-    serve.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                       default="auto",
-                       help="numeric backend for the replay inner loop "
-                            "(auto: numpy when available; bit-identical "
-                            "either way)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="shard the drive across N processes "
                             "(default 1; counters identical to serial)")
@@ -676,11 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "comma-separated list of names")
     edit_cmd.add_argument("--seed", type=int, default=1991,
                           help="engine jitter seed")
-    edit_cmd.add_argument("--kernel",
-                          choices=("auto", "numpy", "python"),
-                          default="auto",
-                          help="numeric backend (bit-identical "
-                               "either way)")
     edit_cmd.set_defaults(handler=cmd_edit)
 
     pack_cmd = commands.add_parser("pack", help="package for transport")

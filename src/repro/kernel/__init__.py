@@ -1,25 +1,26 @@
 """The numeric kernel axis: one interface, two backends.
 
-The replay loop — the :class:`~repro.pipeline.program.BatchPlayer`
-transform, run and audit passes over a compiled playback program — runs
-against a *kernel*: either the pure-Python reference backend or the
-NumPy vectorized backend.  It is the one hot loop where a measurement
-shows vectorizing pays (``benchmarks/bench_kernels.py``); the graph
-solve and the planner's set intersections each have a single scalar
-implementation and take no kernel.  The ``kernel=`` axis works exactly
+The replay loop — the :class:`~repro.pipeline.program.BatchPlayer` run
+and audit passes over a compiled playback program — runs against a
+*kernel*: the pure-Python reference backend or the NumPy vectorized
+backend.  A jittered replay draws once per event into a serial
+recurrence, so it always runs on the reference; the configured kernel
+serves the quiet (jitter-free) replay, the one case where a measurement
+shows vectorizing pays (``benchmarks/bench_kernels.py``).  The graph
+solve and the planner's set intersections have a single scalar
+implementation each and take no kernel.  The ``kernel=`` axis works
 like the schedule layer's ``engine=`` axis:
 
 * ``"auto"`` (the default) picks NumPy when it is importable, else the
   Python backend — so the package has **no hard NumPy dependency**;
 * ``"numpy"`` / ``"python"`` force a backend (tests pin the two
-  bit-identical against each other; CI runs the tier-1 suite once
-  under each);
+  bit-identical against each other);
 * the ``REPRO_KERNEL`` environment variable overrides ``"auto"``
   without touching call sites, which is how CI forces backends.
 
-The backends are bit-identical by construction and by test: a kernel
-choice changes cost, never one bit of output — which is why caches
-(programs, run plans) never key on the kernel.
+A kernel choice changes cost, never one bit of output — which is why
+caches (programs, run plans) never key on the kernel — and NumPy never
+leaves this package: plans, runs and audits reach the pipeline as lists.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ import os
 from repro.core.errors import CmifError
 from repro.kernel._np import HAVE_NUMPY, np
 from repro.kernel.backends import (NUMPY_KERNEL, PYTHON_KERNEL,
-                                   NpArcResults, NpRunPlan, NumpyKernel,
-                                   PythonKernel)
+                                   NumpyKernel, PythonKernel)
 
 KERNEL_AUTO = "auto"
 KERNEL_NUMPY = "numpy"
 KERNEL_PYTHON = "python"
 
-#: The kernel axis, mirrored by the CLI ``--kernel`` flag.
+#: The values ``kernel=`` accepts.
 KERNELS = (KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON)
 
 #: Environment override for the ``auto`` choice (CI forces backends
@@ -75,12 +75,6 @@ def resolve_kernel(kernel=None):
                       f"{KERNELS}")
 
 
-def default_kernel():
-    """The kernel ``auto`` resolves to right now (env override included)."""
-    return resolve_kernel(KERNEL_AUTO)
-
-
 __all__ = ["HAVE_NUMPY", "KERNELS", "KERNEL_AUTO", "KERNEL_ENV",
-           "KERNEL_NUMPY", "KERNEL_PYTHON", "KernelError", "NpArcResults",
-           "NpRunPlan", "NumpyKernel", "PythonKernel", "default_kernel",
-           "np", "resolve_kernel"]
+           "KERNEL_NUMPY", "KERNEL_PYTHON", "KernelError", "NumpyKernel",
+           "PYTHON_KERNEL", "PythonKernel", "np", "resolve_kernel"]

@@ -29,8 +29,8 @@ from repro.pipeline.filters import (ConstraintFilter, FilterAction,
                                     FilterKind, FilterPlan,
                                     adapt_attributes, apply_action)
 from repro.pipeline.mapping import StructureMapper
-from repro.pipeline.navigation import (Jump, Link, NavigationSession,
-                                       collect_links, segments_cover)
+from repro.pipeline.navigation import (Jump, Link, collect_links,
+                                       segments_cover)
 from repro.pipeline.navprogram import (Choice, CompiledNavigationSession,
                                        NavigationProgram,
                                        compile_navigation, navigation_for,
@@ -88,7 +88,7 @@ __all__ = [
     "CaptureSession", "Choice", "CompactReport",
     "CompiledNavigationSession", "ConstraintFilter", "FilterAction",
     "FilterKind", "FilterPlan", "Jump", "Link", "NavigationProgram",
-    "NavigationSession", "PipelineRun", "PlaybackProgram",
+    "PipelineRun", "PlaybackProgram",
     "PlaybackReport", "PlayedEvent", "Player", "PresentationMap",
     "PresentationMapper", "ProgramCache", "Region", "SpeakerAssignment",
     "StructureMapper", "SweepCell", "collect_links", "VIRTUAL_HEIGHT",

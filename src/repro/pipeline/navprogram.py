@@ -1,11 +1,12 @@
 """Compiled navigation programs: hyper-navigation on the serving path.
 
-The interpretive :class:`~repro.pipeline.navigation.NavigationSession`
-pays document-shaped costs per session and per jump: link collection is
-a full tree walk with per-arc path resolution and schedule lookups, and
-every ``follow()`` re-walks the tree to decide which ordinary arcs the
-jump invalidated.  All of that is invariant per (schedule, revision) —
-only the reader's watched intervals change between sessions.
+An interpretive navigation session (kept as the test oracle
+``tests/oracles/navigation.py``) pays document-shaped costs per session
+and per jump: link collection is a full tree walk with per-arc path
+resolution and schedule lookups, and every ``follow()`` re-walks the
+tree to decide which ordinary arcs the jump invalidated.  All of that
+is invariant per (schedule, revision) — only the reader's watched
+intervals change between sessions.
 
 :func:`compile_navigation` lowers a schedule once into a
 :class:`NavigationProgram`:
@@ -216,8 +217,8 @@ def navigation_for(schedule: Schedule, *,
 class CompiledNavigationSession:
     """An interactive reading over precompiled navigation tables.
 
-    API- and bit-identical to the interpretive
-    :class:`~repro.pipeline.navigation.NavigationSession`: same
+    API- and bit-identical to the interpretive session of
+    ``tests/oracles/navigation.py``: same
     :class:`Link` rows in the same order, same
     :class:`~repro.pipeline.navigation.Jump` history, same invalidation
     reports, same errors at the same moments — only the per-session and

@@ -36,7 +36,8 @@ Because environment-specialized programs share the base program's
 arrays by identity (see :meth:`PlaybackProgram.specialized`), the
 timing writes above update *all* cached environments at once; the
 shared ``patch_epoch`` counter then flushes every
-:class:`~repro.pipeline.program.BatchPlayer`'s derived caches lazily.
+:class:`~repro.pipeline.program.BatchPlayer`'s derived caches and
+every kernel's compiled view lazily.
 
 Structural edits (node add/remove/move, channel changes) defeat
 patching and *detect themselves*: the scheduler records no localized
@@ -244,10 +245,6 @@ class ProgramPatcher:
                 group.audit_arcs[:] = audit
                 group._audit_rows[:] = [audit_row(arc) for arc in audit]
                 group.nav_arcs[:] = nav
-                # The compiled kernel views bake the audit-arc columns
-                # in; timing-only patches keep them valid (begin/end
-                # ride in per-run plans), arc edits do not.
-                group._kernel_views.clear()
         record.mode = PATCHED if (touched or arcs_changed) else NOOP
         record.events_touched = touched
         self._rekey(new_schedule, programs, navigation, record,
@@ -313,7 +310,6 @@ class ProgramPatcher:
                 group.audit_arcs[:] = fresh.audit_arcs
                 group._audit_rows[:] = fresh._audit_rows
                 group.nav_arcs[:] = fresh.nav_arcs
-                group._kernel_views.clear()
             for program in self._distinct(programs):
                 program.n_events = fresh.n_events
                 program.node_paths = fresh.node_paths

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.cache import LRUCache
 from repro.core.channels import Medium
 from repro.core.errors import PathError, PlaybackError
-from repro.kernel import resolve_kernel
+from repro.kernel import PYTHON_KERNEL, resolve_kernel
 from repro.core.paths import path_map, resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
 from repro.core.tree import iter_postorder, iter_preorder
@@ -145,8 +145,8 @@ class PlaybackProgram:
         self.audit_arcs = list(audit_arcs)
         self.nav_arcs = list(nav_arcs)
         self.adaptation = adaptation
-        #: Per-kernel compiled array views (lazily built, shared with
-        #: every environment-specialized clone).
+        #: Per-kernel compiled views, built and kept current by
+        #: :mod:`repro.kernel` and shared with every specialized clone.
         self._kernel_views: dict = {}
         #: One-element shared generation counter: the live-edit patcher
         #: bumps it when it mutates the compiled arrays in place, and
@@ -633,10 +633,7 @@ class CompactReport:
     @property
     def played_count(self) -> int:
         """How many events the run presented (post-seek)."""
-        mask = self._played_mask
-        if isinstance(mask, list):
-            return sum(mask)
-        return int(mask.sum())
+        return sum(self._played_mask)
 
     @property
     def max_skew_ms(self) -> float:
@@ -644,11 +641,6 @@ class CompactReport:
         mask = self._played_mask
         actual = self._actual_begin
         scheduled = self._scheduled_begin
-        if not isinstance(actual, list):
-            skew = actual[mask] - scheduled[mask]
-            if skew.size == 0:
-                return 0.0
-            return float(abs(skew).max())
         worst = 0.0
         empty = True
         for index, hit in enumerate(mask):
@@ -663,11 +655,8 @@ class CompactReport:
         return 0.0 if empty else worst
 
     def _violation_count(self, strictness: Strictness) -> int:
-        results = self._arc_results
-        if not isinstance(results, list):
-            return results.count_violations(strictness)
         count = 0
-        for arc, result in zip(self.program.audit_arcs, results):
+        for arc, result in zip(self.program.audit_arcs, self._arc_results):
             if (result is not None and result[1] != 0.0
                     and arc.strictness is strictness):
                 count += 1
@@ -684,13 +673,6 @@ class CompactReport:
     def skew_by_channel(self) -> dict[str, float]:
         """Worst absolute start skew per channel, from the arrays."""
         mask = self._played_mask
-        if not isinstance(self._actual_begin, list):
-            # The numpy kernel produced this report; its arc results
-            # carry the compiled view (channel arrays included).
-            from repro.kernel.backends import NUMPY_KERNEL
-            return NUMPY_KERNEL.skew_by_channel(
-                self.program, self._actual_begin,
-                self._scheduled_begin, mask)
         worst: dict[str, float] = {}
         channels = self.program.channels
         channel_index = self.program.channel_index
@@ -750,23 +732,11 @@ class CompactReport:
         report.navigation_conflicts = list(self._nav)
         channels = program.channels
         channel_index = program.channel_index
-        # Kernel arrays come back to pure-Python floats here, so the
-        # materialized objects are type- and bit-identical to the
-        # interpretive player's regardless of backend.
-        mask = self._played_mask
         scheduled_begin = self._scheduled_begin
         scheduled_end = self._scheduled_end
         actual_begin = self._actual_begin
         actual_end = self._actual_end
-        if not isinstance(mask, list):
-            mask = mask.tolist()
-        if not isinstance(scheduled_begin, list):
-            scheduled_begin = scheduled_begin.tolist()
-            scheduled_end = scheduled_end.tolist()
-        if not isinstance(actual_begin, list):
-            actual_begin = actual_begin.tolist()
-            actual_end = actual_end.tolist()
-        for index, hit in enumerate(mask):
+        for index, hit in enumerate(self._played_mask):
             if not hit:
                 continue
             report.played.append(PlayedEvent(
@@ -865,7 +835,8 @@ class BatchPlayer:
         self._nav = LRUCache(CONFIG_CACHE_CAPACITY)
         #: id(environment) -> (environment, per-event latency array)
         self._latencies = LRUCache(CONFIG_CACHE_CAPACITY)
-        #: (transform key, seek, id(environment)) -> (environment, plan)
+        #: (transform key, seek, id(environment))
+        #:     -> (environment, backend, plan)
         self._plans = LRUCache(CONFIG_CACHE_CAPACITY)
 
     @classmethod
@@ -913,16 +884,22 @@ class BatchPlayer:
         cached = self._transforms.get(key)
         if cached is not None:
             return key, cached[0], cached[1]
-        kernel = self.kernel
-        program = self.program
-        tb = kernel.time_array(program.begin_ms)
-        te = kernel.time_array(program.end_ms)
+        tb = self.program.begin_ms
+        te = self.program.end_ms
         if rate != 1.0:
-            tb = kernel.scale(tb, rate)
-            te = kernel.scale(te, rate)
+            tb = [value * rate for value in tb]
+            te = [value * rate for value in te]
         if freezing:
-            tb, te = kernel.freeze(tb, te, freeze_at_ms,
-                                   freeze_duration_ms)
+            frozen_begin, frozen_end = [], []
+            for begin, end in zip(tb, te):
+                if begin >= freeze_at_ms:
+                    begin += freeze_duration_ms
+                    end += freeze_duration_ms
+                elif end > freeze_at_ms:
+                    end += freeze_duration_ms
+                frozen_begin.append(begin)
+                frozen_end.append(end)
+            tb, te = frozen_begin, frozen_end
         self._transforms.put(key, (tb, te))
         return key, tb, te
 
@@ -939,23 +916,32 @@ class BatchPlayer:
     def _latency_for(self, environment: SystemEnvironment) -> list[float]:
         entry = self._latencies.get(id(environment))
         if entry is None or entry[0] is not environment:
-            entry = (environment, self.kernel.time_array(
-                self.program.event_latencies(environment)))
+            entry = (environment,
+                     self.program.event_latencies(environment))
             self._latencies.put(id(environment), entry)
         return entry[1]
 
     def _plan_for(self, transform_key: tuple, tb: list[float],
                   te: list[float], seek_to_ms: float,
-                  environment: SystemEnvironment) -> RunPlan:
+                  environment: SystemEnvironment) -> tuple:
+        """``(backend, plan)`` for one configuration.
+
+        A jittered run draws once per event into a serial recurrence,
+        which only the scalar reference evaluates; the configured
+        kernel serves quiet environments.  The test is the draw rule of
+        :meth:`PlaybackProgram.run`, so the routing never changes bits.
+        """
         key = (transform_key, seek_to_ms, id(environment))
         entry = self._plans.get(key)
         if entry is None or entry[0] is not environment:
-            plan = self.kernel.build_plan(
+            backend = (PYTHON_KERNEL if environment.jitter_ms > 0
+                       else self.kernel)
+            plan = backend.build_plan(
                 self.program, tb, te, seek_to_ms,
                 self._latency_for(environment), self.prefetch_lead_ms)
-            entry = (environment, plan)
+            entry = (environment, backend, plan)
             self._plans.put(key, entry)
-        return entry[1]
+        return entry[1], entry[2]
 
     def prime_seek(self, seek_to_ms: float, *, rate: float = 1.0,
                    environment: SystemEnvironment | None = None) -> None:
@@ -994,12 +980,13 @@ class BatchPlayer:
                                           seek_to_ms)
         if rng is None:
             rng = self.rng_for(replay)
-        plan = self._plan_for(transform_key, tb, te, seek_to_ms, env)
-        actual_begin, actual_end = self.kernel.run(self.program, plan,
-                                                   env.jitter_ms, rng)
+        backend, plan = self._plan_for(transform_key, tb, te, seek_to_ms,
+                                       env)
+        actual_begin, actual_end = backend.run(self.program, plan,
+                                               env.jitter_ms, rng)
         played = plan.played
-        arc_results = self.kernel.audit(self.program, actual_begin,
-                                        actual_end, played, plan=plan)
+        arc_results = backend.audit(self.program, actual_begin,
+                                    actual_end, played, plan=plan)
         report = CompactReport(
             program=self.program, environment=env.name, rate=rate,
             freezes_ms=(freeze_duration_ms if freeze_at_ms is not None

@@ -15,12 +15,12 @@ import pytest
 from repro.core.edit import add_arc, remove_arc, retime
 from repro.core.builder import DocumentBuilder
 from repro.core.syncarc import ConditionalArc
-from repro.pipeline.navigation import NavigationSession
 from repro.pipeline.navprogram import compile_navigation, navigation_for
 from repro.pipeline.player import Player
 from repro.serving import SessionEngine
 from repro.timing import schedule_document
 from repro.transport.environments import WORKSTATION
+from tests.oracles.navigation import NavigationSession
 
 
 def build_document():

@@ -23,6 +23,11 @@ from repro.transport.environments import PROFILES, WORKSTATION
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="numpy not installed")
 
+#: WORKSTATION without jitter: the one environment shape whose replays
+#: reach the numpy kernel.
+QUIET_WORKSTATION = WORKSTATION.degraded(name="quiet-workstation",
+                                         jitter_ms=0.0)
+
 
 class TestKernelAxis:
     def test_auto_resolves_to_a_backend(self):
@@ -75,12 +80,15 @@ def _replay_fields(report):
 
 @needs_numpy
 class TestReplayEquivalence:
+    @pytest.mark.parametrize("environment",
+                             (WORKSTATION, QUIET_WORKSTATION),
+                             ids=("jittered", "quiet"))
     @pytest.mark.parametrize("seed", range(4))
-    def test_replay_reports_bit_identical(self, seed):
+    def test_replay_reports_bit_identical(self, seed, environment):
         document = make_media_document(seed, events=18)
-        python = BatchPlayer.for_document(document, WORKSTATION,
+        python = BatchPlayer.for_document(document, environment,
                                           seed=seed, kernel="python")
-        numpy_ = BatchPlayer.for_document(document, WORKSTATION,
+        numpy_ = BatchPlayer.for_document(document, environment,
                                           seed=seed, kernel="numpy")
         for replay in range(3):
             for rate, seek in ((1.0, 0.0), (1.5, 250.0)):
@@ -89,6 +97,23 @@ class TestReplayEquivalence:
                 b = numpy_.run_one(rate=rate, seek_to_ms=seek,
                                    replay=replay)
                 assert _replay_fields(a) == _replay_fields(b)
+
+    def test_only_quiet_plans_reach_numpy(self):
+        """Jittered plans stay scalar; every report holds plain lists."""
+        from repro.kernel.backends import NpRunPlan
+        from repro.pipeline.program import RunPlan
+        document = make_media_document(2, events=18)
+        player = BatchPlayer.for_document(document, WORKSTATION,
+                                          kernel="numpy")
+        for environment, plan_type in ((WORKSTATION, RunPlan),
+                                       (QUIET_WORKSTATION, NpRunPlan)):
+            report = player.run_one(environment=environment)
+            entry = player._plans.get(((1.0, None, 0.0), 0.0,
+                                       id(environment)))
+            assert type(entry[-1]) is plan_type
+            for values in (report._actual_begin, report._actual_end,
+                           report._played_mask, report._arc_results):
+                assert type(values) is list
 
 
 def _env_rows(stats_map):

@@ -30,6 +30,9 @@ from repro.transport import PROFILES
 
 KERNELS = ("python", "numpy")
 
+#: PROFILES[0] without jitter: its replays run on the engine's kernel.
+QUIET = PROFILES[0].degraded(name="quiet", jitter_ms=0.0)
+
 
 def _kernel(name: str) -> str:
     if name == "numpy":
@@ -120,6 +123,14 @@ def _assert_pyramid_matches_cold(engine, document, twin, *,
     hot_report = player.run_one(rng=random.Random(1234))
     cold_report = cold_player.run_one(rng=random.Random(1234))
     assert _report_arrays(hot_report) == _report_arrays(cold_report)
+    # The quiet twin replays on the engine's kernel through a cached
+    # player that outlives every edit, so whatever that kernel built
+    # for the program before an edit must not serve it after one.
+    hot_report = engine._player_for(schedule, hot_base, QUIET).run_one()
+    cold_report = BatchPlayer(cold_schedule, QUIET, program=cold_base,
+                              kernel=engine.kernel).run_one()
+    assert _report_arrays(hot_report) == _report_arrays(cold_report)
+    assert hot_report.materialize() == cold_report.materialize()
 
 
 class TestRetimePatch:

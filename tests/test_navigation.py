@@ -5,8 +5,9 @@ import pytest
 from repro.core.builder import DocumentBuilder
 from repro.core.errors import NavigationError
 from repro.core.syncarc import ConditionalArc
-from repro.pipeline.navigation import NavigationSession, collect_links
+from repro.pipeline.navigation import collect_links
 from repro.timing import schedule_document
+from tests.oracles.navigation import NavigationSession
 
 
 @pytest.fixture()
