@@ -25,6 +25,11 @@ from repro.pipeline.capture import CaptureSession
 from repro.store import DataStore, FederatedStore, NetworkModel, Site
 from repro.timing import schedule_document
 
+from results import record_result
+
+#: The byte asymmetry the descriptor strategy must show over copying.
+MIN_BYTE_RATIO = 100.0
+
 
 def build_remote_corpus():
     """A document whose media all live on a remote archive site."""
@@ -75,6 +80,12 @@ def test_descriptor_strategy_traffic(benchmark):
           f"{traffic.requests} requests, "
           f"{traffic.simulated_ms:.1f}ms simulated network time "
           f"-> schedulable document")
+    record_result("distributed_descriptor_strategy", {
+        "descriptor_bytes": traffic.descriptor_bytes,
+        "payload_bytes": traffic.payload_bytes,
+        "requests": traffic.requests,
+        "simulated_ms": round(traffic.simulated_ms, 3),
+    })
 
 
 def test_copy_everything_strategy_traffic(benchmark):
@@ -97,9 +108,16 @@ def test_copy_everything_strategy_traffic(benchmark):
                                                          federation2)
     ratio = traffic.payload_bytes / max(1,
                                         descriptor_traffic.total_bytes)
-    assert ratio > 100.0
+    assert ratio > MIN_BYTE_RATIO
 
     print(f"\n[distributed] copy-everything: "
           f"{traffic.payload_bytes / 1e6:.1f}MB, "
           f"{traffic.simulated_ms:.0f}ms simulated network time; "
           f"descriptor strategy moved {ratio:.0f}x fewer bytes")
+    record_result("distributed_copy_everything", {
+        "payload_bytes": traffic.payload_bytes,
+        "simulated_ms": round(traffic.simulated_ms, 3),
+        "descriptor_strategy_bytes": descriptor_traffic.total_bytes,
+        "byte_ratio": round(ratio, 2),
+        "min_byte_ratio": MIN_BYTE_RATIO,
+    })

@@ -29,7 +29,12 @@ bench checks the gates recorded in ``benchmarks/baselines/ingest.json``:
   ``parse_document`` must beat the retired token-stream reader
   (``tests/oracles/reader.py``), timed in the same process, by the
   baseline factor (>=1.5x), building identical trees.  Both MB/s
-  figures go to ``$BENCH_RESULTS``.
+  figures go to ``$BENCH_RESULTS``;
+* **compile**: on the smoke corpus plus packed media documents, the
+  one-pass ``CmifDocument.compile`` must beat the retired leaf-by-leaf
+  compile (``tests/oracles/compile.py``), timed in the same process, by
+  the baseline factor (>=1.5x), building identical events.  Both
+  microseconds-per-event figures go to ``$BENCH_RESULTS``.
 
 Run directly for a small report::
 
@@ -48,8 +53,9 @@ import time
 from pathlib import Path
 
 from repro.corpus import generate_corpus, ingest_corpus, \
-    make_random_document
+    make_media_document, make_random_document
 from repro.format import parse_document, write_document
+from repro.transport import pack, unpack
 from repro.timing import (build_constraints, compile_graph, make_schedule,
                           solve_graph)
 
@@ -59,6 +65,7 @@ from results import record_result
 # checkout root, which a direct ``python benchmarks/bench_ingest.py``
 # lacks.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import compile as retired_compile  # noqa: E402
 from tests.oracles import reader as retired_reader  # noqa: E402
 from tests.oracles import solver as retired_solver  # noqa: E402
 
@@ -68,6 +75,7 @@ BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 COLD = BASELINE["cold_schedule"]
 SMOKE = BASELINE["ingest_smoke"]
 PARSE = BASELINE["parse"]
+COMPILE = BASELINE["compile"]
 
 
 def _corpus_documents():
@@ -220,6 +228,50 @@ def test_parse_throughput(tmp_path):
         f"retired one (baseline floor {PARSE['min_speedup']}x)")
 
 
+def _event_rows(compiled) -> list[tuple]:
+    return [(event.event_id, event.node_path, event.channel, event.medium,
+             event.duration_ms, id(event.descriptor), event.slice_,
+             event.attributes) for event in compiled.events]
+
+
+def test_compile_throughput(tmp_path):
+    """The one-pass compile vs the retired one: >=1.5x, same events."""
+    paths = generate_corpus(tmp_path / "corpus",
+                            documents=SMOKE["documents"],
+                            events=SMOKE["events"])
+    documents = [parse_document(path.read_text(encoding="utf-8"))
+                 for path in paths]
+    documents += [unpack(pack(make_media_document(
+        seed, events=COMPILE["package_events"], links=4))).document
+        for seed in range(COMPILE["packages"])]
+    for document in documents:
+        assert _event_rows(document.compile()) \
+            == _event_rows(retired_compile.compile_document(document))
+    events = sum(len(document.compile().events) for document in documents)
+    retired_s = compile_s = float("inf")
+    for _ in range(COMPILE["rounds"]):   # interleaved: same machine state
+        retired_s = min(retired_s, _seconds(
+            retired_compile.compile_document, documents))
+        compile_s = min(compile_s, _seconds(
+            lambda document: document.compile(), documents))
+    speedup = retired_s / max(compile_s, 1e-12)
+    print(f"\n[ingest] compile {events} events over {len(documents)} "
+          f"docs: retired {retired_s / events * 1e6:.2f} us/event, "
+          f"one-pass {compile_s / events * 1e6:.2f} us/event "
+          f"-> {speedup:.2f}x")
+    record_result("compile", {
+        "documents": len(documents),
+        "events": events,
+        "retired_us_per_event": round(retired_s / events * 1e6, 3),
+        "compile_us_per_event": round(compile_s / events * 1e6, 3),
+        "speedup": round(speedup, 3),
+        "min_speedup": COMPILE["min_speedup"],
+    })
+    assert speedup >= COMPILE["min_speedup"], (
+        f"the one-pass compile is only {speedup:.2f}x faster than the "
+        f"retired one (baseline floor {COMPILE['min_speedup']}x)")
+
+
 def main():
     test_cold_schedule_throughput()
     import tempfile
@@ -227,6 +279,8 @@ def main():
         test_ingest_smoke(Path(scratch))
     with tempfile.TemporaryDirectory() as scratch:
         test_parse_throughput(Path(scratch))
+    with tempfile.TemporaryDirectory() as scratch:
+        test_compile_throughput(Path(scratch))
     print(f"floor               : {COLD['min_speedup']}x "
           f"(recorded reference {COLD['reference_speedup']}x)")
 

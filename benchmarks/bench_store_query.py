@@ -41,6 +41,8 @@ from repro.core.descriptors import DataDescriptor
 from repro.store import (DataStore, FederatedStore, NetworkModel, Site,
                          attr_range, keyword, medium_is)
 
+from results import record_result
+
 BASELINE_PATH = Path(__file__).parent / "baselines" / "store_query.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
@@ -95,6 +97,11 @@ def compare_paths(store: DataStore, query, *, repeats: int = 5):
     }
 
 
+def _rounded(outcome: dict) -> dict:
+    return {name: round(value, 6) if isinstance(value, float) else value
+            for name, value in outcome.items()}
+
+
 SELECTIVE = BASELINE["selective"]
 BROAD = BASELINE["broad"]
 FEDERATED = BASELINE["federated"]
@@ -128,6 +135,11 @@ def test_selective_query_speedup(large_archive):
           f"({outcome['matches']} matches, "
           f"{outcome['examined']:.0f} examined) "
           f"-> {outcome['speedup']:.0f}x")
+    record_result("store_query_selective", {
+        "descriptors": len(large_archive),
+        **_rounded(outcome),
+        "min_speedup": SELECTIVE["min_speedup"],
+    })
     assert outcome["speedup"] >= SELECTIVE["min_speedup"], (
         f"selective planned query only "
         f"{outcome['speedup']:.1f}x faster than the scan "
@@ -143,6 +155,11 @@ def test_broad_query_does_not_regress():
           f"{outcome['planned_s'] * 1000:.1f}ms "
           f"({outcome['matches']} matches) "
           f"-> {outcome['speedup']:.2f}x")
+    record_result("store_query_broad", {
+        "descriptors": len(store),
+        **_rounded(outcome),
+        "min_speedup": BROAD["min_speedup"],
+    })
     assert outcome["speedup"] >= BROAD["min_speedup"], (
         f"broad planned query regressed to "
         f"{outcome['speedup']:.2f}x of scan speed "
@@ -185,6 +202,13 @@ def test_federated_search_prunes_sites():
           f"{federation.traffic.requests} request(s), "
           f"{federation.traffic.requests_avoided} site(s) pruned by "
           f"summaries")
+    record_result("store_query_federated", {
+        "sites": FEDERATED["sites"],
+        "matches": len(results),
+        "requests": federation.traffic.requests,
+        "requests_avoided": federation.traffic.requests_avoided,
+        "min_requests_avoided": FEDERATED["min_requests_avoided"],
+    })
 
 
 def main():

@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.core.channels import Channel, ChannelDictionary, Medium
+from repro.core.attributes import spec_for
+from repro.core.channels import ChannelDictionary, Medium
 from repro.core.descriptors import (DataDescriptor, EventDescriptor, Slice)
 from repro.core.errors import (ChannelError, FormatError, StructureError,
                                ValueError_)
 from repro.core.nodes import (ContainerNode, ImmNode, Node, NodeKind,
                               SeqNode)
-from repro.core.paths import node_path
 from repro.core.styles import StyleDictionary
 from repro.core.timebase import MediaTime, TimeBase, Unit
 from repro.core.tree import iter_leaves, iter_preorder, tree_stats
@@ -150,76 +150,9 @@ class CmifDocument:
 
     # -- event materialization ----------------------------------------------
 
-    def channel_for(self, node: Node) -> Channel:
-        """The channel a node's data is directed to (inherited attribute)."""
-        channel_name = node.effective("channel", styles=self.styles_or_none())
-        if channel_name is None:
-            raise ChannelError(
-                f"node {node_path(node)} has no channel attribute (own or "
-                f"inherited); every event must be placed on a channel")
-        return self.channels.lookup(channel_name)
-
     def styles_or_none(self) -> StyleDictionary | None:
         """The style dictionary, or None when no styles are defined."""
         return self.styles if len(self.styles) else None
-
-    def _leaf_medium(self, node: Node, channel: Channel) -> Medium:
-        """The medium of a leaf's data, defaulting to the channel medium."""
-        declared = node.effective("medium", styles=self.styles_or_none())
-        if declared is not None:
-            return Medium.from_name(declared)
-        if node.kind is NodeKind.IMM:
-            return Medium.TEXT
-        return channel.medium
-
-    def _leaf_slice(self, node: Node) -> Slice | None:
-        """The slice/clip restriction of an external node, if any."""
-        styles = self.styles_or_none()
-        for start_name, length_name in (("slice", "slice-length"),
-                                        ("clip", "clip-length")):
-            start = node.effective(start_name, styles=styles)
-            length = node.effective(length_name, styles=styles)
-            if start is not None or length is not None:
-                begin = start if isinstance(start, MediaTime) else (
-                    MediaTime.ms(float(start)) if start is not None
-                    else MediaTime.ms(0))
-                return Slice(begin, length)
-        return None
-
-    def _leaf_duration_ms(self, node: Node, medium: Medium,
-                          descriptor: DataDescriptor | None,
-                          slice_: Slice | None) -> float:
-        """Resolve a leaf's presentation duration in milliseconds.
-
-        Resolution order: explicit ``duration`` attribute; slice/clip
-        length against the descriptor's intrinsic duration; descriptor
-        intrinsic duration; for immediate text, a reading-speed estimate
-        (chars-per-second from the time base).  Anything else is an
-        error — the paper's example restriction that "the length of each
-        of the segments is known in advance" is a hard requirement for
-        scheduling.
-        """
-        styles = self.styles_or_none()
-        explicit = node.effective("duration", styles=styles)
-        if explicit is not None:
-            value = (explicit if isinstance(explicit, MediaTime)
-                     else MediaTime.ms(float(explicit)))
-            return self.timebase.to_ms(value)
-        intrinsic_ms = (descriptor.duration_ms(self.timebase)
-                        if descriptor is not None else None)
-        if slice_ is not None:
-            start_ms, end_ms = slice_.bounds_ms(self.timebase, intrinsic_ms)
-            return end_ms - start_ms
-        if intrinsic_ms is not None:
-            return intrinsic_ms
-        if isinstance(node, ImmNode) and medium is Medium.TEXT:
-            text = str(node.data)
-            reading_time = MediaTime(max(1, len(text)), Unit.CHARACTERS)
-            return self.timebase.to_ms(reading_time)
-        raise ValueError_(
-            f"cannot determine the duration of {node_path(node)}: no "
-            f"duration attribute, no slice/clip length, and no intrinsic "
-            f"descriptor duration")
 
     def compile(self) -> "CompiledDocument":
         """Materialize the event descriptors for every leaf node.
@@ -228,39 +161,120 @@ class CmifDocument:
         order, per-channel event sequences (the linear-time-order rule of
         section 3.1), and the node -> event mapping the constraint
         builder uses.
+
+        One preorder walk: a node's path extends its parent's (``#i``
+        when unnamed), the style dictionary is resolved at the first
+        leaf, and each leaf builds its style-expanded level once, read
+        for medium, slice/clip and duration and kept as the event's
+        ``attributes``.  ``channel`` and ``file``, which the registry
+        marks inherited, fall back to the container levels above, each
+        built at most once and only when a lookup first reaches it (so
+        a bad style raises where :meth:`Node.effective` would).  The
+        duration is an explicit ``duration``, the slice/clip against
+        the descriptor's intrinsic duration, that duration, or a reading
+        estimate for immediate text; "the length of each of the segments
+        is known in advance" is a hard requirement for scheduling.
         """
         events: list[EventDescriptor] = []
         by_node: dict[int, EventDescriptor] = {}
         per_channel: dict[str, list[EventDescriptor]] = {
             name: [] for name in self.channels.names()}
-        for leaf in self.leaves():
-            channel = self.channel_for(leaf)
-            medium = self._leaf_medium(leaf, channel)
+        timebase = self.timebase
+        styles: StyleDictionary | None = None
+        styles_resolved = False
+
+        def inherited(name: str, level: dict[str, Any], frame: list | None):
+            if name in level:
+                return level[name]
+            spec = spec_for(name)
+            if spec is None or not spec.inherited:
+                return None
+            while frame is not None:
+                if frame[1] is None:
+                    frame[1] = frame[0].level_attributes(styles)
+                if name in frame[1]:
+                    return frame[1][name]
+                frame = frame[2]
+            return None
+
+        # Each entry: (node, path, frame of its parent).  A container's
+        # frame is [container, its level or None, its parent's frame].
+        stack: list[tuple[Node, str, list | None]] = [(self.root, "", None)]
+        while stack:
+            node, path, parent = stack.pop()
+            if isinstance(node, ContainerNode):
+                frame = [node, None, parent]
+                children = node.children
+                for index in reversed(range(len(children))):
+                    child = children[index]
+                    name = child.name
+                    stack.append((child, f"{path}/{name}" if name is not None
+                                  else f"{path}/#{index}", frame))
+                continue
+            if not styles_resolved:
+                styles = self.styles_or_none() or node._style_dictionary()
+                styles_resolved = True
+            level = node.level_attributes(styles)
+            channel_name = inherited("channel", level, parent)
+            if channel_name is None:
+                raise ChannelError(
+                    f"node {path} has no channel attribute (own or "
+                    f"inherited); every event must be placed on a channel")
+            channel = self.channels.lookup(channel_name)
+            declared = level.get("medium")
+            if declared is not None:
+                medium = Medium.from_name(declared)
+            elif node.kind is NodeKind.IMM:
+                medium = Medium.TEXT
+            else:
+                medium = channel.medium
             descriptor: DataDescriptor | None = None
             slice_: Slice | None = None
-            if leaf.kind is NodeKind.EXT:
-                file_id = leaf.effective("file", styles=self.styles_or_none())
+            if node.kind is NodeKind.EXT:
+                file_id = inherited("file", level, parent)
                 if file_id is None:
                     raise StructureError(
-                        f"external node {node_path(leaf)} has no file "
-                        f"attribute (own or inherited)")
+                        f"external node {path} has no file attribute "
+                        f"(own or inherited)")
                 descriptor = self.resolve_descriptor(file_id)
-                slice_ = self._leaf_slice(leaf)
-            duration_ms = self._leaf_duration_ms(
-                leaf, medium, descriptor, slice_)
-            path = node_path(leaf)
+                for start_name, length_name in (("slice", "slice-length"),
+                                                ("clip", "clip-length")):
+                    start = level.get(start_name)
+                    length = level.get(length_name)
+                    if start is not None or length is not None:
+                        begin = start if isinstance(start, MediaTime) else (
+                            MediaTime.ms(float(start)) if start is not None
+                            else MediaTime.ms(0))
+                        slice_ = Slice(begin, length)
+                        break
+            explicit = level.get("duration")
+            if explicit is not None:
+                duration_ms = timebase.to_ms(
+                    explicit if isinstance(explicit, MediaTime)
+                    else MediaTime.ms(float(explicit)))
+            else:
+                intrinsic_ms = (descriptor.duration_ms(timebase)
+                                if descriptor is not None else None)
+                if slice_ is not None:
+                    start_ms, end_ms = slice_.bounds_ms(timebase,
+                                                        intrinsic_ms)
+                    duration_ms = end_ms - start_ms
+                elif intrinsic_ms is not None:
+                    duration_ms = intrinsic_ms
+                elif isinstance(node, ImmNode) and medium is Medium.TEXT:
+                    duration_ms = timebase.to_ms(MediaTime(
+                        max(1, len(str(node.data))), Unit.CHARACTERS))
+                else:
+                    raise ValueError_(
+                        f"cannot determine the duration of {path}: no "
+                        f"duration attribute, no slice/clip length, and "
+                        f"no intrinsic descriptor duration")
             event = EventDescriptor(
-                event_id=path,
-                node_path=path,
-                channel=channel.name,
-                medium=medium,
-                duration_ms=duration_ms,
-                descriptor=descriptor,
-                slice_=slice_,
-                attributes=leaf.level_attributes(self.styles_or_none()),
-            )
+                event_id=path, node_path=path, channel=channel.name,
+                medium=medium, duration_ms=duration_ms,
+                descriptor=descriptor, slice_=slice_, attributes=level)
             events.append(event)
-            by_node[id(leaf)] = event
+            by_node[id(node)] = event
             per_channel.setdefault(channel.name, []).append(event)
         return CompiledDocument(document=self, events=events,
                                 by_node=by_node, per_channel=per_channel)

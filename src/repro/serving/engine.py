@@ -405,7 +405,12 @@ class SessionEngine:
                               "document's stream_ids")
         stats = self.stats_for(environment)
         start = time.perf_counter()
-        requirements = self.requirements_cache.requirements_for(document)
+        # One compile serves both caches' misses: the profile is derived
+        # from it and a cold solve schedules it.
+        compiled = (None if self.requirements_cache.holds(document)
+                    else document.compile())
+        requirements = self.requirements_cache.requirements_for(
+            document, compiled)
         negotiation = negotiate(document, environment,
                                 requirements=requirements)
         self.session_count += 1
@@ -435,10 +440,11 @@ class SessionEngine:
             self.robustness.degraded_solves += 1
             self.robustness.recovered += 1
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=ENGINE_REFERENCE)
+                                    engine=ENGINE_REFERENCE,
+                                    compiled=compiled)
         else:
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=ENGINE_GRAPH)
+                                    engine=ENGINE_GRAPH, compiled=compiled)
         program = adapted_program_for(schedule, environment,
                                       program_cache=self.program_cache,
                                       requirements=requirements)

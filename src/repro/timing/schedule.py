@@ -272,14 +272,16 @@ class ScheduleCache(LRUCache):
     def schedule_for(self, document: CmifDocument, *,
                      channel_serialization: bool = True,
                      relaxation_policy: str = RELAX_DROP_LAST,
-                     engine: str = ENGINE_REFERENCE) -> Schedule:
+                     engine: str = ENGINE_REFERENCE,
+                     compiled: CompiledDocument | None = None) -> Schedule:
         """The document's schedule, compiled and solved at most once.
 
         On a miss this pays the full compile → build → solve → wrap
-        pipeline; every further call at the same revision is a lookup.
-        The two engines are bit-identical, so the key ignores
-        ``engine`` and a graph-warmed entry (corpus ingest) serves
-        reference-path consumers directly.
+        pipeline (``compiled`` skips the compile when the caller already
+        holds the document's current compile); every further call at
+        the same revision is a lookup.  The two engines are
+        bit-identical, so the key ignores ``engine`` and a graph-warmed
+        entry (corpus ingest) serves reference-path consumers directly.
         """
         cached = self.get(document,
                           channel_serialization=channel_serialization,
@@ -287,7 +289,7 @@ class ScheduleCache(LRUCache):
         if cached is not None:
             return cached
         schedule = schedule_document(
-            document.compile(),
+            compiled if compiled is not None else document.compile(),
             channel_serialization=channel_serialization,
             relaxation_policy=relaxation_policy,
             engine=engine)
@@ -384,18 +386,22 @@ def schedule_for(document: CmifDocument, *,
                  channel_serialization: bool = True,
                  relaxation_policy: str = RELAX_DROP_LAST,
                  engine: str = ENGINE_REFERENCE,
-                 kernel=None) -> Schedule:
+                 kernel=None,
+                 compiled: CompiledDocument | None = None) -> Schedule:
     """The document's schedule, through a cache when one is given.
 
-    The one cache-or-solve branch the player, viewer and CLI share.
-    ``kernel`` is accepted and ignored: the solve has a single scalar
-    implementation, and callers that name a replay kernel everywhere
-    may still pass it here.
+    The one cache-or-solve branch the player, viewer, CLI and session
+    engine share; ``compiled``, the document's current compile, spares
+    a solve the compile.  ``kernel`` is accepted and ignored: the solve
+    has a single scalar implementation, and callers that name a replay
+    kernel everywhere may still pass it here.
     """
     if cache is not None:
         return cache.schedule_for(
             document, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy, engine=engine)
+            relaxation_policy=relaxation_policy, engine=engine,
+            compiled=compiled)
     return schedule_document(
-        document.compile(), channel_serialization=channel_serialization,
+        compiled if compiled is not None else document.compile(),
+        channel_serialization=channel_serialization,
         relaxation_policy=relaxation_policy, engine=engine)

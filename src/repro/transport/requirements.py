@@ -506,6 +506,11 @@ class RequirementsCache(LRUCache):
     def __init__(self, capacity: int = 64) -> None:
         super().__init__(capacity)
 
+    def holds(self, document: CmifDocument) -> bool:
+        """True when the document's current revision has a profile
+        (a peek: it counts neither a hit nor a miss)."""
+        return (id(document), document.revision) in self._entries
+
     def requirements_for(self, document: CmifDocument,
                          compiled=None) -> DocumentRequirements:
         """The document's profile, derived at most once per revision."""
