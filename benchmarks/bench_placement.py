@@ -27,6 +27,16 @@ The gates recorded in ``benchmarks/baselines/placement.json``:
 * **tracker_scale**: the space-saving hot-set tracker stays bounded at
   its capacity while absorbing a million distinct descriptors — the
   O(K) structure the per-site demand model rests on.
+* **stream**: the federation's read core against the read path it
+  replaced (``tests/oracles/federation.py``, which re-derives the
+  origin, the replica order and each fault hash on every read).  Both
+  replay one seeded script — a zipf request stream with
+  ``replicate-hot`` applied between epochs, under block, corrupt and
+  summary faults — on fresh federations; only the ``stream`` calls are
+  timed, best of ``rounds`` interleaved passes.  The shipped core must
+  leave every ledger identical (delivered bytes per request, traffic
+  and robustness counters, per-site ``StoreStats``) and run at least
+  ``min_speedup`` times faster.
 
 When the ``BENCH_RESULTS`` environment variable names a file, each
 gate merges its measurements into that JSON document — CI uploads the
@@ -44,15 +54,23 @@ or through pytest (the CI smoke pass)::
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
+from repro.corpus.generate import make_media_document
 from repro.corpus.workload import WorkloadSpec, build_workload, \
     run_workload
 from repro.faults import parse_fault_plan, resolve_faults
+from repro.store import FederatedStore
 from repro.store.placement import HotSetTracker
 
 from results import record_result
+
+# The retired read path is a test oracle; importable from the checkout
+# root, which a direct ``python benchmarks/bench_placement.py`` lacks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.federation import RoutingFederatedStore  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "placement.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -61,6 +79,7 @@ WORKLOAD = BASELINE["workload"]
 GAINS = BASELINE["policy_gains"]
 FAULTS = BASELINE["fault_composition"]
 TRACKER = BASELINE["tracker_scale"]
+STREAM = BASELINE["stream"]
 
 SPEC = WorkloadSpec(sites=WORKLOAD["sites"],
                     topology=WORKLOAD["topology"],
@@ -187,13 +206,89 @@ def test_tracker_scale():
     assert hot, "tracker recorded a million descriptors and kept none"
 
 
+# -- stream ----------------------------------------------------------------
+
+STREAM_SPEC = WorkloadSpec(**{key: value for key, value
+                              in STREAM["workload"].items()
+                              if key != "rebalance_every"})
+
+
+def _stream_pass(federation_class, documents):
+    """One pass of the seeded stream script on a fresh federation of
+    ``federation_class``: (seconds inside ``stream``, ledgers)."""
+    workload = build_workload(STREAM_SPEC, documents,
+                              faults=parse_fault_plan(STREAM["faults"]))
+    built = workload.federation
+    federation = federation_class(built.local, built.remotes,
+                                  topology=built.topology,
+                                  faults=built.faults, retry=built.retry)
+    epoch = STREAM["workload"]["rebalance_every"]
+    seconds = 0.0
+    delivered = []
+    for serial, request in enumerate(workload.requests):
+        if serial and serial % epoch == 0:
+            federation.rebalance("replicate-hot")
+        stream_ids = workload.catalog[request.document_index]
+        start = time.perf_counter()
+        delivered.append(federation.stream(stream_ids,
+                                           origin=request.origin))
+        seconds += time.perf_counter() - start
+    stats = {site.name: site.store.stats.counters()
+             for site in (built.local, *built.remotes)}
+    reads = sum(len(workload.catalog[request.document_index])
+                for request in workload.requests)
+    return seconds, reads, (delivered, federation.traffic.counters(),
+                            stats)
+
+
+def test_stream_throughput():
+    """The read core vs the retired read path: same ledgers, faster."""
+    documents = [make_media_document(STREAM_SPEC.seed + index,
+                                     events=STREAM_SPEC.events)
+                 for index in range(STREAM_SPEC.documents)]
+    retired_s = core_s = float("inf")
+    for _ in range(STREAM["rounds"]):    # interleaved: same machine state
+        seconds, reads, retired = _stream_pass(RoutingFederatedStore,
+                                               documents)
+        retired_s = min(retired_s, seconds)
+        seconds, reads, shipped = _stream_pass(FederatedStore, documents)
+        core_s = min(core_s, seconds)
+        assert shipped == retired, "the read core changed a ledger"
+    robust = shipped[1]["robustness"]
+    speedup = retired_s / max(core_s, 1e-12)
+    print(f"\n[placement] stream {reads} reads: retired "
+          f"{retired_s / reads * 1e6:.2f} us/read, read core "
+          f"{core_s / reads * 1e6:.2f} us/read -> {speedup:.2f}x "
+          f"({robust['retries']} retries, {robust['checksum_rejects']} "
+          f"corrupt deliveries)")
+    record_result("placement_stream", {
+        "reads": reads,
+        "retired_us_per_read": round(retired_s / reads * 1e6, 3),
+        "core_us_per_read": round(core_s / reads * 1e6, 3),
+        "speedup": round(speedup, 3),
+        "min_speedup": STREAM["min_speedup"],
+        "faults_injected": sum(robust["faults_injected"].values()),
+        "placement_moves": shipped[1]["placement_moves"],
+    })
+    assert sum(robust["faults_injected"].values()) > 0, (
+        "the stream's fault plan injected nothing — the ledgers compared "
+        "no recovery")
+    assert shipped[1]["placement_moves"] > 0, (
+        "the stream script applied no placement moves")
+    assert speedup >= STREAM["min_speedup"], (
+        f"the read core is only {speedup:.2f}x faster than the retired "
+        f"read path (baseline floor {STREAM['min_speedup']}x)")
+
+
 def main():
     test_policy_gains()
     test_fault_composition()
     test_tracker_scale()
+    test_stream_throughput()
     print(f"floors              : latency and bytes both "
           f">={GAINS['min_ratio']}x vs static, content bit-identical, "
-          f"hot set bounded at {TRACKER['capacity']}")
+          f"hot set bounded at {TRACKER['capacity']}, read core "
+          f">={STREAM['min_speedup']}x the retired read path")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,10 @@ WORKER_CRASH_EXIT = 23
 #: The denominator of the stable-hash fraction (48 bits is plenty).
 _HASH_SCALE = float(1 << 48)
 
+#: Most entries a caller's table of stable hashes (the ``hashes``
+#: argument of :meth:`FaultPlan.fires`) holds; a full table is cleared.
+FAULT_HASH_CAPACITY = 1 << 16
+
 #: The standard fault plan the availability bench
 #: (``benchmarks/bench_faults.py``) gates under: one of the federation
 #: sites flapping, 5% transient block-fetch failures, 2% corrupt
@@ -139,21 +143,34 @@ class FaultPlan:
     # -- decisions ---------------------------------------------------------
 
     def fires(self, rate: float, kind: str, key: object,
-              attempt: int = 0) -> bool:
+              attempt: int = 0, hashes: dict | None = None) -> bool:
         """Does a ``rate`` fault of ``kind`` fire on ``key``/``attempt``?
 
         A pure function: the stable 48-bit hash of ``(seed, kind, key,
         attempt)`` is compared against ``rate``.  Callers (and tests)
-        can therefore predict every injection a plan will make.
+        can therefore predict every injection a plan will make.  A
+        caller asking about the same string keys again and again passes
+        a ``hashes`` table to keep their hashes in (two strings are
+        equal only when their reprs are), bounded by
+        :data:`FAULT_HASH_CAPACITY` (a full table is cleared); the
+        comparison against ``rate`` still runs on every call.
         """
         if rate <= 0.0:
             return False
         if rate >= 1.0:
             return True
-        text = f"{self.seed}|{kind}|{key!r}|{attempt}"
-        digest = hashlib.blake2b(text.encode("utf-8"),
-                                 digest_size=6).digest()
-        return int.from_bytes(digest, "big") / _HASH_SCALE < rate
+        kept = hashes is not None and type(key) is str
+        entry = (self.seed, kind, key, attempt)
+        hashed = hashes.get(entry) if kept else None
+        if hashed is None:
+            text = f"{self.seed}|{kind}|{key!r}|{attempt}"
+            hashed = int.from_bytes(hashlib.blake2b(
+                text.encode("utf-8"), digest_size=6).digest(), "big")
+            if kept:
+                if len(hashes) >= FAULT_HASH_CAPACITY:
+                    hashes.clear()
+                hashes[entry] = hashed
+        return hashed / _HASH_SCALE < rate
 
     def site_down(self, site_name: str, tick: int) -> bool:
         """Is ``site_name`` unreachable at logical time ``tick``?"""

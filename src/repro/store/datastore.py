@@ -498,6 +498,11 @@ class DataStore:
 
     def block_for(self, descriptor_id: str) -> DataBlock:
         """Fetch the payload block behind a descriptor (a payload read)."""
+        return self.read_block(descriptor_id)[0]
+
+    def read_block(self, descriptor_id: str) -> tuple[DataBlock, int]:
+        """:meth:`block_for`'s read, returning the block with its size in
+        bytes, taken once for the stats and the caller."""
         descriptor = self.descriptor(descriptor_id)
         if descriptor.block_id is None:
             raise StoreError(
@@ -507,9 +512,10 @@ class DataStore:
             raise StoreError(
                 f"block {descriptor.block_id!r} is not stored (descriptor "
                 f"travelled without its data)")
+        size = block.size_bytes
         self.stats.payload_reads += 1
-        self.stats.payload_bytes += block.size_bytes
-        return block
+        self.stats.payload_bytes += size
+        return block, size
 
     def has_block(self, block_id: str) -> bool:
         """True when the block's payload is present locally."""

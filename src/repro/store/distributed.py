@@ -37,6 +37,7 @@ measured by :mod:`benchmarks.bench_distributed_store` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
@@ -297,6 +298,11 @@ class FederatedStore:
         #: affinity pins: descriptor id -> {origin -> serving site}.
         #: Invalidated when a placement plan moves the id.
         self._affinity: dict[str, dict[str, str]] = {}
+        #: origin site -> every site with its link from the origin, by
+        #: (rank cost, name); the topology is fixed, like the tracker.
+        self._orders: dict[str, tuple[tuple[Site, NetworkModel], ...]] = {}
+        #: ``FaultPlan.fires``'s kept hashes for descriptor-id reads.
+        self._fault_hashes: dict[tuple, int] = {}
 
     def reset_traffic(self, *, forget_caches: bool = True) -> None:
         """Reset traffic counters and, by default, the warm state too.
@@ -331,7 +337,8 @@ class FederatedStore:
 
     def _remote_call(self, site: Site, kind: str, key: object, fetch,
                      *, rate: float = 0.0,
-                     network: NetworkModel | None = None):
+                     network: NetworkModel | None = None,
+                     hashes: dict | None = None):
         """Run one remote operation under the fault plan's weather.
 
         ``fetch(attempt)`` performs the actual operation and pays its
@@ -345,7 +352,8 @@ class FederatedStore:
         plus latency; retries add exponential backoff to the simulated
         clock until the policy's attempt or deadline budget runs out,
         then :class:`SiteUnavailable` carries the final attempt's
-        unclassified faults to the caller.
+        unclassified faults to the caller.  Reads keyed by a descriptor
+        id pass the federation's table of fault ``hashes``.
         """
         if self.faults is None:
             return fetch(0)
@@ -370,7 +378,7 @@ class FederatedStore:
             if plan.site_down(site.name, tick):
                 robust.record_fault("site-outage")
                 failure = "site outage"
-            elif plan.fires(rate, kind, key, attempt):
+            elif plan.fires(rate, kind, key, attempt, hashes):
                 robust.record_fault(kind)
                 failure = f"transient {kind} failure"
             if failure is None:
@@ -383,7 +391,7 @@ class FederatedStore:
                     if breaker.record_success():
                         robust.breaker_closes += 1
                     if plan.fires(plan.latency_rate, "latency", key,
-                                  attempt):
+                                  attempt, hashes):
                         robust.record_fault("latency")
                         robust.absorbed += 1
                         self.traffic.simulated_ms += plan.latency_spike_ms
@@ -430,23 +438,11 @@ class FederatedStore:
         return [site.name for site in self._sites_by_name.values()
                 if descriptor_id in site.store]
 
-    def _effective_origin(self, origin: str | None) -> str | None:
-        """Origin-aware routing needs a topology; without one the
-        origin tag is ignored and behaviour is pre-placement."""
-        if origin is None or self.topology is None:
-            return None
-        return origin
-
     def _link(self, origin: str | None, site: Site) -> NetworkModel:
         """The network a read from ``origin`` pays to reach ``site``."""
         if origin is None or self.topology is None:
             return site.network
         return self.topology.link(origin, site.name)
-
-    def _track(self, origin: str | None, descriptor_id: str,
-               payload_bytes: int) -> None:
-        if origin is not None and self.hot_tracker is not None:
-            self.hot_tracker.record(origin, descriptor_id, payload_bytes)
 
     def _record_route(self, descriptor_id: str, site_name: str) -> None:
         self._routes[descriptor_id] = site_name
@@ -504,52 +500,73 @@ class FederatedStore:
         self._summaries[site.name] = summary
         return summary
 
-    # -- descriptor path ---------------------------------------------------
+    # -- the read core ----------------------------------------------------
 
     #: Nominal transfer size used to rank replica links (blends the
     #: per-request latency with the per-byte cost of a typical payload).
     RANK_TRANSFER_BYTES = 65536
 
-    def _holding_sites(self, descriptor_id: str,
-                       origin: str | None = None) -> list[Site]:
-        """Candidate sites for an id in failover order.
+    def _resolve(self, origin: str | None):
+        """``(origin, home, track)`` for reads from ``origin``.  Without
+        a topology the origin tag is ignored (pre-placement behaviour)
+        and the local site is home; with one, the origin's own site
+        serves for free and reads feed the hot-set tracker."""
+        if origin is None or self.topology is None:
+            return None, self.local, None
+        tracker = self.hot_tracker
+        return (origin, self._sites_by_name.get(origin),
+                None if tracker is None else tracker.record)
+
+    def _replica_order(self, origin: str) -> tuple:
+        """Every site with its link from ``origin``, ordered by (rank
+        cost, name): computed once for each site name."""
+        order = self._orders.get(origin)
+        if order is None:
+            links = [(site, self.topology.link(origin, site.name))
+                     for site in self._sites_by_name.values()]
+            order = tuple(sorted(links, key=lambda pair: (
+                pair[1].transfer_ms(self.RANK_TRANSFER_BYTES),
+                pair[0].name)))
+            if origin in self._sites_by_name:
+                self._orders[origin] = order
+        return order
+
+    def _replicas(self, descriptor_id: str, origin: str | None):
+        """Candidate ``(site, link)`` pairs for an id in failover order.
 
         Without an origin: the routed site first, then every other
         remote replica (pre-placement behaviour).  With an origin and a
         topology: every holding site — local included — ordered by the
-        origin's link cost; an affinity pin recorded for (origin, id)
+        origin's link cost.  An affinity pin recorded for (origin, id)
         keeps reads on the chosen replica until a placement plan (or a
-        vanished copy) invalidates it.
+        vanished copy) invalidates it: the pinned replica is tried
+        first, and the others are ranked only when it fails.
         """
-        if origin is None or self.topology is None:
+        if origin is None:
             routed = self._routed_site(descriptor_id)
-            candidates = [] if routed is None else [routed]
+            if routed is not None:
+                yield routed, routed.network
             for site in self.remotes:
                 if site is not routed and descriptor_id in site.store:
-                    candidates.append(site)
-            return candidates
-        holding = [site for site in self._sites_by_name.values()
-                   if descriptor_id in site.store]
-        holding.sort(key=lambda site: (
-            self._rank_cost(origin, site.name), site.name))
+                    yield site, site.network
+            return
         pins = self._affinity.get(descriptor_id)
         pinned = None if pins is None else pins.get(origin)
         if pinned is not None:
-            pinned_site = self._sites_by_name.get(pinned)
-            if pinned_site is None or descriptor_id not in \
-                    pinned_site.store:
-                pins.pop(origin, None)          # stale pin: copy gone
-            else:
-                holding.sort(key=lambda site: site.name != pinned)
-                return holding
+            site = self._sites_by_name.get(pinned)
+            if site is not None and descriptor_id in site.store:
+                yield site, self.topology.link(origin, pinned)
+                for other, link in self._replica_order(origin):
+                    if other is not site and descriptor_id in other.store:
+                        yield other, link
+                return
+            del pins[origin]                    # stale pin: copy gone
+        holding = [pair for pair in self._replica_order(origin)
+                   if descriptor_id in pair[0].store]
         if holding:
             self._affinity.setdefault(descriptor_id, {})[origin] = \
-                holding[0].name
-        return holding
-
-    def _rank_cost(self, origin: str, site_name: str) -> float:
-        link = self.topology.link(origin, site_name)
-        return link.transfer_ms(self.RANK_TRANSFER_BYTES)
+                holding[0][0].name
+        yield from holding
 
     def _classify_failover(self, pending: int, failed: list[str]) -> None:
         """A replica answered after ``failed`` sites did not: the
@@ -559,6 +576,110 @@ class FederatedStore:
         robust = self.traffic.robustness
         robust.failovers += 1
         robust.recovered += pending
+
+    def _failover(self, descriptor_id: str, origin: str | None, kind: str,
+                  fetch, rate: float = 0.0):
+        """``(site, answer)`` of the first replica, in failover order,
+        whose ``fetch(descriptor_id, site, link, attempt)`` answers; the
+        id is routed to it.  A :class:`StoreError` when none does."""
+        pending = 0
+        failed: list[str] = []
+        for site, network in self._replicas(descriptor_id, origin):
+            try:
+                answer = self._remote_call(
+                    site, kind, descriptor_id,
+                    partial(fetch, descriptor_id, site, network),
+                    rate=rate, network=network, hashes=self._fault_hashes)
+            except SiteUnavailable as exc:
+                pending += exc.pending
+                failed.append(site.name)
+                continue
+            self._classify_failover(pending, failed)
+            self._record_route(descriptor_id, site.name)
+            return site, answer
+        what = "descriptor" if kind == "descriptor" else "block for"
+        if failed:
+            self.traffic.robustness.unrecovered += pending
+            raise StoreError(
+                f"{what} {descriptor_id!r} unreachable: site(s) "
+                f"{', '.join(failed)} unavailable")
+        what = "descriptor" if kind == "descriptor" else "a block for"
+        raise StoreError(
+            f"no site in the federation holds {what} {descriptor_id!r}")
+
+    def _serve_descriptor(self, descriptor_id: str, origin: str | None,
+                          held: Site | None) -> DataDescriptor:
+        """One descriptor read; ``held`` is the home site when its store
+        holds the id (a free read), else None."""
+        if held is not None:
+            if origin is not None:
+                self.traffic.local_requests += 1
+            descriptor = held.store.descriptor(descriptor_id)
+        else:
+            descriptor = self._descriptor_cache.get(descriptor_id)
+            if descriptor is None:
+                _, descriptor = self._failover(
+                    descriptor_id, origin, "descriptor",
+                    self._fetch_descriptor)
+                self._descriptor_cache[descriptor_id] = descriptor
+        return descriptor
+
+    def _fetch_descriptor(self, descriptor_id: str, site: Site,
+                          network: NetworkModel,
+                          attempt: int) -> DataDescriptor:
+        self.traffic.requests += 1
+        self.traffic.descriptor_bytes += DESCRIPTOR_WIRE_BYTES
+        self.traffic.simulated_ms += network.transfer_ms(
+            DESCRIPTOR_WIRE_BYTES)
+        return site.store.descriptor(descriptor_id)
+
+    def _serve_block(self, descriptor_id: str, origin: str | None,
+                     held: Site | None) -> tuple[DataBlock, int]:
+        """One block read, as :meth:`_serve_descriptor`; returns the block
+        and its size in bytes, taken once per read for the traffic
+        bill, the hot-set tracker and :meth:`stream`."""
+        if held is not None:
+            block, size = held.store.read_block(descriptor_id)
+            if origin is not None:
+                self.traffic.local_requests += 1
+        else:
+            rate = 0.0 if self.faults is None \
+                else self.faults.block_failure_rate
+            site, (block, size) = self._failover(
+                descriptor_id, origin, "block", self._fetch_block, rate)
+            if self.cache_payloads and origin is None:
+                descriptor = site.store.descriptor(descriptor_id)
+                if descriptor_id not in self.local.store:
+                    self.local.store.register_copy(descriptor, block)
+                # The local copy now serves lookups; a stale cache
+                # entry would shadow any later local update.
+                self._descriptor_cache.pop(descriptor_id, None)
+        return block, size
+
+    def _fetch_block(self, descriptor_id: str, site: Site,
+                     network: NetworkModel,
+                     attempt: int) -> tuple[DataBlock, int]:
+        block, size = site.store.read_block(descriptor_id)
+        self.traffic.requests += 1
+        self.traffic.payload_bytes += size
+        self.traffic.simulated_ms += network.transfer_ms(size)
+        plan = self.faults
+        if plan is not None and plan.fires(
+                plan.block_corrupt_rate, "block-corrupt", descriptor_id,
+                attempt, self._fault_hashes):
+            robust = self.traffic.robustness
+            robust.record_fault("block-corrupt")
+            damaged = corrupt_block(block)
+            if damaged.checksum() != block.checksum():
+                robust.checksum_rejects += 1
+                raise FaultInjected(
+                    "block-corrupt", descriptor_id,
+                    f"checksum mismatch on block for "
+                    f"{descriptor_id!r} from {site.name}")
+            robust.absorbed += 1    # pragma: no cover
+        return block, size
+
+    # -- reads ---------------------------------------------------------------
 
     def descriptor(self, descriptor_id: str, *,
                    origin: str | None = None) -> DataDescriptor:
@@ -571,54 +692,13 @@ class FederatedStore:
         and served by its cheapest replica (free when the origin's own
         store holds the id) — results are identical either way.
         """
-        origin = self._effective_origin(origin)
-        if origin is None:
-            if descriptor_id in self.local.store:
-                return self.local.store.descriptor(descriptor_id)
-        else:
-            home = self._sites_by_name.get(origin)
-            if home is not None and descriptor_id in home.store:
-                self.traffic.local_requests += 1
-                self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
-                return home.store.descriptor(descriptor_id)
-        cached = self._descriptor_cache.get(descriptor_id)
-        if cached is not None:
-            self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
-            return cached
-        pending = 0
-        failed: list[str] = []
-        for site in self._holding_sites(descriptor_id, origin):
-            network = self._link(origin, site)
-
-            def fetch(attempt: int, site: Site = site,
-                      network: NetworkModel = network) -> DataDescriptor:
-                self.traffic.requests += 1
-                self.traffic.descriptor_bytes += DESCRIPTOR_WIRE_BYTES
-                self.traffic.simulated_ms += network.transfer_ms(
-                    DESCRIPTOR_WIRE_BYTES)
-                return site.store.descriptor(descriptor_id)
-
-            try:
-                descriptor = self._remote_call(
-                    site, "descriptor", descriptor_id, fetch,
-                    network=network)
-            except SiteUnavailable as exc:
-                pending += exc.pending
-                failed.append(site.name)
-                continue
-            self._classify_failover(pending, failed)
-            self._descriptor_cache[descriptor_id] = descriptor
-            self._record_route(descriptor_id, site.name)
-            self._track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
-            return descriptor
-        if failed:
-            self.traffic.robustness.unrecovered += pending
-            raise StoreError(
-                f"descriptor {descriptor_id!r} unreachable: site(s) "
-                f"{', '.join(failed)} unavailable")
-        raise StoreError(
-            f"no site in the federation holds descriptor "
-            f"{descriptor_id!r}")
+        origin, home, track = self._resolve(origin)
+        held = home if home is not None and descriptor_id in home.store \
+            else None
+        descriptor = self._serve_descriptor(descriptor_id, origin, held)
+        if track is not None:
+            track(origin, descriptor_id, DESCRIPTOR_WIRE_BYTES)
+        return descriptor
 
     def site_of(self, descriptor_id: str) -> str:
         """Which site physically holds a descriptor's data.
@@ -639,8 +719,6 @@ class FederatedStore:
         raise StoreError(f"descriptor {descriptor_id!r} is nowhere in "
                          f"the federation")
 
-    # -- payload path ----------------------------------------------------------
-
     def block_for(self, descriptor_id: str, *,
                   origin: str | None = None) -> DataBlock:
         """Fetch a payload block, paying transfer cost when remote.
@@ -654,84 +732,13 @@ class FederatedStore:
         cheapest link and a replica at the origin serves for free —
         the block returned is identical either way.
         """
-        return self._read_block(descriptor_id, origin)[0]
-
-    def _read_block(self, descriptor_id: str,
-                    origin: str | None) -> tuple[DataBlock, int]:
-        """:meth:`block_for`'s read, returning the block and its size in
-        bytes.  The size is taken once per read and shared by the
-        traffic bill, the hot-set tracker and :meth:`stream`."""
-        origin = self._effective_origin(origin)
-        if origin is None:
-            if descriptor_id in self.local.store:
-                block = self.local.store.block_for(descriptor_id)
-                return block, block.size_bytes
-        else:
-            home = self._sites_by_name.get(origin)
-            if home is not None and descriptor_id in home.store:
-                block = home.store.block_for(descriptor_id)
-                size = block.size_bytes
-                self.traffic.local_requests += 1
-                self._track(origin, descriptor_id, size)
-                return block, size
-        pending = 0
-        failed: list[str] = []
-        for site in self._holding_sites(descriptor_id, origin):
-            network = self._link(origin, site)
-
-            def fetch(attempt: int, site: Site = site,
-                      network: NetworkModel = network
-                      ) -> tuple[DataBlock, int]:
-                block = site.store.block_for(descriptor_id)
-                size = block.size_bytes
-                self.traffic.requests += 1
-                self.traffic.payload_bytes += size
-                self.traffic.simulated_ms += network.transfer_ms(size)
-                plan = self.faults
-                if plan is not None and plan.fires(
-                        plan.block_corrupt_rate, "block-corrupt",
-                        descriptor_id, attempt):
-                    robust = self.traffic.robustness
-                    robust.record_fault("block-corrupt")
-                    damaged = corrupt_block(block)
-                    if damaged.checksum() != block.checksum():
-                        robust.checksum_rejects += 1
-                        raise FaultInjected(
-                            "block-corrupt", descriptor_id,
-                            f"checksum mismatch on block for "
-                            f"{descriptor_id!r} from {site.name}")
-                    robust.absorbed += 1    # pragma: no cover
-                return block, size
-
-            rate = 0.0 if self.faults is None \
-                else self.faults.block_failure_rate
-            try:
-                block, size = self._remote_call(
-                    site, "block", descriptor_id, fetch, rate=rate,
-                    network=network)
-            except SiteUnavailable as exc:
-                pending += exc.pending
-                failed.append(site.name)
-                continue
-            self._classify_failover(pending, failed)
-            self._record_route(descriptor_id, site.name)
-            self._track(origin, descriptor_id, size)
-            if self.cache_payloads and origin is None:
-                descriptor = site.store.descriptor(descriptor_id)
-                if descriptor_id not in self.local.store:
-                    self.local.store.register_copy(descriptor, block)
-                # The local copy now serves lookups; a stale cache
-                # entry would shadow any later local update.
-                self._descriptor_cache.pop(descriptor_id, None)
-            return block, size
-        if failed:
-            self.traffic.robustness.unrecovered += pending
-            raise StoreError(
-                f"block for {descriptor_id!r} unreachable: site(s) "
-                f"{', '.join(failed)} unavailable")
-        raise StoreError(
-            f"no site in the federation holds a block for "
-            f"{descriptor_id!r}")
+        origin, home, track = self._resolve(origin)
+        held = home if home is not None and descriptor_id in home.store \
+            else None
+        block, size = self._serve_block(descriptor_id, origin, held)
+        if track is not None:
+            track(origin, descriptor_id, size)
+        return block
 
     # -- federation-wide attribute search -----------------------------------------
 
@@ -774,7 +781,7 @@ class FederatedStore:
         order, so *what* a search returns never depends on placement —
         only the traffic bill does.
         """
-        origin = self._effective_origin(origin)
+        origin = self._resolve(origin)[0]
         if origin is None:
             home = self.local
             fanout = list(self.remotes)
@@ -928,16 +935,27 @@ class FederatedStore:
         layer degrades; this accounting must not abort the session).
         Returns the number of payload bytes delivered.
         """
+        origin, home, track = self._resolve(origin)
         delivered = 0
         for descriptor_id in stream_ids:
+            held = home if home is not None \
+                and descriptor_id in home.store else None
             try:
-                descriptor = self.descriptor(descriptor_id,
-                                             origin=origin)
-                if descriptor.block_id is not None:
-                    delivered += self._read_block(descriptor_id,
-                                                  origin)[1]
+                descriptor = self._serve_descriptor(descriptor_id, origin,
+                                                    held)
             except StoreError:
                 continue
+            reads, moved = 1, DESCRIPTOR_WIRE_BYTES
+            if descriptor.block_id is not None:
+                try:
+                    size = self._serve_block(descriptor_id, origin, held)[1]
+                except StoreError:
+                    pass
+                else:
+                    reads, moved = 2, moved + size
+                    delivered += size
+            if track is not None:       # both of the id's reads at once
+                track(origin, descriptor_id, moved, reads)
         return delivered
 
     # -- placement analysis ---------------------------------------------------------

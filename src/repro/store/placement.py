@@ -181,36 +181,39 @@ class HotSetTracker:
         self._heaps: dict[str, list[tuple[int, int, str]]] = {}
 
     def record(self, origin: str, descriptor_id: str,
-               payload_bytes: int = 0) -> None:
-        """Note one read of ``descriptor_id`` issued from ``origin``."""
+               payload_bytes: int = 0, requests: int = 1) -> None:
+        """Note ``requests`` reads (at least one) of ``descriptor_id``
+        issued from ``origin``, moving ``payload_bytes`` in all: the
+        sketch ends as ``requests`` single-read calls would leave it."""
         sketch = self._sketches.get(origin)
         if sketch is None:
             sketch = self._sketches[origin] = {}
             self._heaps[origin] = []
         entry = sketch.get(descriptor_id)
         if entry is not None:
-            entry.requests += 1
+            entry.requests += requests
             entry.payload_bytes += payload_bytes
             return
         heap = self._heaps[origin]
         if len(sketch) < self.capacity:
             sketch[descriptor_id] = HotEntry(
-                descriptor_id, requests=1, payload_bytes=payload_bytes)
-            heapq.heappush(heap, (1, payload_bytes, descriptor_id))
+                descriptor_id, requests=requests,
+                payload_bytes=payload_bytes)
+            heapq.heappush(heap, (requests, payload_bytes, descriptor_id))
             return
         # Space-saving eviction: recycle the minimum counter, the new
         # id inherits its counts as the overestimate bound.
         while True:
-            requests, _, victim_id = heap[0]
+            pushed, _, victim_id = heap[0]
             victim = sketch[victim_id]
-            if victim.requests == requests:     # no hit since pushed
+            if victim.requests == pushed:       # no hit since pushed
                 break
             heapq.heapreplace(heap, (victim.requests,
                                      victim.payload_bytes, victim_id))
         del sketch[victim_id]
         entry = HotEntry(
             descriptor_id,
-            requests=victim.requests + 1,
+            requests=victim.requests + requests,
             payload_bytes=victim.payload_bytes + payload_bytes,
             error=victim.requests)
         sketch[descriptor_id] = entry

@@ -18,6 +18,7 @@ from repro.core.errors import StoreError
 from repro.corpus.workload import (WorkloadSpec, build_workload,
                                    run_workload, serve_workload)
 from repro.faults import CircuitBreaker, parse_fault_plan
+from repro.faults.plan import FAULT_HASH_CAPACITY
 from repro.store import (DataStore, FederatedStore, HotSetTracker,
                          HybridPolicy, MigrateOwnerPolicy, NetworkModel,
                          PlacementMove, PlacementPolicy, ReplicateHotPolicy,
@@ -591,7 +592,16 @@ class TestWarmStateBounds:
             assert sum(len(pins) for pins in
                        federation._affinity.values()) \
                 <= len(held) * origins
+            # One stable hash per (kind, id, attempt) the plan's block
+            # and corrupt rates asked about, and one replica order per
+            # origin site.
+            assert len(federation._fault_hashes) <= min(
+                len(("block", "block-corrupt"))
+                * federation.retry.max_attempts * len(held),
+                FAULT_HASH_CAPACITY)
+            assert len(federation._orders) <= origins
         assert reads >= 10_000
+        assert federation._fault_hashes and federation._orders
         assert federation.traffic.placement_moves > 0
         assert max(len(tracker._sketches[origin])
                    for origin in tracker.origins()) == capacity
