@@ -34,7 +34,12 @@ bench checks the gates recorded in ``benchmarks/baselines/ingest.json``:
   one-pass ``CmifDocument.compile`` must beat the retired leaf-by-leaf
   compile (``tests/oracles/compile.py``), timed in the same process, by
   the baseline factor (>=1.5x), building identical events.  Both
-  microseconds-per-event figures go to ``$BENCH_RESULTS``.
+  microseconds-per-event figures go to ``$BENCH_RESULTS``;
+* **write**: on the smoke corpus plus media documents, the one-pass
+  writer behind ``write_document`` must beat the retired printer
+  (``tests/oracles/writer.py``), timed in the same process, by the
+  baseline factor (>=1.5x), writing identical text.  Both MB/s figures
+  go to ``$BENCH_RESULTS``.
 
 Run directly for a small report::
 
@@ -61,13 +66,14 @@ from repro.timing import (build_constraints, compile_graph, make_schedule,
 
 from results import record_result
 
-# The retired reader and solver are test oracles; importable from the
+# The retired implementations are test oracles, importable from the
 # checkout root, which a direct ``python benchmarks/bench_ingest.py``
 # lacks.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.oracles import compile as retired_compile  # noqa: E402
 from tests.oracles import reader as retired_reader  # noqa: E402
 from tests.oracles import solver as retired_solver  # noqa: E402
+from tests.oracles import writer as retired_writer  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "ingest.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -76,6 +82,7 @@ COLD = BASELINE["cold_schedule"]
 SMOKE = BASELINE["ingest_smoke"]
 PARSE = BASELINE["parse"]
 COMPILE = BASELINE["compile"]
+WRITE = BASELINE["write"]
 
 
 def _corpus_documents():
@@ -272,6 +279,43 @@ def test_compile_throughput(tmp_path):
         f"retired one (baseline floor {COMPILE['min_speedup']}x)")
 
 
+def test_write_throughput(tmp_path):
+    """The one-pass writer vs the retired one: >=1.5x, same text."""
+    paths = generate_corpus(tmp_path / "corpus",
+                            documents=SMOKE["documents"],
+                            events=SMOKE["events"])
+    documents = [parse_document(path.read_text(encoding="utf-8"))
+                 for path in paths]
+    documents += [make_media_document(seed, events=WRITE["media_events"],
+                                      links=4, rich=seed % 2 == 0)
+                  for seed in range(WRITE["media_documents"])]
+    texts = [write_document(document) for document in documents]
+    assert texts == [retired_writer.write_document(document)
+                     for document in documents]
+    megabytes = sum(len(text.encode("utf-8")) for text in texts) / 1e6
+    retired_s = writer_s = float("inf")
+    for _ in range(WRITE["rounds"]):     # interleaved: same machine state
+        retired_s = min(retired_s, _seconds(
+            retired_writer.write_document, documents))
+        writer_s = min(writer_s, _seconds(write_document, documents))
+    speedup = retired_s / max(writer_s, 1e-12)
+    print(f"\n[ingest] write {megabytes:.2f} MB over {len(documents)} "
+          f"docs: retired writer {megabytes / retired_s:.2f} MB/s, "
+          f"one-pass writer {megabytes / writer_s:.2f} MB/s "
+          f"-> {speedup:.2f}x")
+    record_result("write", {
+        "documents": len(documents),
+        "megabytes": round(megabytes, 4),
+        "retired_mb_per_s": round(megabytes / retired_s, 3),
+        "writer_mb_per_s": round(megabytes / writer_s, 3),
+        "speedup": round(speedup, 3),
+        "min_speedup": WRITE["min_speedup"],
+    })
+    assert speedup >= WRITE["min_speedup"], (
+        f"the one-pass writer is only {speedup:.2f}x faster than the "
+        f"retired one (baseline floor {WRITE['min_speedup']}x)")
+
+
 def main():
     test_cold_schedule_throughput()
     import tempfile
@@ -281,6 +325,8 @@ def main():
         test_parse_throughput(Path(scratch))
     with tempfile.TemporaryDirectory() as scratch:
         test_compile_throughput(Path(scratch))
+    with tempfile.TemporaryDirectory() as scratch:
+        test_write_throughput(Path(scratch))
     print(f"floor               : {COLD['min_speedup']}x "
           f"(recorded reference {COLD['reference_speedup']}x)")
 

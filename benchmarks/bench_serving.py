@@ -20,11 +20,17 @@ This bench checks the gates recorded in
   the bench asserts for every (document, environment) pair;
 * **serve_smoke**: the end-to-end ``serve`` path over a generated
   package corpus must come back with every admitted session replayed
-  and the shared caches warmed exactly once per document.
+  and the shared caches warmed exactly once per document;
+* **compile_adaptation**: on seeded rich media packages, unpacked as a
+  cold open reads them, under the workstation and personal-system
+  profiles, the one-pass ``compile_adaptation`` must beat the retired
+  one (``tests/oracles/adaptation.py``), timed in the same process, by
+  the baseline factor (>=1.5x), lowering identical programs.
 
 When the ``BENCH_RESULTS`` environment variable names a file, the
-admission gate merges its measurements into that JSON document — CI
-uploads the consolidated ``BENCH_results.json`` as an artifact.
+admission and adaptation gates merge their measurements into that JSON
+document — CI uploads the consolidated ``BENCH_results.json`` as an
+artifact.
 
 Run directly for a small report::
 
@@ -38,6 +44,8 @@ or through pytest (the CI smoke pass)::
 from __future__ import annotations
 
 import json
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -49,16 +57,24 @@ from repro.pipeline.player import Player
 from repro.pipeline.program import compile_program
 from repro.serving import SESSION_SEED_STRIDE, SessionEngine
 from repro.timing.schedule import schedule_document
-from repro.transport.environments import PROFILES
+from repro.transport.environments import (PERSONAL_SYSTEM, PROFILES,
+                                          WORKSTATION)
 from repro.transport.negotiate import negotiate
+from repro.transport.package import pack, unpack
 
 from results import record_result
+
+# The retired lowering is a test oracle, importable from the checkout
+# root, which a direct ``python benchmarks/bench_serving.py`` lacks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import adaptation as retired_adaptation  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "serving.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
 GATE = BASELINE["admission_replay"]
 SMOKE = BASELINE["serve_smoke"]
+ADAPT = BASELINE["compile_adaptation"]
 
 
 def _corpus(config):
@@ -202,11 +218,72 @@ def test_serve_smoke(tmp_path):
     print(f"\n[serving] smoke:\n{report.describe()}")
 
 
+def _adaptation_cases() -> list[tuple]:
+    """(plan, compiled document, environment) for each seeded rich
+    media package, unpacked as a cold open reads it, and each of the
+    gate's environments."""
+    rng = random.Random(ADAPT["seed"])
+    low, high = ADAPT["events"]
+    count = ADAPT["packages"]
+    cases = []
+    for index in range(count):
+        document = unpack(pack(make_media_document(
+            rng.randrange(1 << 30),
+            events=low + (high - low) * index // (count - 1), links=4,
+            rich=True))).document
+        compiled = document.compile()
+        for environment in (WORKSTATION, PERSONAL_SYSTEM):
+            plan = ConstraintFilter(environment).plan(compiled)
+            cases.append((plan, compiled, environment))
+    return cases
+
+
+def _lower_all(lower, cases) -> float:
+    start = time.perf_counter()
+    for case in cases:
+        lower(*case)
+    return time.perf_counter() - start
+
+
+def test_compile_adaptation_throughput():
+    """The one-pass lowering vs the retired one: >=1.5x, same programs."""
+    cases = _adaptation_cases()
+    ops = slots = 0
+    for case in cases:
+        program = compile_adaptation(*case)
+        retired = retired_adaptation.compile_adaptation(*case)
+        assert program == retired
+        assert all(mine is theirs for mine, theirs
+                   in zip(program.originals, retired.originals))
+        ops += len(program.op_slot)
+        slots += len(program.descriptor_ids)
+    retired_s = lowering_s = float("inf")
+    for _ in range(ADAPT["rounds"]):     # interleaved: same machine state
+        retired_s = min(retired_s, _lower_all(
+            retired_adaptation.compile_adaptation, cases))
+        lowering_s = min(lowering_s, _lower_all(compile_adaptation, cases))
+    speedup = retired_s / max(lowering_s, 1e-12)
+    print(f"\n[serving] compile_adaptation: {len(cases)} lowerings, "
+          f"{ops} ops over {slots} slots: retired "
+          f"{retired_s * 1000:.2f}ms, one-pass {lowering_s * 1000:.2f}ms "
+          f"-> {speedup:.2f}x")
+    record_result("serving_compile_adaptation", {
+        "lowerings": len(cases), "ops": ops, "slots": slots,
+        "retired_ms": round(retired_s * 1000, 3),
+        "one_pass_ms": round(lowering_s * 1000, 3),
+        "speedup": round(speedup, 3),
+        "floor": ADAPT["min_speedup"]})
+    assert speedup >= ADAPT["min_speedup"], (
+        f"the one-pass compile_adaptation is only {speedup:.2f}x faster "
+        f"than the retired one (baseline floor {ADAPT['min_speedup']}x)")
+
+
 def main():
     test_admission_replay_throughput()
     import tempfile
     with tempfile.TemporaryDirectory() as scratch:
         test_serve_smoke(Path(scratch))
+    test_compile_adaptation_throughput()
     print(f"floor               : {GATE['min_speedup']}x "
           f"(recorded reference {GATE['reference_speedup']}x)")
 

@@ -236,6 +236,12 @@ class AttributeList:
         """Set (or overwrite) the attribute ``name``."""
         self._items[name] = Attribute(name, value)
 
+    def _set_trusted(self, name: str, value: Any) -> None:
+        """``set`` minus the checks, for what the parser vouches for."""
+        attribute = object.__new__(Attribute)
+        attribute.name, attribute.value = name, value
+        self._items[name] = attribute
+
     def append_value(self, name: str, value: Any) -> None:
         """Append ``value`` to a repeatable attribute's value list."""
         spec = spec_for(name)

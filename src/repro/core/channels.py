@@ -39,12 +39,14 @@ class Medium(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Medium":
         """Look a medium up by its symbolic name (case-insensitive)."""
-        normalized = str(name).strip().lower()
-        for medium in cls:
-            if medium.value == normalized:
-                return medium
-        raise ChannelError(f"unknown medium {name!r}; expected one of "
-                           f"{[m.value for m in cls]}")
+        medium = _MEDIUM_NAMES.get(str(name).strip().lower())
+        if medium is None:
+            raise ChannelError(f"unknown medium {name!r}; expected one of "
+                               f"{[m.value for m in cls]}")
+        return medium
+
+
+_MEDIUM_NAMES = {medium.value: medium for medium in Medium}
 
 
 #: Media that occupy screen real estate and therefore need a region from

@@ -47,12 +47,11 @@ class Anchor(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Anchor":
         """Look an anchor up by its symbolic name."""
-        normalized = str(name).strip().lower()
-        for anchor in cls:
-            if anchor.value == normalized:
-                return anchor
-        raise SyncArcError(f"unknown anchor {name!r}; expected 'begin' "
-                           f"or 'end'")
+        anchor = _ANCHOR_NAMES.get(str(name).strip().lower())
+        if anchor is None:
+            raise SyncArcError(f"unknown anchor {name!r}; expected 'begin' "
+                               f"or 'end'")
+        return anchor
 
 
 class Strictness(enum.Enum):
@@ -73,12 +72,16 @@ class Strictness(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Strictness":
         """Look a strictness up by its symbolic name."""
-        normalized = str(name).strip().lower()
-        for strictness in cls:
-            if strictness.value == normalized:
-                return strictness
-        raise SyncArcError(f"unknown strictness {name!r}; expected 'may' "
-                           f"or 'must'")
+        strictness = _STRICTNESS_NAMES.get(str(name).strip().lower())
+        if strictness is None:
+            raise SyncArcError(f"unknown strictness {name!r}; expected "
+                               f"'may' or 'must'")
+        return strictness
+
+
+_ANCHOR_NAMES = {anchor.value: anchor for anchor in Anchor}
+_STRICTNESS_NAMES = {strictness.value: strictness
+                     for strictness in Strictness}
 
 
 #: Hard synchronization: delta = epsilon = 0 (paper section 5.3.1).

@@ -48,11 +48,14 @@ class Unit(enum.Enum):
         Accepts both the short form used in the concrete syntax (``"ms"``,
         ``"s"``) and the enum member name (``"SECONDS"``).
         """
-        normalized = name.strip().lower()
-        for unit in cls:
-            if normalized in (unit.value, unit.name.lower()):
-                return unit
-        raise ValueError_(f"unknown time unit {name!r}")
+        unit = _UNIT_NAMES.get(name.strip().lower())
+        if unit is None:
+            raise ValueError_(f"unknown time unit {name!r}")
+        return unit
+
+
+_UNIT_NAMES = {spelling: unit for unit in Unit
+               for spelling in (unit.value, unit.name.lower())}
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,17 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.attributes import spec_for
 from repro.core.document import CmifDocument
 from repro.core.errors import FormatError
 from repro.core.nodes import ContainerNode, Node, NodeKind, make_node
 from repro.core.syncarc import (Anchor, ConditionalArc, Strictness, SyncArc)
 from repro.core.timebase import MediaTime, Unit
-from repro.core.values import Rect
+from repro.core.values import Rect, ValueKind
 from repro.format.sexpr import Symbol, head_symbol, parse_one
 
 _TAGGED_HEADS = frozenset({"time", "rect"})
+_SYMBOL_KINDS = (None, ValueKind.ID, ValueKind.STRING, ValueKind.ANY)
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 
 
@@ -165,7 +167,10 @@ def _maybe_decode_binary(node: Node, data: str) -> str | bytes:
 
 
 def _apply_attributes(node: Node, forms: list) -> None:
-    """Install parsed attribute forms onto ``node``."""
+    """Install parsed attribute forms onto ``node``, skipping validation
+    where it returns the value as it is: a bare symbol's text for a free
+    attribute or an ``ID``, ``STRING`` or ``ANY`` kind (non-empty, no
+    whitespace), a ``(time ...)`` value for a ``MEDIA_TIME`` kind."""
     for form in forms:
         head = head_symbol(form)
         if head is None:
@@ -173,16 +178,24 @@ def _apply_attributes(node: Node, forms: list) -> None:
         if head == "sync-arc":
             node.attributes.append_value("sync-arc", parse_arc(form))
             continue
-        node.attributes.set(head, parse_value(form[1:]))
+        value = parse_value(form[1:])
+        spec = spec_for(head)
+        kind = None if spec is None else spec.kind
+        if (value.__class__ is MediaTime and kind is ValueKind.MEDIA_TIME) \
+                or (value.__class__ is str and form[1].__class__ is Symbol
+                    and kind in _SYMBOL_KINDS):
+            node.attributes._set_trusted(head, value)
+        else:
+            node.attributes.set(head, value)
 
 
 def parse_value(items: list) -> Any:
     """Decode the items following an attribute name (see module doc)."""
     if not items:
         raise FormatError("attribute has no value")
+    if len(items) == 1 and not isinstance(items[0], list):
+        return _scalar(items[0])
     if all(not isinstance(item, list) for item in items):
-        if len(items) == 1:
-            return _scalar(items[0])
         return tuple(_pointer(item) for item in items)
     if len(items) == 1 and head_symbol(items[0]) in _TAGGED_HEADS:
         return _tagged(items[0])

@@ -238,23 +238,56 @@ def dump(expression: object, indent: int = 0, width: int = 76) -> str:
     documents stay readable — the property the paper wants from the
     interchange form.
     """
-    flat = _dump_flat(expression)
-    if len(flat) + indent <= width or not isinstance(expression, list):
-        return flat
-    if not expression:
-        return "()"
-    head = _dump_flat(expression[0])
-    lines = ["(" + head]
-    pad = " " * (indent + 2)
-    for item in expression[1:]:
-        lines.append(pad + dump(item, indent + 2, width))
-    return "\n".join(lines) + ")"
+    one_line = _one_line_texts(expression, width - indent)
+    parts: list[str] = []
+    # Work items: (expression, its indent), or (text, None) to emit.
+    work: list[tuple[object, int | None]] = [(expression, indent)]
+    while work:
+        item, depth = work.pop()
+        if depth is None:
+            parts.append(item)
+        elif not isinstance(item, list):
+            parts.append(_dump_atom(item))
+        elif (text := one_line.get(id(item))) is not None \
+                and len(text) + depth <= width:
+            parts.append(text)
+        else:       # break after the head (an empty list has none)
+            parts.append("(" + dump(item[0], 0, float("inf")) if item
+                         else "(")
+            work.append((")", None))
+            pad = "\n" + " " * (depth + 2)
+            for child in reversed(item[1:]):
+                work += ((child, depth + 2), (pad, None))
+    return "".join(parts)
 
 
-def _dump_flat(expression: object) -> str:
-    """Single-line rendering of an expression."""
-    if isinstance(expression, list):
-        return "(" + " ".join(_dump_flat(item) for item in expression) + ")"
+def _one_line_texts(expression: object, limit: float) -> dict[int, str]:
+    """The one-line text, by ``id``, of each list in ``expression`` of at
+    most ``limit`` characters: its items' texts joined as it closes.
+    Atoms render in document order (the first unwritable one raises)."""
+    texts: dict[int, str] = {}
+    # Frames: (list, its remaining items, its items' texts so far).
+    stack = [(expression, iter(expression), [])] \
+        if isinstance(expression, list) else []
+    while stack:
+        current, items, pieces = stack[-1]
+        for item in items:
+            if isinstance(item, list):
+                stack.append((item, iter(item), []))
+                break
+            pieces.append(_dump_atom(item))
+        else:
+            stack.pop()
+            if None not in pieces and \
+                    len(text := "(" + " ".join(pieces) + ")") <= limit:
+                texts[id(current)] = text
+            if stack:
+                stack[-1][2].append(texts.get(id(current)))
+    return texts
+
+
+def _dump_atom(expression: object) -> str:
+    """The text of one atom."""
     if isinstance(expression, Symbol):
         return expression.text
     if isinstance(expression, str):

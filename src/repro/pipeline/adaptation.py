@@ -161,15 +161,16 @@ def compile_adaptation(plan: FilterPlan, compiled: CompiledDocument,
 
     Actions are grouped per descriptor (a descriptor shared by several
     channels gets one op chain — applying identical transforms twice
-    would falsify the attributes) and the adapted descriptors are
-    precomputed through :func:`~repro.pipeline.filters.adapt_attributes`.
+    would falsify the attributes) in one pass, and each chain is folded
+    in op order into its adapted descriptor through
+    :func:`~repro.pipeline.filters.adapt_attributes`.
     """
     by_id: dict[str, DataDescriptor] = {}
     for event in compiled.events:
         if event.descriptor is not None:
             by_id.setdefault(event.descriptor.descriptor_id,
                              event.descriptor)
-    slots: dict[str, int] = {}
+    slots: dict[str, tuple[int, list[FilterAction]]] = {}
     seen_kinds: set[tuple[str, FilterKind]] = set()
     op_slot: list[int] = []
     actions: list[FilterAction] = []
@@ -181,17 +182,18 @@ def compile_adaptation(plan: FilterPlan, compiled: CompiledDocument,
         if dedup in seen_kinds:
             continue
         seen_kinds.add(dedup)
-        op_slot.append(slots.setdefault(action.descriptor_id,
-                                        len(slots)))
+        slot, chain = slots.setdefault(action.descriptor_id,
+                                       (len(slots), []))
+        chain.append(action)
+        op_slot.append(slot)
         actions.append(action)
     originals: list[DataDescriptor] = []
     overrides: list[DataDescriptor] = []
-    for descriptor_id in slots:
+    for descriptor_id, (_, chain) in slots.items():
         descriptor = by_id[descriptor_id]
         attributes = dict(descriptor.attributes)
-        for slot, action in zip(op_slot, actions):
-            if slot == slots[descriptor_id]:
-                attributes = adapt_attributes(action, attributes)
+        for action in chain:
+            attributes = adapt_attributes(action, attributes)
         originals.append(descriptor)
         overrides.append(DataDescriptor(
             descriptor_id=descriptor.descriptor_id,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
@@ -53,15 +54,28 @@ SUPPORTED_PACKAGE_VERSIONS = (1, 2)
 
 @dataclass
 class UnpackResult:
-    """A received package: the document plus a freshly-populated store."""
+    """A received package: the document plus its descriptors' store."""
 
     document: CmifDocument
-    store: DataStore
     embedded_blocks: int
     verified_checksums: int
     #: Fault/recovery ledger of this unpack (corrupt deliveries caught
     #: by checksum, re-request retries).  Empty when no fault plan ran.
     robustness: RobustnessStats = field(default_factory=RobustnessStats)
+    #: The received (descriptor, block or None) pairs, in package order.
+    received: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def store(self) -> DataStore:
+        """The received descriptors' store, built on first read."""
+        return _unpacked_store(self.received)
+
+
+def _unpacked_store(pairs) -> DataStore:
+    store = DataStore(name="unpacked")
+    for descriptor, block in pairs:
+        store.register(descriptor, block)
+    return store
 
 
 def pack(document: CmifDocument, store: DataStore | None = None, *,
@@ -231,7 +245,7 @@ def _block_from_obj(obj: dict,
 def unpack(package_text: str, *, verify: bool = True,
            faults: "FaultPlan | str | None" = None,
            retry: RetryPolicy | None = None) -> UnpackResult:
-    """Open a package: parse the document, rebuild a store, verify sums.
+    """Open a package: parse the document, verify sums, defer the store.
 
     ``faults`` (a :class:`~repro.faults.FaultPlan`, a spec string, or
     the ``REPRO_FAULTS`` environment default) simulates deliveries that
@@ -271,7 +285,6 @@ def unpack(package_text: str, *, verify: bool = True,
     except (AttributeError, KeyError, TypeError, ValueError,
             RecursionError) as exc:
         raise TransportError(f"malformed package: {exc!r}") from None
-    store = DataStore(name="unpacked")
     attempt = 0
     while True:
         blocks = dict(received)
@@ -307,15 +320,20 @@ def unpack(package_text: str, *, verify: bool = True,
         # A fresh delivery masks every corruption of this attempt.
         robustness.retries += 1
         robustness.recovered += injected
+    pairs = tuple((descriptor, blocks.get(descriptor.block_id)
+                   if descriptor.block_id else None)
+                  for descriptor in descriptors.values())
+    ids: set[str] = set()
+    for descriptor, block in pairs:
+        if descriptor.descriptor_id in ids or (
+                block is not None and block.block_id != descriptor.block_id):
+            _unpacked_store(pairs)      # the store's own StoreError
+        ids.add(descriptor.descriptor_id)
     for file_id, descriptor in descriptors.items():
-        block = blocks.get(descriptor.block_id) \
-            if descriptor.block_id else None
-        store.register(descriptor, block)
         document.register_descriptor(file_id, descriptor)
-    return UnpackResult(document=document, store=store,
-                        embedded_blocks=len(blocks),
+    return UnpackResult(document=document, embedded_blocks=len(blocks),
                         verified_checksums=verified,
-                        robustness=robustness)
+                        robustness=robustness, received=pairs)
 
 
 def externals_to_immediates(document: CmifDocument,

@@ -6,10 +6,14 @@
 every lexeme, drained into nested lists.  ``parse_document`` and
 ``parse_node`` are the earlier :mod:`repro.format.parser` entry points
 verbatim: one recursion per node level, each child attached through
-``ContainerNode.add``'s sibling scan.  The attribute decoding they call
-(``_apply_attributes`` and friends) is imported from the shipped
-parser, so a test comparing the two readers compares exactly the lists
-and trees their scanners and walks build.
+``ContainerNode.add``'s sibling scan.  ``_apply_attributes`` is the
+earlier one verbatim too: it installs every value through the
+validating :meth:`~repro.core.attributes.AttributeList.set`, where the
+shipped one trusts the values its own decoders built.  The decoders
+themselves (``parse_value``, ``parse_arc`` and friends) are imported
+from the shipped parser, so a test comparing the two readers compares
+exactly the lists and trees their scanners, walks and attribute
+installs build.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from typing import Iterator
 from repro.core.document import CmifDocument
 from repro.core.errors import FormatError
 from repro.core.nodes import ContainerNode, Node, NodeKind, make_node
-from repro.format.parser import (_apply_attributes, _maybe_decode_binary,
-                                 _parse_immediate_data)
+from repro.format.parser import (_maybe_decode_binary,
+                                 _parse_immediate_data, parse_arc,
+                                 parse_value)
 from repro.format.sexpr import Symbol, Token, head_symbol
 
 #: One master scanner instead of the seed's char-by-char loop: every
@@ -240,3 +245,15 @@ def parse_node(expression: object) -> Node:
     node = make_node(kind)
     _apply_attributes(node, attribute_forms)
     return node
+
+
+def _apply_attributes(node: Node, forms: list) -> None:
+    """Install parsed attribute forms onto ``node``."""
+    for form in forms:
+        head = head_symbol(form)
+        if head is None:
+            raise FormatError(f"malformed attribute form {form!r}")
+        if head == "sync-arc":
+            node.attributes.append_value("sync-arc", parse_arc(form))
+            continue
+        node.attributes.set(head, parse_value(form[1:]))

@@ -8,7 +8,11 @@ swapped spans, injected delimiters and escapes, Unicode whitespace.
 They must agree on the document (compared as written text) or raise
 the same exception type and message, line and column included.  Where
 the retired reader's recursion gives out, the new one must return a
-document or raise :class:`FormatError`.
+document or raise :class:`FormatError`.  The retired reader installs
+every attribute value through the validating ``AttributeList.set``;
+generated attribute forms on both sides of the shipped reader's
+trusted path (values it installs unvalidated, and values it must
+still validate) hold it to that.
 
 ``unpack`` gets the same diet of generated packages plus mutations:
 only :class:`CmifError` subclasses may escape it.
@@ -55,7 +59,67 @@ DOCUMENTS = (
     '(cmif (version 1) (seq (attributes (name "a\\"b") (title "x\ny")) '
     '(imm (attributes (name t)) "line\\none\\ttab \\\\ end" ; note\n'
     '"more")))',
+    # Attribute forms on both sides of the trusted path.
+    '(cmif (version 1) (seq (attributes (name "r") (title "a b") '
+    '(style s1 s2) (t-formatting (font f) (size 12)) (x-free "q r")) '
+    '(ext (attributes (name e1) (channel c1) (file "d 1") (comment c) '
+    '(duration (time 4 s)) (clip 250) (crop (rect 0 0 8 8)) '
+    '(keywords k1 k2) (medium video)))))',
 )
+
+# -- attribute forms ---------------------------------------------------------
+
+#: Attribute values on both sides of the trusted path: bare symbols,
+#: quoted strings (with spaces, empty, padded), numbers, flags, media
+#: times (units in other spellings too), rects, pointer sets and groups.
+ATTRIBUTE_VALUES = (
+    "e1", "x-1.b", "INF", '"e1"', '"two words"', '""', '" padded "',
+    '"tab\\there"', "5", "2.5", "-1", "1e999", "true", "false",
+    "(time 4 s)", "(time 25 frames)", "(time 1500 ms)",
+    "(time 2 SECONDS)", "(time 3 Milliseconds)", "(time 2 parsecs)",
+    "(time x s)", "(rect 0 0 10 10)", "(rect 0 0 0 10)", "(rect 1 2)",
+    "a b c", 'a "b c"', "a 5", "(font helvetica) (size 12)",
+    "(a (b 1))", "(time 4 s) (b 1)")
+
+#: Standard names of every kind the values meet, and free names.
+ATTRIBUTE_NAMES = (
+    "name", "channel", "medium", "file", "title", "comment", "duration",
+    "clip", "slice-length", "style", "crop", "t-formatting", "keywords",
+    "language", "x-free")
+
+SYNC_ARCS = (
+    '(sync-arc (type begin must) (source "e1" begin) (offset (time 0 ms))'
+    ' (dest "e2") (min (time 0 ms)) (max inf))',
+    "(sync-arc (type END May) (source e1 end) (offset 40)"
+    " (dest e2) (min (time 1 s)) (max (time 2 s)) (when \"lang=en\"))",
+    "(sync-arc (type middle must) (source e1) (offset 0) (dest e2)"
+    " (min 0) (max inf))",
+)
+
+
+@st.composite
+def attribute_form(draw) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(SYNC_ARCS))
+    return (f"({draw(st.sampled_from(ATTRIBUTE_NAMES))} "
+            f"{draw(st.sampled_from(ATTRIBUTE_VALUES))})")
+
+
+@st.composite
+def attributed_documents(draw) -> str:
+    """A small document with generated attribute forms on one node."""
+    forms = " ".join(draw(st.lists(attribute_form(), min_size=1,
+                                   max_size=4)))
+    kind = draw(st.sampled_from(("seq", "ext", "imm")))
+    leaf = '(imm (attributes (name t)) "text")'
+    if kind == "seq":
+        body = f"(seq (attributes {forms}) {leaf})"
+    elif kind == "ext":
+        body = f"(seq (ext (attributes {forms})) {leaf})"
+    else:
+        body = f'(seq (imm (attributes {forms}) "data"))'
+    return f"(cmif (version 1) {body})"
+
 
 # -- mutations -------------------------------------------------------------
 
@@ -151,6 +215,13 @@ def test_generated_documents_read_identically(index):
 @FUZZ
 @given(text=mutated(DOCUMENTS))
 def test_mutated_documents_read_identically(text):
+    _assert_agree(parse_document, oracle.parse_document, text,
+                  render=write_document)
+
+
+@FUZZ
+@given(text=attributed_documents())
+def test_attribute_forms_read_identically(text):
     _assert_agree(parse_document, oracle.parse_document, text,
                   render=write_document)
 

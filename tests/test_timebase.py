@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.core.errors import ValueError_
+from repro.core.channels import Medium
+from repro.core.errors import ChannelError, SyncArcError, ValueError_
+from repro.core.syncarc import Anchor, Strictness
 from repro.core.timebase import (DEFAULT_TIMEBASE, MediaTime, TimeBase,
                                  Unit, times_close)
 
@@ -24,6 +26,38 @@ class TestUnit:
     def test_from_name_unknown_raises(self):
         with pytest.raises(ValueError_):
             Unit.from_name("fortnights")
+
+
+#: Each enum with a ``from_name``, the spellings it accepts per member
+#: (before case folding and padding), one unknown name, and the error
+#: that name must raise, message included.
+ENUM_NAMES = (
+    (Unit, lambda unit: (unit.value, unit.name.lower()), "parsecs",
+     ValueError_, "unknown time unit 'parsecs'"),
+    (Medium, lambda medium: (medium.value,), "smell", ChannelError,
+     "unknown medium 'smell'; expected one of "
+     "['text', 'audio', 'video', 'image', 'program']"),
+    (Anchor, lambda anchor: (anchor.value,), "middle", SyncArcError,
+     "unknown anchor 'middle'; expected 'begin' or 'end'"),
+    (Strictness, lambda strictness: (strictness.value,), "should",
+     SyncArcError, "unknown strictness 'should'; expected 'may' or "
+     "'must'"),
+)
+
+
+@pytest.mark.parametrize("enum, spellings, unknown, error, message",
+                         ENUM_NAMES, ids=lambda value: getattr(
+                             value, "__name__", None))
+def test_from_name_accepts_every_spelling_and_names_the_unknown(
+        enum, spellings, unknown, error, message):
+    for member in enum:
+        for spelling in spellings(member):
+            for written in (spelling, spelling.upper(),
+                            spelling.capitalize(), f" \t{spelling}\n "):
+                assert enum.from_name(written) is member, written
+    with pytest.raises(error) as raised:
+        enum.from_name(unknown)
+    assert str(raised.value) == message
 
 
 class TestMediaTime:

@@ -1,15 +1,20 @@
 """Unit tests for environments, negotiation and packaging (repro.transport)."""
 
+import json
+
 import pytest
 
 from repro.core.channels import Medium
-from repro.core.errors import DeviceConstraintError, TransportError
+from repro.core.errors import (DeviceConstraintError, StoreError,
+                               TransportError)
+from repro.store.datastore import DataStore, StoreStats
 from repro.transport import (FILTERABLE, PERSONAL_SYSTEM, PLAYABLE,
                              SILENT_TERMINAL, SystemEnvironment,
                              UNPLAYABLE, WORKSTATION,
                              document_requirements,
                              externals_to_immediates, negotiate, pack,
                              unpack)
+from repro.transport.package import _block_from_obj, _descriptor_from_obj
 
 
 class TestEnvironments:
@@ -127,6 +132,79 @@ class TestPackaging:
         document = builder.build(validate=False)
         with pytest.raises(TransportError, match="ghost"):
             pack(document)
+
+
+class TestUnpackedStore:
+    """``unpack`` builds its store on first read; a reader of the store
+    sees what an eagerly built one held, and ``unpack`` itself still
+    refuses what the store's registration refuses."""
+
+    @staticmethod
+    def _eager_store(package: str) -> DataStore:
+        """The store as ``unpack`` used to build it: every received
+        descriptor registered with its block, in package order."""
+        body = json.loads(package)["cmif-package"]
+        blocks = {block_id: _block_from_obj(obj, body["version"])
+                  for block_id, obj in body["blocks"].items()}
+        store = DataStore(name="unpacked")
+        for obj in body["descriptors"].values():
+            descriptor = _descriptor_from_obj(obj)
+            store.register(descriptor, blocks.get(descriptor.block_id)
+                           if descriptor.block_id else None)
+        return store
+
+    @staticmethod
+    def _view(store: DataStore) -> dict:
+        """Everything a reader of ``store`` can see, read in one order."""
+        view = {"name": store.name, "version": store.version,
+                "stats": store.stats.snapshot(),
+                "descriptors": list(store.descriptors()),
+                "blocks": [(block.block_id, block.checksum())
+                           for block in store.blocks()],
+                "summary": store.summary(),
+                "index_size": store.index_size()}
+        for criteria in ({"medium": "video"}, {"keywords": "news"},
+                         {"language": "en"},
+                         {"medium": "audio", "keywords": "paintings"}):
+            view[repr(criteria)] = [descriptor.descriptor_id for descriptor
+                                    in store.find(**criteria)]
+        view["stats after"] = store.stats.snapshot()
+        return view
+
+    @pytest.mark.parametrize("embed_data", [False, True])
+    def test_store_holds_what_the_eager_store_held(self, news_corpus,
+                                                   embed_data):
+        package = pack(news_corpus.document, news_corpus.store,
+                       embed_data=embed_data)
+        result = unpack(package)
+        store = result.store
+        assert store is result.store
+        view = self._view(store)
+        assert view == self._view(self._eager_store(package))
+        assert view["stats"] == StoreStats()
+        assert len(view["blocks"]) == result.embedded_blocks
+        assert [id(descriptor) for descriptor in view["descriptors"]] \
+            == [id(descriptor)
+                for descriptor in result.document.descriptors.values()]
+
+    def test_a_repeated_descriptor_id_is_refused_by_unpack(
+            self, fragment_corpus):
+        payload = json.loads(pack(fragment_corpus.document,
+                                  fragment_corpus.store))
+        descriptors = payload["cmif-package"]["descriptors"]
+        first, second = list(descriptors.values())[:2]
+        second["descriptor_id"] = first["descriptor_id"]
+        with pytest.raises(StoreError, match="registered twice"):
+            unpack(json.dumps(payload))
+
+    def test_a_block_under_another_id_is_refused_by_unpack(
+            self, fragment_corpus):
+        payload = json.loads(pack(fragment_corpus.document,
+                                  fragment_corpus.store, embed_data=True))
+        block = next(iter(payload["cmif-package"]["blocks"].values()))
+        block["block_id"] = "elsewhere"
+        with pytest.raises(StoreError, match="'elsewhere' was supplied"):
+            unpack(json.dumps(payload))
 
 
 class TestExternalsToImmediates:
