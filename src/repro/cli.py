@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro.core.channels import Medium
@@ -49,16 +50,14 @@ from repro.pipeline.program import BatchPlayer
 from repro.pipeline.viewer import (render_arc_table, render_authoring_view,
                                    render_embedded, render_summary,
                                    render_sweep, render_tree)
-from repro.timing import ScheduleCache, schedule_document
-from repro.transport.environments import (PERSONAL_SYSTEM, PROFILES,
-                                          SILENT_TERMINAL,
-                                          SystemEnvironment, WORKSTATION)
+from repro.store.placement import PLACEMENT_POLICIES
+from repro.timing import RELAXATION_POLICIES, ScheduleCache, \
+    schedule_document
+from repro.transport.environments import PROFILES, SystemEnvironment
 from repro.transport.negotiate import negotiate
 
 ENVIRONMENTS: dict[str, SystemEnvironment] = {
-    environment.name: environment
-    for environment in (WORKSTATION, PERSONAL_SYSTEM, SILENT_TERMINAL)
-}
+    environment.name: environment for environment in PROFILES}
 
 
 def load_document(path: str) -> CmifDocument:
@@ -214,29 +213,40 @@ def _load_edit_script(path: str) -> list:
     return script
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.corpus import generate_serving_corpus
-    from repro.serving import SessionEngine
+def _corpus_files(args: argparse.Namespace, generate, noun: str,
+                  corpus: str) -> list[Path] | None:
+    """The ``serve``/``ingest`` corpus: the ``--pattern`` files in the
+    directory, after ``--generate`` wrote synthetic ones through
+    ``generate``.  None, with the error printed, when there are none."""
+    from repro.corpus.ingest import corpus_paths
     directory = Path(args.directory)
     if directory.exists() and not directory.is_dir():
         print(f"error: {directory} exists and is not a directory",
               file=sys.stderr)
-        return 2
+        return None
     if args.generate:
-        written = generate_serving_corpus(directory,
-                                          documents=args.generate,
-                                          events=args.events,
-                                          seed=args.seed,
-                                          links=args.links)
-        print(f"generated {len(written)} package(s) in {directory}")
+        files = generate(directory, documents=args.generate,
+                         events=args.events, seed=args.seed)
+        print(f"generated {len(files)} {noun} in {directory}")
     if not directory.is_dir():
         print(f"error: {directory} is not a directory (use --generate N "
-              f"to create a synthetic serving corpus)", file=sys.stderr)
-        return 2
-    paths = sorted(directory.glob(args.pattern))
+              f"to create a synthetic {corpus})", file=sys.stderr)
+        return None
+    paths = corpus_paths(directory, args.pattern)
     if not paths:
         print(f"error: no {args.pattern} files in {directory}",
               file=sys.stderr)
+        return None
+    return paths
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.corpus import generate_serving_corpus
+    from repro.serving import SessionEngine
+    paths = _corpus_files(
+        args, partial(generate_serving_corpus, links=args.links),
+        "package(s)", "serving corpus")
+    if paths is None:
         return 2
     documents = [load_document(str(path)) for path in paths]
     environments = _parse_environments(args.environments)
@@ -441,28 +451,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.corpus.ingest import (corpus_paths, generate_corpus,
-                                     ingest_corpus)
-    directory = Path(args.directory)
-    if directory.exists() and not directory.is_dir():
-        print(f"error: {directory} exists and is not a directory",
-              file=sys.stderr)
+    from repro.corpus.ingest import generate_corpus, ingest_corpus
+    paths = _corpus_files(args, generate_corpus, "document(s)", "corpus")
+    if paths is None:
         return 2
-    if args.generate:
-        written = generate_corpus(directory, documents=args.generate,
-                                  events=args.events, seed=args.seed)
-        print(f"generated {len(written)} document(s) in {directory}")
-    if not directory.is_dir():
-        print(f"error: {directory} is not a directory (use --generate N "
-              f"to create a synthetic corpus)", file=sys.stderr)
-        return 2
-    paths = corpus_paths(directory, args.pattern)
-    if not paths:
-        print(f"error: no {args.pattern} files in {directory}",
-              file=sys.stderr)
-        return 2
-    report = ingest_corpus(paths, engine=args.engine,
-                           relaxation_policy=args.policy,
+    report = ingest_corpus(paths, relaxation_policy=args.policy,
                            compile_programs=not args.no_programs,
                            workers=args.workers, faults=args.faults)
     print(report.describe())
@@ -488,257 +481,226 @@ def cmd_news(args: argparse.Namespace) -> int:
     return 0
 
 
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call: its flags and keyword options."""
+    return flags, options
+
+
+def _override(shared: tuple[tuple[str, ...], dict], **options):
+    """A shared flag with one subcommand's own default or help."""
+    flags, common = shared
+    return flags, {**common, **options}
+
+
+# Flags several subcommands share, each written once; a subcommand
+# overrides a default or help text only where its own differ.
+_DOCUMENT = _arg("document")
+_SEED = _arg("--seed", type=int, default=1991)
+_OUTPUT = _arg("-o", "--output", required=True)
+_ENVIRONMENT = _arg("--environment", choices=sorted(ENVIRONMENTS),
+                    default="workstation")
+_ENVIRONMENTS = _arg("--environments", default="all", metavar="CSV",
+                     help="environment profiles to admit against: "
+                          "'all' (default) or a comma-separated list "
+                          "of profile names")
+_PATTERN = _arg("--pattern", default="*.cmif",
+                help="glob for corpus files (default *.cmif)")
+_GENERATE = _arg("--generate", type=int, metavar="N",
+                 help="first write N synthetic corpus documents "
+                      "into the directory")
+_EVENTS = _arg("--events", type=int, default=120,
+               help="events per generated document (with --generate)")
+_WORKERS = _arg("--workers", type=int, default=1, metavar="N",
+                help="shard the drive across N processes "
+                     "(default 1; counters identical to serial)")
+_FAULTS = _arg("--faults", metavar="PLAN",
+               help="fault-injection plan: 'standard', a key=value CSV "
+                    "spec (e.g. 'seed=7,flap=site-1,blocks=0.05'), "
+                    "inline JSON, or a .json file (default: the "
+                    "REPRO_FAULTS environment variable, else no faults)")
+
+#: Each subcommand's handler, help and flags, in ``--help`` order.
+COMMANDS = {
+    "validate": (cmd_validate, "check consistency rules", (_DOCUMENT,)),
+    "show": (cmd_show, "render document views", (
+        _DOCUMENT,
+        _arg("--form", choices=("tree", "embedded", "summary"),
+             default="tree"),
+    )),
+    "schedule": (cmd_schedule, "solve and print the timeline", (
+        _DOCUMENT,
+        _arg("--slot-ms", type=float, default=2000.0),
+    )),
+    "arcs": (cmd_arcs, "print the fig-9 arc table", (
+        _DOCUMENT,
+        _arg("--all", action="store_true",
+             help="include implied default constraints"),
+    )),
+    "play": (cmd_play, "simulate playback", (
+        _DOCUMENT,
+        _ENVIRONMENT,
+        _arg("--rate", type=float, default=1.0),
+        _arg("--seek", type=float, default=0.0,
+             help="fast-forward to this many seconds"),
+        _arg("--prefetch", type=float, default=0.0,
+             help="prefetch lead in ms"),
+        _override(_SEED, default=0,
+                  help="deterministic jitter seed: the same seed replays "
+                       "the identical run; replay i draws from seed+i "
+                       "(default 0)"),
+        _arg("--replays", type=int, default=1,
+             help="play the run N times (seeds seed..seed+N-1), reusing "
+                  "one cached schedule and compiled playback program"),
+        _arg("--sweep", action="store_true",
+             help="batch-replay across every environment profile x "
+                  "--rates x --seeks and print the grid (uses --replays "
+                  "runs per cell)"),
+        _arg("--rates", metavar="CSV",
+             help="with --sweep: comma-separated presentation rates "
+                  "(default: the single --rate)"),
+        _arg("--seeks", metavar="CSV",
+             help="with --sweep: comma-separated seek points in seconds "
+                  "(default: the single --seek)"),
+        _arg("--verbose", action="store_true"),
+    )),
+    "negotiate": (cmd_negotiate, "can this environment play this document?", (
+        _DOCUMENT,
+        _ENVIRONMENT,
+        _arg("--json", action="store_true",
+             help="emit the machine-readable verdict and findings (for "
+                  "session engines and scripts)"),
+    )),
+    "serve": (cmd_serve, "run the multi-tenant session engine over a "
+                         "corpus directory", (
+        _arg("directory"),
+        _override(_PATTERN, default="*.cmif*",
+                  help="glob for corpus files (default *.cmif*, matching "
+                       "text documents and packages)"),
+        _ENVIRONMENTS,
+        _arg("--sessions", type=int, default=1,
+             help="tenant sessions per document x environment pair "
+                  "(default 1)"),
+        _arg("--replays", type=int, default=1,
+             help="replay rounds round-robined across all admitted "
+                  "sessions (default 1)"),
+        _arg("--interactive", type=int, default=0, metavar="N",
+             help="interactive readers per document x environment pair, "
+                  "each with a scripted choice trace, interleaved on the "
+                  "run queue (default 0)"),
+        _arg("--follows", type=int, default=2,
+             help="link follows per interactive reader's scripted trace "
+                  "(default 2)"),
+        _override(_GENERATE, help="first write N synthetic serving "
+                                  "packages into the directory"),
+        _override(_EVENTS, default=24),
+        _arg("--links", type=int, default=0,
+             help="conditional hyper-links per generated document (with "
+                  "--generate)"),
+        _override(_SEED, help="generator and jitter seed"),
+        _WORKERS,
+        _FAULTS,
+        _arg("--edit-script", metavar="FILE",
+             help="JSON list of live edits applied while sessions run "
+                  "(each: op fields plus optional at_step / document "
+                  "index); forces a serial drive"),
+        _arg("--sites", type=int, default=0, metavar="N",
+             help="author the corpus across N federated storage sites "
+                  "and serve a zipf-skewed session workload with origin "
+                  "affinity (default 0: no federation)"),
+        _arg("--topology", choices=("star", "chain", "mesh"),
+             default="star", help="site link topology (with --sites)"),
+        _arg("--placement", choices=PLACEMENT_POLICIES, default="static",
+             help="placement policy replanned every --rebalance-every "
+                  "sessions (with --sites); session reports are "
+                  "identical under every policy — only the traffic bill "
+                  "changes"),
+        _arg("--placement-sessions", type=int, default=200, metavar="N",
+             help="sessions in the placement workload's request stream "
+                  "(with --sites, default 200)"),
+        _arg("--zipf", type=float, default=1.2, metavar="S",
+             help="zipf exponent for document popularity (with --sites, "
+                  "default 1.2)"),
+        _arg("--locality", type=float, default=0.75, metavar="P",
+             help="probability a session originates at its document's "
+                  "favourite site (with --sites, default 0.75)"),
+        _arg("--rebalance-every", type=int, default=50, metavar="N",
+             help="placement epoch: replan after every N sessions (with "
+                  "--sites, default 50)"),
+        _arg("--placement-report", action="store_true",
+             help="print per-site byte footprints and the replica "
+                  "histogram after serving (with --sites)"),
+    )),
+    "edit": (cmd_edit, "replay a live-edit script against one document's "
+                       "warm serving caches and report patch precision", (
+        _DOCUMENT,
+        _arg("--script", required=True, metavar="FILE",
+             help="JSON list of edit objects (see serve --edit-script)"),
+        _override(_ENVIRONMENTS,
+                  help="profiles whose compiled programs to warm and "
+                       "patch: 'all' (default) or a comma-separated list "
+                       "of names"),
+        _override(_SEED, help="engine jitter seed"),
+    )),
+    "pack": (cmd_pack, "package for transport", (_DOCUMENT, _OUTPUT)),
+    "unpack": (cmd_unpack, "open a package", (_arg("package"), _OUTPUT)),
+    "query": (cmd_query, "attribute search over a package's descriptors", (
+        _arg("package"),
+        _arg("--keyword", action="append",
+             help="require this search keyword (repeatable, ANDed)"),
+        _arg("--medium", choices=tuple(m.value for m in Medium)),
+        _arg("--attr", action="append", metavar="NAME=VALUE",
+             help="require attribute equality (repeatable)"),
+        _arg("--range", action="append", metavar="NAME=MIN:MAX",
+             help="require a numeric attribute range; leave a bound "
+                  "empty for open-ended (repeatable)"),
+        _arg("--min-duration", type=float, metavar="MS"),
+        _arg("--max-duration", type=float, metavar="MS"),
+        _arg("--explain", action="store_true",
+             help="print the planner's chosen index plan"),
+    )),
+    "ingest": (cmd_ingest, "bulk-ingest a directory of CMIF documents", (
+        _arg("directory"),
+        _PATTERN,
+        _arg("--policy", choices=RELAXATION_POLICIES, default="drop-last",
+             help="may-arc relaxation policy for the solve stage"),
+        _arg("--no-programs", action="store_true",
+             help="stop after scheduling (skip playback-program "
+                  "compilation)"),
+        _GENERATE,
+        _EVENTS,
+        _override(_SEED, help="generator seed (with --generate)"),
+        _override(_WORKERS, help="shard the corpus across N processes "
+                                 "(default 1; report identical to serial)"),
+        _override(_FAULTS,
+                  help="fault-injection plan: 'standard', a key=value "
+                       "CSV spec, inline JSON, or a .json file (default: "
+                       "the REPRO_FAULTS environment variable, else no "
+                       "faults)"),
+    )),
+    "news": (cmd_news, "emit the Evening News corpus", (
+        _arg("--stories", type=int, default=2),
+        _SEED,
+        _arg("--package", action="store_true",
+             help="emit a transport package (with descriptors) instead "
+                  "of bare text"),
+        _arg("--embed-data", action="store_true",
+             help="with --package: embed payload blocks too"),
+        _override(_OUTPUT, required=False),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The full CLI argument grammar."""
+    """The full CLI argument grammar, built from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="cmif", description="CMIF document tools (USENIX 1991 "
         "reproduction)")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    validate = commands.add_parser("validate",
-                                   help="check consistency rules")
-    validate.add_argument("document")
-    validate.set_defaults(handler=cmd_validate)
-
-    show = commands.add_parser("show", help="render document views")
-    show.add_argument("document")
-    show.add_argument("--form", choices=("tree", "embedded", "summary"),
-                      default="tree")
-    show.set_defaults(handler=cmd_show)
-
-    schedule = commands.add_parser("schedule",
-                                   help="solve and print the timeline")
-    schedule.add_argument("document")
-    schedule.add_argument("--slot-ms", type=float, default=2000.0)
-    schedule.set_defaults(handler=cmd_schedule)
-
-    arcs = commands.add_parser("arcs", help="print the fig-9 arc table")
-    arcs.add_argument("document")
-    arcs.add_argument("--all", action="store_true",
-                      help="include implied default constraints")
-    arcs.set_defaults(handler=cmd_arcs)
-
-    play = commands.add_parser("play", help="simulate playback")
-    play.add_argument("document")
-    play.add_argument("--environment", choices=sorted(ENVIRONMENTS),
-                      default="workstation")
-    play.add_argument("--rate", type=float, default=1.0)
-    play.add_argument("--seek", type=float, default=0.0,
-                      help="fast-forward to this many seconds")
-    play.add_argument("--prefetch", type=float, default=0.0,
-                      help="prefetch lead in ms")
-    play.add_argument("--seed", type=int, default=0,
-                      help="deterministic jitter seed: the same seed "
-                           "replays the identical run; replay i draws "
-                           "from seed+i (default 0)")
-    play.add_argument("--replays", type=int, default=1,
-                      help="play the run N times (seeds seed..seed+N-1), "
-                           "reusing one cached schedule and compiled "
-                           "playback program")
-    play.add_argument("--sweep", action="store_true",
-                      help="batch-replay across every environment "
-                           "profile x --rates x --seeks and print the "
-                           "grid (uses --replays runs per cell)")
-    play.add_argument("--rates", metavar="CSV",
-                      help="with --sweep: comma-separated presentation "
-                           "rates (default: the single --rate)")
-    play.add_argument("--seeks", metavar="CSV",
-                      help="with --sweep: comma-separated seek points in "
-                           "seconds (default: the single --seek)")
-    play.add_argument("--verbose", action="store_true")
-    play.set_defaults(handler=cmd_play)
-
-    negotiate_cmd = commands.add_parser(
-        "negotiate", help="can this environment play this document?")
-    negotiate_cmd.add_argument("document")
-    negotiate_cmd.add_argument("--environment",
-                               choices=sorted(ENVIRONMENTS),
-                               default="workstation")
-    negotiate_cmd.add_argument("--json", action="store_true",
-                               help="emit the machine-readable verdict "
-                                    "and findings (for session engines "
-                                    "and scripts)")
-    negotiate_cmd.set_defaults(handler=cmd_negotiate)
-
-    serve = commands.add_parser(
-        "serve", help="run the multi-tenant session engine over a "
-                      "corpus directory")
-    serve.add_argument("directory")
-    serve.add_argument("--pattern", default="*.cmif*",
-                       help="glob for corpus files (default *.cmif*, "
-                            "matching text documents and packages)")
-    serve.add_argument("--environments", default="all", metavar="CSV",
-                       help="environment profiles to admit against: "
-                            "'all' (default) or a comma-separated list "
-                            "of profile names")
-    serve.add_argument("--sessions", type=int, default=1,
-                       help="tenant sessions per document x environment "
-                            "pair (default 1)")
-    serve.add_argument("--replays", type=int, default=1,
-                       help="replay rounds round-robined across all "
-                            "admitted sessions (default 1)")
-    serve.add_argument("--interactive", type=int, default=0, metavar="N",
-                       help="interactive readers per document x "
-                            "environment pair, each with a scripted "
-                            "choice trace, interleaved on the run "
-                            "queue (default 0)")
-    serve.add_argument("--follows", type=int, default=2,
-                       help="link follows per interactive reader's "
-                            "scripted trace (default 2)")
-    serve.add_argument("--generate", type=int, metavar="N",
-                       help="first write N synthetic serving packages "
-                            "into the directory")
-    serve.add_argument("--events", type=int, default=24,
-                       help="events per generated document "
-                            "(with --generate)")
-    serve.add_argument("--links", type=int, default=0,
-                       help="conditional hyper-links per generated "
-                            "document (with --generate)")
-    serve.add_argument("--seed", type=int, default=1991,
-                       help="generator and jitter seed")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="shard the drive across N processes "
-                            "(default 1; counters identical to serial)")
-    serve.add_argument("--faults", metavar="PLAN", default=None,
-                       help="fault-injection plan: 'standard', a "
-                            "key=value CSV spec (e.g. "
-                            "'seed=7,flap=site-1,blocks=0.05'), inline "
-                            "JSON, or a .json file (default: the "
-                            "REPRO_FAULTS environment variable, else "
-                            "no faults)")
-    serve.add_argument("--edit-script", metavar="FILE",
-                       help="JSON list of live edits applied while "
-                            "sessions run (each: op fields plus "
-                            "optional at_step / document index); "
-                            "forces a serial drive")
-    serve.add_argument("--sites", type=int, default=0, metavar="N",
-                       help="author the corpus across N federated "
-                            "storage sites and serve a zipf-skewed "
-                            "session workload with origin affinity "
-                            "(default 0: no federation)")
-    serve.add_argument("--topology", choices=("star", "chain", "mesh"),
-                       default="star",
-                       help="site link topology (with --sites)")
-    serve.add_argument("--placement",
-                       choices=("static", "replicate-hot",
-                                "migrate-owner", "hybrid"),
-                       default="static",
-                       help="placement policy replanned every "
-                            "--rebalance-every sessions (with --sites); "
-                            "session reports are identical under every "
-                            "policy — only the traffic bill changes")
-    serve.add_argument("--placement-sessions", type=int, default=200,
-                       metavar="N",
-                       help="sessions in the placement workload's "
-                            "request stream (with --sites, default 200)")
-    serve.add_argument("--zipf", type=float, default=1.2, metavar="S",
-                       help="zipf exponent for document popularity "
-                            "(with --sites, default 1.2)")
-    serve.add_argument("--locality", type=float, default=0.75,
-                       metavar="P",
-                       help="probability a session originates at its "
-                            "document's favourite site (with --sites, "
-                            "default 0.75)")
-    serve.add_argument("--rebalance-every", type=int, default=50,
-                       metavar="N",
-                       help="placement epoch: replan after every N "
-                            "sessions (with --sites, default 50)")
-    serve.add_argument("--placement-report", action="store_true",
-                       help="print per-site byte footprints and the "
-                            "replica histogram after serving "
-                            "(with --sites)")
-    serve.set_defaults(handler=cmd_serve)
-
-    edit_cmd = commands.add_parser(
-        "edit", help="replay a live-edit script against one document's "
-                     "warm serving caches and report patch precision")
-    edit_cmd.add_argument("document")
-    edit_cmd.add_argument("--script", required=True, metavar="FILE",
-                          help="JSON list of edit objects (see "
-                               "serve --edit-script)")
-    edit_cmd.add_argument("--environments", default="all", metavar="CSV",
-                          help="profiles whose compiled programs to "
-                               "warm and patch: 'all' (default) or a "
-                               "comma-separated list of names")
-    edit_cmd.add_argument("--seed", type=int, default=1991,
-                          help="engine jitter seed")
-    edit_cmd.set_defaults(handler=cmd_edit)
-
-    pack_cmd = commands.add_parser("pack", help="package for transport")
-    pack_cmd.add_argument("document")
-    pack_cmd.add_argument("-o", "--output", required=True)
-    pack_cmd.set_defaults(handler=cmd_pack)
-
-    unpack_cmd = commands.add_parser("unpack", help="open a package")
-    unpack_cmd.add_argument("package")
-    unpack_cmd.add_argument("-o", "--output", required=True)
-    unpack_cmd.set_defaults(handler=cmd_unpack)
-
-    query = commands.add_parser(
-        "query", help="attribute search over a package's descriptors")
-    query.add_argument("package")
-    query.add_argument("--keyword", action="append",
-                       help="require this search keyword (repeatable, "
-                            "ANDed)")
-    query.add_argument("--medium",
-                       choices=tuple(m.value for m in Medium))
-    query.add_argument("--attr", action="append", metavar="NAME=VALUE",
-                       help="require attribute equality (repeatable)")
-    query.add_argument("--range", action="append", metavar="NAME=MIN:MAX",
-                       help="require a numeric attribute range; leave a "
-                            "bound empty for open-ended (repeatable)")
-    query.add_argument("--min-duration", type=float, metavar="MS")
-    query.add_argument("--max-duration", type=float, metavar="MS")
-    query.add_argument("--explain", action="store_true",
-                       help="print the planner's chosen index plan")
-    query.set_defaults(handler=cmd_query)
-
-    ingest = commands.add_parser(
-        "ingest", help="bulk-ingest a directory of CMIF documents")
-    ingest.add_argument("directory")
-    ingest.add_argument("--pattern", default="*.cmif",
-                        help="glob for corpus files (default *.cmif)")
-    ingest.add_argument("--engine", choices=("graph", "reference"),
-                        default="graph",
-                        help="cold-path solver: compiled graph (default) "
-                             "or the object-form reference")
-    ingest.add_argument("--policy", choices=("drop-last", "drop-widest"),
-                        default="drop-last",
-                        help="may-arc relaxation policy for the solve "
-                             "stage")
-    ingest.add_argument("--no-programs", action="store_true",
-                        help="stop after scheduling (skip playback-"
-                             "program compilation)")
-    ingest.add_argument("--generate", type=int, metavar="N",
-                        help="first write N synthetic corpus documents "
-                             "into the directory")
-    ingest.add_argument("--events", type=int, default=120,
-                        help="events per generated document "
-                             "(with --generate)")
-    ingest.add_argument("--seed", type=int, default=1991,
-                        help="generator seed (with --generate)")
-    ingest.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="shard the corpus across N processes "
-                             "(default 1; report identical to serial)")
-    ingest.add_argument("--faults", metavar="PLAN", default=None,
-                        help="fault-injection plan: 'standard', a "
-                             "key=value CSV spec, inline JSON, or a "
-                             ".json file (default: the REPRO_FAULTS "
-                             "environment variable, else no faults)")
-    ingest.set_defaults(handler=cmd_ingest)
-
-    news = commands.add_parser("news",
-                               help="emit the Evening News corpus")
-    news.add_argument("--stories", type=int, default=2)
-    news.add_argument("--seed", type=int, default=1991)
-    news.add_argument("--package", action="store_true",
-                      help="emit a transport package (with descriptors) "
-                           "instead of bare text")
-    news.add_argument("--embed-data", action="store_true",
-                      help="with --package: embed payload blocks too")
-    news.add_argument("-o", "--output")
-    news.set_defaults(handler=cmd_news)
-
+    for name, (handler, help_text, arguments) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -148,6 +148,16 @@ class CmifDocument:
         """Tree statistics (see :func:`repro.core.tree.tree_stats`)."""
         return tree_stats(self.root)
 
+    def file_references(self) -> Iterator[tuple[Node, str]]:
+        """``(node, file_id)`` for every external node whose ``file``
+        attribute, own or inherited, is set, in preorder."""
+        styles = self.styles_or_none()
+        for node in iter_preorder(self.root):
+            if node.kind is NodeKind.EXT:
+                file_id = node.effective("file", styles=styles)
+                if file_id is not None:
+                    yield node, file_id
+
     # -- event materialization ----------------------------------------------
 
     def styles_or_none(self) -> StyleDictionary | None:

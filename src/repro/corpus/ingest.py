@@ -10,7 +10,7 @@ directory of CMIF text files through that pipeline, warms the
 reads, and accounts for every stage separately so throughput regressions
 point at the guilty layer.
 
-The schedule stage defaults to the compiled-graph engine
+The schedule stage solves with the compiled-graph engine
 (:mod:`repro.timing.graph`), which is bit-identical to the reference
 solver and the reason cold scheduling clears the ingest gate
 (``benchmarks/bench_ingest.py``).
@@ -51,8 +51,7 @@ from repro.format.writer import write_document
 from repro.ledger import Ledger
 from repro.pipeline.program import PlaybackProgram, ProgramCache, \
     compile_program
-from repro.timing.schedule import (ENGINE_GRAPH, SCHEDULE_ENGINES,
-                                   Schedule, ScheduleCache,
+from repro.timing.schedule import (ENGINE_GRAPH, Schedule, ScheduleCache,
                                    schedule_document)
 from repro.timing.solver import RELAX_DROP_LAST
 
@@ -128,7 +127,6 @@ class IngestReport(Ledger):
     :meth:`~repro.ledger.Ledger.merge`: documents and failures append
     in shard order, stage counters add."""
 
-    engine: str
     documents: list[IngestedDocument] = field(default_factory=list)
     failures: list[IngestFailure] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(
@@ -175,7 +173,7 @@ class IngestReport(Ledger):
         """The human report the ``ingest`` CLI subcommand prints."""
         attempted = self.document_count + len(self.failures)
         lines = [f"ingested {self.document_count}/{attempted} document(s), "
-                 f"{self.total_events} event(s), engine={self.engine}"]
+                 f"{self.total_events} event(s)"]
         for stage in INGEST_STAGES:
             seconds = self.stage_seconds[stage]
             if seconds <= 0.0:
@@ -210,20 +208,17 @@ def corpus_paths(directory: Path | str,
 
 
 def ingest_corpus(source: Path | str | Sequence[Path], *,
-                  engine: str = ENGINE_GRAPH,
                   relaxation_policy: str = RELAX_DROP_LAST,
-                  channel_serialization: bool = True,
                   compile_programs: bool = True,
                   schedule_cache: ScheduleCache | None = None,
                   program_cache: ProgramCache | None = None,
-                  pattern: str = "*.cmif",
                   kernel=None,
                   workers: int = 1,
                   faults: FaultPlan | str | None = None,
                   retry: RetryPolicy | None = None) -> IngestReport:
     """Stream a corpus through parse → compile → solve → program.
 
-    ``source`` is a directory (scanned with ``pattern``) or an explicit
+    ``source`` is a directory (its ``*.cmif`` files) or an explicit
     sequence of file paths.  Caches are created to fit the corpus when
     not supplied, so every ingested document's schedule and program stay
     resident for the serving path; pass existing caches to warm those
@@ -250,9 +245,6 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
     that shard serially, so the merged report matches the fault-free
     run.
     """
-    if engine not in SCHEDULE_ENGINES:
-        raise CmifError(f"unknown ingest engine {engine!r}; expected one "
-                        f"of {SCHEDULE_ENGINES}")
     if workers < 1:
         raise CmifError(f"ingest workers must be at least 1, "
                         f"got {workers}")
@@ -260,34 +252,32 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
     if retry is None:
         retry = RetryPolicy()
     if isinstance(source, (str, Path)):
-        paths = corpus_paths(source, pattern)
+        paths = corpus_paths(source)
     else:
         paths = list(source)
     if schedule_cache is None:
         schedule_cache = ScheduleCache(capacity=max(len(paths), 1))
     if program_cache is None and compile_programs:
         program_cache = ProgramCache(capacity=max(len(paths), 1))
-    report = IngestReport(engine=engine, schedule_cache=schedule_cache,
+    report = IngestReport(schedule_cache=schedule_cache,
                           program_cache=program_cache)
     wall_start = time.perf_counter()
     shards = None
     if workers > 1 and len(paths) > 1:
         shards = run_sharded(
             paths, workers,
-            functools.partial(_ingest_chunk, engine=engine,
+            functools.partial(_ingest_chunk,
                               relaxation_policy=relaxation_policy,
-                              channel_serialization=channel_serialization,
                               compile_programs=compile_programs,
                               faults=faults, retry=retry),
             faults=faults, ledger=report.robustness)
     if shards is None:
         stage_seconds = report.stage_seconds
         for path in paths:
-            entry = _ingest_document(path, report, stage_seconds, engine,
-                                     relaxation_policy,
-                                     channel_serialization,
-                                     compile_programs, schedule_cache,
-                                     program_cache, faults, retry)
+            entry = _ingest_document(path, report, stage_seconds,
+                                     relaxation_policy, compile_programs,
+                                     schedule_cache, program_cache,
+                                     faults, retry)
             if entry is not None:
                 report.documents.append(entry)
     else:
@@ -297,7 +287,6 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
         # shard boundaries never show in cache contents.
         for entry in report.documents:
             schedule_cache.put(entry.document, entry.schedule,
-                               channel_serialization=channel_serialization,
                                relaxation_policy=relaxation_policy)
             if program_cache is not None and entry.program is not None:
                 program_cache.put(entry.schedule, entry.program)
@@ -315,8 +304,7 @@ def _ingest_chunk(chunk: list[Path], **options) -> IngestReport:
 
 
 def _ingest_document(path: Path, report: IngestReport,
-                     stage_seconds: dict[str, float], engine: str,
-                     relaxation_policy: str, channel_serialization: bool,
+                     stage_seconds: dict[str, float], relaxation_policy: str,
                      compile_programs: bool, schedule_cache: ScheduleCache,
                      program_cache: ProgramCache | None,
                      faults: FaultPlan | None,
@@ -331,11 +319,10 @@ def _ingest_document(path: Path, report: IngestReport,
     robust = report.robustness
     attempt = 0
     while True:
-        outcome = _ingest_one(path, report, stage_seconds, engine,
-                              relaxation_policy, channel_serialization,
-                              compile_programs, schedule_cache,
-                              program_cache, faults=faults,
-                              attempt=attempt)
+        outcome = _ingest_one(path, report, stage_seconds,
+                              relaxation_policy, compile_programs,
+                              schedule_cache, program_cache,
+                              faults=faults, attempt=attempt)
         if not isinstance(outcome, IngestFailure):
             return outcome
         attempt += 1
@@ -356,8 +343,7 @@ def _ingest_document(path: Path, report: IngestReport,
 
 
 def _ingest_one(path: Path, report: IngestReport,
-                stage_seconds: dict[str, float], engine: str,
-                relaxation_policy: str, channel_serialization: bool,
+                stage_seconds: dict[str, float], relaxation_policy: str,
                 compile_programs: bool, schedule_cache: ScheduleCache,
                 program_cache: ProgramCache | None,
                 faults: FaultPlan | None = None,
@@ -396,9 +382,8 @@ def _ingest_one(path: Path, report: IngestReport,
         stage = "solve"
         start = time.perf_counter()
         schedule = schedule_document(
-            compiled, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy, cache=schedule_cache,
-            engine=engine)
+            compiled, relaxation_policy=relaxation_policy,
+            cache=schedule_cache, engine=ENGINE_GRAPH)
         stage_seconds["solve"] += time.perf_counter() - start
         stage_documents["solve"] += 1
         stage_events["solve"] += len(schedule.events)

@@ -35,8 +35,8 @@ from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.corpus.generate import make_media_document, make_payload_block
 from repro.store.datastore import DataStore
-from repro.store.distributed import FederatedStore, NetworkModel, Site
-from repro.store.placement import SiteTopology, resolve_policy
+from repro.store.distributed import FederatedStore, Site
+from repro.store.placement import NetworkModel, SiteTopology, resolve_policy
 
 #: Attribute marking a registered package payload (searchable).
 PACKAGE_KEYWORD = "package"
@@ -221,8 +221,7 @@ def run_workload(workload: PlacementWorkload, *, policy="static",
         if (rebalance_every and serial
                 and serial % rebalance_every == 0
                 and chosen.name != "static"):
-            plan = chosen.plan(federation)
-            outcome = federation.apply_placement(plan)
+            _, outcome = federation.rebalance(chosen)
             if outcome.applied:
                 report.plans_applied += 1
                 report.moves_applied += outcome.applied
@@ -266,8 +265,7 @@ def serve_workload(workload: PlacementWorkload, environments, *,
     reports = []
     for start in range(0, len(workload.requests), batch):
         if start and chosen.name != "static":
-            plan = chosen.plan(workload.federation)
-            workload.federation.apply_placement(plan)
+            workload.federation.rebalance(chosen)
         chunk = workload.requests[start:start + batch]
         checkpoint = engine.checkpoint()
         sessions = []

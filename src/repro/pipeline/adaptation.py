@@ -39,8 +39,6 @@ from typing import Any
 from repro.core.descriptors import DataDescriptor
 from repro.core.document import CmifDocument, CompiledDocument
 from repro.core.errors import DeviceConstraintError, MediaError
-from repro.core.nodes import NodeKind
-from repro.core.tree import iter_preorder
 from repro.pipeline.filters import (ConstraintFilter, FilterAction,
                                     FilterKind, FilterPlan,
                                     adapt_attributes, apply_action)
@@ -138,13 +136,7 @@ class AdaptationProgram:
         if self.identity:
             return document
         clone = copy.deepcopy(document)
-        styles = document.styles_or_none()
-        for node in iter_preorder(document.root):
-            if node.kind is not NodeKind.EXT:
-                continue
-            file_id = node.effective("file", styles=styles)
-            if file_id is None:
-                continue
+        for _, file_id in document.file_references():
             descriptor = document.resolve_descriptor(file_id)
             if descriptor is None:
                 continue

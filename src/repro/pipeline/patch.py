@@ -20,11 +20,11 @@ edit) and lowers it onto the flat compiled arrays in place:
 * a canonical-order guard — only the patched slots' neighbour pairs are
   compared (unchanged adjacent pairs were ordered and did not move), so
   the check is O(affected events); an order change falls back;
-* audit-arc and nav-arc row tables — rebuilt through the *same* row
-  builders compilation uses (:func:`~repro.pipeline.program
-  .build_audit_arc` / :func:`~repro.pipeline.program.build_nav_arc`)
-  and slice-assigned into the shared lists, so a patched row can never
-  drift from what a cold compile would emit;
+* audit-arc and nav-arc row tables — rebuilt by
+  :func:`~repro.pipeline.program.compiled_arc_rows`, the function
+  compilation itself builds them with, and slice-assigned into the
+  shared lists, so a patched row can never drift from what a cold
+  compile would emit;
 * every cached :class:`AdaptationProgram` composition — adapted
   descriptors are untouched by timing edits, so each environment's
   entry is re-stamped at the new revision, never re-planned;
@@ -67,19 +67,16 @@ from dataclasses import dataclass
 from repro.core.document import CmifDocument
 from repro.core.errors import (PathError, SchedulingConflict,
                                ValueError_)
-from repro.core.paths import path_map, resolve_path
 from repro.core.syncarc import (Anchor, ConditionalArc, Strictness,
                                 SyncArc)
 from repro.core.timebase import MediaTime
-from repro.core.tree import iter_postorder, iter_preorder
 from repro.ledger import Ledger
 from repro.pipeline.adaptation import adaptation_for
 from repro.pipeline.navprogram import (NAVIGATION_TAG, NavigationProgram,
                                        recompile_into)
 from repro.pipeline.program import (PlaybackProgram, ProgramCache,
-                                    audit_row, build_audit_arc,
-                                    build_nav_arc, compile_program,
-                                    event_slot_map)
+                                    audit_row, compile_program,
+                                    compiled_arc_rows)
 from repro.timing.constraints import begin_var, end_var
 from repro.timing.incremental import IncrementalScheduler
 from repro.timing.schedule import Schedule, ScheduleCache
@@ -147,34 +144,6 @@ def arc_from_spec(spec: dict) -> SyncArc:
     if condition is not None:
         return ConditionalArc(condition=str(condition), **kwargs)
     return SyncArc(**kwargs)
-
-
-def compiled_arc_rows(schedule: Schedule) -> tuple[list, list]:
-    """The (audit, nav) row tables of a schedule, as compilation emits.
-
-    Shares the row builders (and the loop order) with
-    :func:`~repro.pipeline.program.compile_program`; the patcher
-    slice-assigns the result into the live shared lists, so an arc edit
-    costs O(nodes + arcs) — no solve, no per-environment work.
-    """
-    compiled = schedule.compiled
-    document = compiled.document
-    paths = path_map(document.root)
-    timebase = document.timebase
-    event_slot = event_slot_map(schedule)
-    audit = []
-    for node in iter_postorder(document.root):
-        for arc in node.arcs:
-            if isinstance(arc, ConditionalArc):
-                continue
-            audit.append(build_audit_arc(node, arc, paths, timebase,
-                                         compiled, event_slot))
-    nav = []
-    for node in iter_preorder(document.root):
-        for arc in node.arcs:
-            nav.append(build_nav_arc(node, arc, paths, compiled,
-                                     event_slot))
-    return audit, nav
 
 
 class ProgramPatcher:
@@ -541,5 +510,4 @@ class LiveEditor:
 
 
 __all__ = ["CONFLICT", "EditRecord", "LiveEditor", "NOOP", "PATCHED",
-           "ProgramPatcher", "RECOMPILED", "arc_from_spec",
-           "compiled_arc_rows"]
+           "ProgramPatcher", "RECOMPILED", "arc_from_spec"]

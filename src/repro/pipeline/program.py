@@ -404,6 +404,34 @@ def build_nav_arc(node, arc, paths: dict[int, str],
         dest_events=events_under(destination, compiled, event_slot))
 
 
+def compiled_arc_rows(schedule: Schedule) -> tuple[list, list]:
+    """A schedule's (audit, nav) arc rows: postorder audit rows, which
+    skip conditional arcs, then preorder nav rows.
+
+    :func:`compile_program` builds its arc tables here, and an arc edit
+    slice-assigns a fresh pair into the live shared lists, so a patch
+    and a cold compile share one loop order.
+    """
+    compiled = schedule.compiled
+    document = compiled.document
+    paths = path_map(document.root)
+    timebase = document.timebase
+    event_slot = event_slot_map(schedule)
+    audit = []
+    for node in iter_postorder(document.root):
+        for arc in node.arcs:
+            if isinstance(arc, ConditionalArc):
+                continue
+            audit.append(build_audit_arc(node, arc, paths, timebase,
+                                         compiled, event_slot))
+    nav = []
+    for node in iter_preorder(document.root):
+        for arc in node.arcs:
+            nav.append(build_nav_arc(node, arc, paths, compiled,
+                                     event_slot))
+    return audit, nav
+
+
 def compile_program(schedule: Schedule,
                     cache: "ProgramCache | None" = None
                     ) -> PlaybackProgram:
@@ -416,10 +444,7 @@ def compile_program(schedule: Schedule,
     """
     if cache is not None:
         return cache.program_for(schedule)
-    compiled = schedule.compiled
-    document = compiled.document
-    timebase = document.timebase
-    paths = path_map(document.root)
+    document = schedule.compiled.document
     ordered = schedule.ordered_events()
 
     begin_ms = [event.begin_ms for event in ordered]
@@ -437,22 +462,7 @@ def compile_program(schedule: Schedule,
         medium_index.append(
             medium_slots.setdefault(medium, len(medium_slots)))
 
-    event_slot = event_slot_map(schedule)
-
-    audit_arcs: list[AuditArc] = []
-    for node in iter_postorder(document.root):
-        for arc in node.arcs:
-            if isinstance(arc, ConditionalArc):
-                continue
-            audit_arcs.append(build_audit_arc(
-                node, arc, paths, timebase, compiled, event_slot))
-
-    nav_arcs: list[NavArc] = []
-    for node in iter_preorder(document.root):
-        for arc in node.arcs:
-            nav_arcs.append(build_nav_arc(
-                node, arc, paths, compiled, event_slot))
-
+    audit_arcs, nav_arcs = compiled_arc_rows(schedule)
     return PlaybackProgram(
         schedule=schedule,
         revision=document.revision,

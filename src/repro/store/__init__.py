@@ -11,15 +11,16 @@ to the sites whose index summaries can match.
 
 from repro.store.datastore import DataStore, StoreStats, StoreSummary
 from repro.store.distributed import (DESCRIPTOR_WIRE_BYTES, FederatedStore,
-                                     FindOutcome, NetworkModel, Site,
-                                     SiteUnavailable, TrafficStats,
-                                     summary_can_match, summary_wire_bytes)
+                                     FindOutcome, Site, SiteUnavailable,
+                                     TrafficStats, summary_can_match,
+                                     summary_wire_bytes)
 from repro.store.placement import (PLACEMENT_POLICIES, HotSetTracker,
                                    HybridPolicy, MigrateOwnerPolicy,
-                                   PlacementMove, PlacementOutcome,
-                                   PlacementPolicy, PlacementReport,
-                                   ReplicateHotPolicy, ReplicationPlan,
-                                   SiteTopology, resolve_policy)
+                                   NetworkModel, PlacementMove,
+                                   PlacementOutcome, PlacementPolicy,
+                                   PlacementReport, ReplicateHotPolicy,
+                                   ReplicationPlan, SiteTopology,
+                                   resolve_policy)
 from repro.store.planner import IndexStep, Plan, build_plan, execute_plan
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
                                MatchesAttr, MediumIs, Not, Or, Query, Range,

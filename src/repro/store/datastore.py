@@ -44,6 +44,8 @@ from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.errors import StoreError, ValueError_
 from repro.core.timebase import TimeBase
 from repro.ledger import Ledger
+from repro.store.planner import Plan, build_plan, execute_plan
+from repro.store.query import Query, criteria_query
 
 
 @dataclass
@@ -177,10 +179,7 @@ class DataStore:
         kept while any other descriptor still references it (figure-2
         sharing: several descriptors may describe one block).
         """
-        descriptor = self._descriptors.get(descriptor_id)
-        if descriptor is None:
-            raise StoreError(f"no descriptor {descriptor_id!r} in store "
-                             f"{self.name!r}")
+        descriptor = self.descriptor_by_id(descriptor_id)
         self._unindex_attributes(descriptor)
         ids = self._medium_index.get(descriptor.medium)
         if ids is not None:
@@ -207,10 +206,7 @@ class DataStore:
         reads back as ``None`` anyway).  The medium is a descriptor
         field, not an attribute, and cannot be changed here.
         """
-        descriptor = self._descriptors.get(descriptor_id)
-        if descriptor is None:
-            raise StoreError(f"no descriptor {descriptor_id!r} in store "
-                             f"{self.name!r}")
+        descriptor = self.descriptor_by_id(descriptor_id)
         if "medium" in changes:
             raise StoreError("medium is not an attribute; re-register the "
                              "descriptor to change it")
@@ -490,11 +486,7 @@ class DataStore:
     def descriptor(self, descriptor_id: str) -> DataDescriptor:
         """Fetch a descriptor by id (counts as an attribute read)."""
         self.stats.attribute_reads += 1
-        found = self._descriptors.get(descriptor_id)
-        if found is None:
-            raise StoreError(f"no descriptor {descriptor_id!r} in store "
-                             f"{self.name!r}")
-        return found
+        return self.descriptor_by_id(descriptor_id)
 
     def block_for(self, descriptor_id: str) -> DataBlock:
         """Fetch the payload block behind a descriptor (a payload read)."""
@@ -502,8 +494,10 @@ class DataStore:
 
     def read_block(self, descriptor_id: str) -> tuple[DataBlock, int]:
         """:meth:`block_for`'s read, returning the block with its size in
-        bytes, taken once for the stats and the caller."""
-        descriptor = self.descriptor(descriptor_id)
+        bytes, taken once for the stats and the caller.  The descriptor
+        lookup is not charged: the caller that examined the descriptor
+        already paid its attribute read."""
+        descriptor = self.descriptor_by_id(descriptor_id)
         if descriptor.block_id is None:
             raise StoreError(
                 f"descriptor {descriptor_id!r} references no block")
@@ -552,7 +546,6 @@ class DataStore:
         exactly once per examined descriptor, and payloads are never
         touched.
         """
-        from repro.store.query import criteria_query
         return self.find_where(criteria_query(criteria))
 
     def find_where(self, predicate: Callable[[DataDescriptor], bool]
@@ -563,8 +556,6 @@ class DataStore:
         inverted indexes (falling back to a scan only when no index
         applies); a bare callable always scans.
         """
-        from repro.store.planner import execute_plan
-        from repro.store.query import Query
         if isinstance(predicate, Query):
             return execute_plan(self, self.explain(predicate))
         return self.scan_where(predicate)
@@ -579,14 +570,19 @@ class DataStore:
                 results.append(descriptor)
         return results
 
-    def explain(self, query) -> "Plan":
+    def explain(self, query) -> Plan:
         """The plan :meth:`find_where` would execute for ``query``."""
-        from repro.store.planner import build_plan
         return build_plan(self, query)
 
     def descriptor_by_id(self, descriptor_id: str) -> DataDescriptor:
-        """Uncounted internal access for the plan executor."""
-        return self._descriptors[descriptor_id]
+        """Fetch a descriptor by id without charging an attribute read:
+        the store's own lookups, and reads whose caller already paid
+        for the descriptor."""
+        try:
+            return self._descriptors[descriptor_id]
+        except KeyError:
+            raise StoreError(f"no descriptor {descriptor_id!r} in store "
+                             f"{self.name!r}") from None
 
     def in_registration_order(self, ids) -> list[str]:
         """Candidate ids sorted the way a scan would visit them."""

@@ -47,6 +47,9 @@ from repro.faults import (CircuitBreaker, FaultClock, FaultInjected,
                           corrupt_block, parse_fault_plan)
 from repro.ledger import Ledger
 from repro.store.datastore import DataStore, StoreSummary
+from repro.store.placement import (HotSetTracker, NetworkModel,
+                                   PlacementOutcome, PlacementReport,
+                                   PlacementSiteReport, resolve_policy)
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
                                MatchesAttr, MediumIs, Or, Query, Range,
                                criteria_query)
@@ -132,18 +135,6 @@ def summary_can_match(query: Query, summary: StoreSummary) -> bool:
     if isinstance(query, Always):
         return summary.count > 0
     return True                 # Not / opaque closures: no pruning
-
-
-@dataclass(frozen=True)
-class NetworkModel:
-    """Per-request latency and throughput of the simulated network."""
-
-    latency_ms: float = 5.0
-    bandwidth_bytes_per_ms: float = 1250.0   # 10 Mbit/s
-
-    def transfer_ms(self, size_bytes: int) -> float:
-        """Simulated wall time to move ``size_bytes`` one way."""
-        return self.latency_ms + size_bytes / self.bandwidth_bytes_per_ms
 
 
 @dataclass
@@ -275,10 +266,7 @@ class FederatedStore:
         #: With a topology, the
         #: :class:`~repro.store.placement.HotSetTracker` fed by every
         #: origin-tagged read (the placement policies' input).
-        self.hot_tracker = None
-        if topology is not None:
-            from repro.store.placement import HotSetTracker
-            self.hot_tracker = HotSetTracker()
+        self.hot_tracker = None if topology is None else HotSetTracker()
         # Faults are explicit-only here (no REPRO_FAULTS default): the
         # federation's tests and benches assert exact traffic counts,
         # and the chaos matrix exercises it through the higher layers.
@@ -881,7 +869,6 @@ class FederatedStore:
         the fault plan's weather (a real rebalancer retries in the
         background at leisure).
         """
-        from repro.store.placement import PlacementOutcome
         applied = skipped = 0
         bytes_moved = 0
         cost_ms = 0.0
@@ -922,7 +909,6 @@ class FederatedStore:
     def rebalance(self, policy):
         """Plan with ``policy`` and apply in one step; returns
         ``(plan, outcome)``."""
-        from repro.store.placement import resolve_policy
         plan = resolve_policy(policy).plan(self)
         return plan, self.apply_placement(plan)
 
@@ -972,8 +958,6 @@ class FederatedStore:
         its descriptor count and payload byte footprint, and the report
         includes a replication-factor histogram.
         """
-        from repro.store.placement import (PlacementReport,
-                                           PlacementSiteReport)
         report = PlacementReport()
         if document is None:
             counted: dict[str, int] = {}
@@ -993,15 +977,7 @@ class FederatedStore:
                     report.replica_histogram.get(factor, 0) + 1
             return report
         placement: dict[str, list[str]] = {}
-        styles = document.styles_or_none()
-        from repro.core.nodes import NodeKind
-        from repro.core.tree import iter_preorder
-        for node in iter_preorder(document.root):
-            if node.kind is not NodeKind.EXT:
-                continue
-            file_id = node.effective("file", styles=styles)
-            if file_id is None:
-                continue
+        for _, file_id in document.file_references():
             try:
                 site = self.site_of(file_id)
             except StoreError:

@@ -6,9 +6,11 @@ they were authored; Gray's *Locally Served Network Computers*
 the traffic is.  This module turns the federation's traffic telemetry
 into *action*:
 
+* :class:`NetworkModel` — one link's per-request latency and
+  throughput, the price every federated read and placement move pays;
 * :class:`SiteTopology` — named sites joined by per-ordered-pair
-  :class:`~repro.store.distributed.NetworkModel` links (asymmetric
-  costs allowed), with ``star`` / ``chain`` / ``mesh`` constructors;
+  :class:`NetworkModel` links (asymmetric costs allowed), with
+  ``star`` / ``chain`` / ``mesh`` constructors;
 * :class:`HotSetTracker` — a bounded space-saving top-K sketch per
   origin site (Metwally et al.), so demand accounting stays O(K) in
   space no matter how many descriptors the federation holds, and a
@@ -29,9 +31,21 @@ stay bit-identical, which the placement tests and
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass, field
 
-from repro.store.distributed import NetworkModel
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """Per-request latency and throughput of the simulated network."""
+
+    latency_ms: float = 5.0
+    bandwidth_bytes_per_ms: float = 1250.0   # 10 Mbit/s
+
+    def transfer_ms(self, size_bytes: int) -> float:
+        """Simulated wall time to move ``size_bytes`` one way."""
+        return self.latency_ms + size_bytes / self.bandwidth_bytes_per_ms
+
 
 #: A zero-cost link: a site reading its own store never touches the
 #: simulated network.
@@ -120,7 +134,6 @@ class SiteTopology:
              seed: int = 0) -> "SiteTopology":
         """A full mesh with seeded, deterministic per-direction jitter —
         the asymmetric-link case (a→b and b→a differ)."""
-        import random
         base = base if base is not None else NetworkModel()
         rng = random.Random(seed)
         sites = tuple(sites)

@@ -328,8 +328,7 @@ def execute_plan(store: "DataStore", plan: Plan) -> list["DataDescriptor"]:
     residual = plan.residual
     results: list["DataDescriptor"] = []
     for descriptor_id in examined:
-        descriptor = store.descriptor_by_id(descriptor_id)
-        store.stats.attribute_reads += 1
+        descriptor = store.descriptor(descriptor_id)
         if residual is not None and not residual(descriptor):
             continue
         results.append(descriptor)

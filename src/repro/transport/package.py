@@ -35,9 +35,8 @@ from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.document import CmifDocument
 from repro.core.errors import TransportError
-from repro.core.nodes import ExtNode, ImmNode, NodeKind
+from repro.core.nodes import ImmNode
 from repro.core.paths import node_path
-from repro.core.tree import iter_preorder
 from repro.faults import (FaultPlan, RetryPolicy, RobustnessStats,
                           corrupt_block, resolve_faults)
 from repro.format.json_io import value_from_obj, value_to_obj
@@ -125,12 +124,8 @@ def _referenced_descriptors(document: CmifDocument,
                             strict: bool = True):
     """Yield (file_id, descriptor) for every resolvable file reference."""
     seen: set[str] = set()
-    styles = document.styles_or_none()
-    for node in iter_preorder(document.root):
-        if node.kind is not NodeKind.EXT:
-            continue
-        file_id = node.effective("file", styles=styles)
-        if file_id is None or file_id in seen:
+    for node, file_id in document.file_references():
+        if file_id in seen:
             continue
         seen.add(file_id)
         descriptor = document.resolve_descriptor(file_id)
@@ -347,13 +342,7 @@ def externals_to_immediates(document: CmifDocument,
     Returns the number of nodes rewritten.
     """
     rewritten = 0
-    styles = document.styles_or_none()
-    for node in list(iter_preorder(document.root)):
-        if node.kind is not NodeKind.EXT:
-            continue
-        file_id = node.effective("file", styles=styles)
-        if file_id is None:
-            continue
+    for node, file_id in list(document.file_references()):
         descriptor = document.resolve_descriptor(file_id)
         if descriptor is None and file_id in store:
             descriptor = store.descriptor(file_id)

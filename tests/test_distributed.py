@@ -78,6 +78,26 @@ class TestPayloadPath:
         assert federation.traffic.payload_bytes == first_bytes
 
 
+@pytest.mark.parametrize("site, read, expected", [
+    ("amsterdam", lambda federation: federation.stream(["local/intro"]),
+     (1, 1)),
+    ("delft", lambda federation: federation.stream(["delft/story"]),
+     (1, 1)),
+    ("amsterdam",
+     lambda federation: federation.local.store.block_for("local/intro"),
+     (0, 1)),
+], ids=["home stream", "remote stream", "block_for"])
+def test_one_attribute_read_per_examined_descriptor(federation, site, read,
+                                                    expected):
+    """(attribute, payload) reads the serving store is charged: a
+    streamed id is one descriptor examined and one payload read, and a
+    block read is a payload read only."""
+    stats = federation.site(site).store.stats
+    stats.reset()
+    read(federation)
+    assert (stats.attribute_reads, stats.payload_reads) == expected
+
+
 class TestFederatedSearch:
     def test_search_spans_all_sites(self, federation):
         results = federation.find(keywords="news")

@@ -7,7 +7,7 @@ from repro.core.errors import CmifError
 from repro.corpus import generate_corpus, ingest_corpus
 from repro.corpus.ingest import INGEST_STAGES, corpus_paths
 from repro.pipeline.program import ProgramCache
-from repro.timing import ENGINE_REFERENCE, ScheduleCache
+from repro.timing import ScheduleCache
 
 
 @pytest.fixture()
@@ -57,16 +57,6 @@ class TestIngestCorpus:
             assert cached is entry.schedule
             assert program_cache.get(entry.schedule) is entry.program
 
-    def test_graph_and_reference_engines_agree(self, corpus_dir):
-        graph = ingest_corpus(corpus_dir)
-        reference = ingest_corpus(corpus_dir, engine=ENGINE_REFERENCE)
-        assert graph.engine == "graph"
-        assert reference.engine == "reference"
-        assert not graph.failures and not reference.failures
-        for mine, theirs in zip(graph.documents, reference.documents):
-            assert mine.path == theirs.path
-            assert mine.schedule.times_ms == theirs.schedule.times_ms
-
     def test_skips_broken_documents_and_continues(self, corpus_dir):
         (corpus_dir / "000-flat.cmif").write_text("(cmif broken",
                                                   encoding="utf-8")
@@ -87,10 +77,6 @@ class TestIngestCorpus:
         paths = corpus_paths(corpus_dir)[:2]
         report = ingest_corpus(paths)
         assert report.document_count == 2
-
-    def test_unknown_engine_rejected(self, corpus_dir):
-        with pytest.raises(CmifError, match="engine"):
-            ingest_corpus(corpus_dir, engine="quantum")
 
     def test_describe_reports_throughput(self, corpus_dir):
         report = ingest_corpus(corpus_dir)
@@ -144,11 +130,11 @@ class TestIngestCli:
         assert "events/s" in out
 
     def test_existing_corpus(self, corpus_dir, capsys):
-        code = main(["ingest", str(corpus_dir), "--engine", "reference",
-                     "--no-programs"])
+        code = main(["ingest", str(corpus_dir), "--no-programs"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "engine=reference" in out
+        assert "ingested 6/6" in out
+        assert "program  skipped" in out
 
     def test_missing_directory_errors(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "nowhere")])

@@ -25,8 +25,7 @@ LEDGERS = {
     "traffic": TrafficStats,
     "store": StoreStats,
     "environment": lambda: EnvironmentStats(name="workstation"),
-    "ingest": lambda: IngestReport(engine="graph",
-                                   schedule_cache=ScheduleCache()),
+    "ingest": lambda: IngestReport(schedule_cache=ScheduleCache()),
     "edit": lambda: EditRecord(op="retime", subject="/story/clip"),
     "engine": EngineStats,
 }
