@@ -257,8 +257,7 @@ def adaptation_for(schedule: Schedule, environment: SystemEnvironment,
 def adapted_program_for(schedule: Schedule,
                         environment: SystemEnvironment, *,
                         program_cache: ProgramCache | None = None,
-                        requirements: DocumentRequirements | None = None,
-                        plan: FilterPlan | None = None
+                        requirements: DocumentRequirements | None = None
                         ) -> PlaybackProgram:
     """The environment-specialized playback program of a schedule.
 
@@ -275,12 +274,8 @@ def adapted_program_for(schedule: Schedule,
         if cached is not None:
             return cached
     base = compile_program(schedule, cache=program_cache)
-    if plan is None:
-        adaptation = adaptation_for(schedule, environment,
-                                    requirements=requirements)
-    else:
-        adaptation = compile_adaptation(plan, schedule.compiled,
-                                        environment)
+    adaptation = adaptation_for(schedule, environment,
+                                requirements=requirements)
     program = base if adaptation.identity \
         else base.specialized(adaptation)
     if program_cache is not None:

@@ -43,9 +43,9 @@ Structural edits (node add/remove/move, channel changes) defeat
 patching and *detect themselves*: the scheduler records no localized
 region (``last_changed_paths is None``) and the patcher falls back to a
 targeted recompile — one base lowering slice-assigned into the live
-arrays, one adaptation re-plan per *cached* environment fingerprint,
-one navigation recompile — classified per pyramid level by
-:meth:`~repro.pipeline.program.ProgramCache.level_of`.  Entries of
+arrays, one adaptation re-plan per cached composition, for the
+environment its program-cache entry was compiled for, and one
+navigation recompile.  No cached composition is dropped.  Entries of
 other schedules (other documents on the same engine) are never touched,
 which the per-edit counters on :class:`EditRecord` (and the cumulative
 :class:`~repro.timing.incremental.EngineStats`) make checkable.
@@ -72,15 +72,13 @@ from repro.core.syncarc import (Anchor, ConditionalArc, Strictness,
 from repro.core.timebase import MediaTime
 from repro.ledger import Ledger
 from repro.pipeline.adaptation import adaptation_for
-from repro.pipeline.navprogram import (NAVIGATION_TAG, NavigationProgram,
-                                       recompile_into)
+from repro.pipeline.navprogram import NAVIGATION_TAG, recompile_into
 from repro.pipeline.program import (PlaybackProgram, ProgramCache,
                                     audit_row, compile_program,
                                     compiled_arc_rows)
 from repro.timing.constraints import begin_var, end_var
 from repro.timing.incremental import IncrementalScheduler
 from repro.timing.schedule import Schedule, ScheduleCache
-from repro.timing.solver import RELAX_DROP_LAST
 from repro.transport.environments import SystemEnvironment
 
 #: :class:`EditRecord.mode` values.
@@ -149,19 +147,14 @@ def arc_from_spec(spec: dict) -> SyncArc:
 class ProgramPatcher:
     """Lower one edit's schedule delta onto the cached program pyramid.
 
-    Owns the fingerprint → :class:`SystemEnvironment` registry the
-    structural fallback needs to re-plan adaptations for exactly the
-    environments that are actually cached; a cached fingerprint with no
-    registered environment is dropped (and lazily recompiled on its
-    next probe) rather than guessed at.
+    Everything the patcher needs comes out of the program cache: each
+    composition's entry carries the :class:`SystemEnvironment` it was
+    compiled for, so the structural fallback re-plans exactly the
+    compositions that are cached, each for its own environment.
     """
 
     def __init__(self, program_cache: ProgramCache) -> None:
         self.program_cache = program_cache
-        self.environments: dict[tuple, SystemEnvironment] = {}
-
-    def register_environment(self, environment: SystemEnvironment) -> None:
-        self.environments[environment.fingerprint()] = environment
 
     # -- entry point -------------------------------------------------------
 
@@ -177,26 +170,24 @@ class ProgramPatcher:
         otherwise evicts prior revisions on insert).
         """
         taken = self.program_cache.take(old_schedule)
-        programs = {slot: value for slot, value in taken.items()
+        programs = {slot: value for slot, (value, _) in taken.items()
                     if isinstance(value, PlaybackProgram)}
-        navigation = taken.get(("derived", NAVIGATION_TAG))
-        if not isinstance(navigation, NavigationProgram):
-            navigation = None
-        if changed_paths is None:
-            self._rebuild(new_schedule, programs, navigation, record)
-            return
-        if not self._patch(new_schedule, old_schedule, changed_paths,
-                           arcs_changed, programs, navigation, record):
-            # The edit reordered the canonical event sequence (or a
-            # slot went missing): the flat arrays no longer mean what
-            # they meant, so this edit pays the structural path.
-            self._rebuild(new_schedule, programs, navigation, record)
+        patched = changed_paths is not None and self._patch(
+            new_schedule, old_schedule, changed_paths, arcs_changed,
+            programs, record)
+        if not patched:
+            # A structural edit, or one that reordered the canonical
+            # event sequence (or lost a slot): the flat arrays no longer
+            # mean what they meant, so this edit pays the structural
+            # path.
+            self._rebuild(new_schedule, programs, record)
+        self._rekey(new_schedule, taken, programs, record, patched=patched)
 
     # -- the O(affected events) patch --------------------------------------
 
     def _patch(self, new_schedule: Schedule, old_schedule: Schedule,
                changed_paths: set[str], arcs_changed: bool,
-               programs: dict, navigation, record: EditRecord) -> bool:
+               programs: dict, record: EditRecord) -> bool:
         times = new_schedule.times_ms
         touched = 0
         try:
@@ -216,8 +207,6 @@ class ProgramPatcher:
                 group.nav_arcs[:] = nav
         record.mode = PATCHED if (touched or arcs_changed) else NOOP
         record.events_touched = touched
-        self._rekey(new_schedule, programs, navigation, record,
-                    patched=True)
         return True
 
     def _patch_group(self, group: PlaybackProgram,
@@ -263,33 +252,30 @@ class ProgramPatcher:
     # -- the structural fallback (targeted per-level recompile) ------------
 
     def _rebuild(self, new_schedule: Schedule, programs: dict,
-                 navigation, record: EditRecord) -> None:
+                 record: EditRecord) -> None:
         record.mode = RECOMPILED
-        if not programs and navigation is None:
-            return  # nothing cached: later probes compile lazily
-        fresh = compile_program(new_schedule) if programs else None
-        if fresh is not None:
-            record.events_touched = fresh.n_events
-            record.programs_recompiled += 1
-            for group in self._array_groups(programs):
-                group.begin_ms[:] = fresh.begin_ms
-                group.end_ms[:] = fresh.end_ms
-                group.channel_index[:] = fresh.channel_index
-                group.medium_index[:] = fresh.medium_index
-                group.audit_arcs[:] = fresh.audit_arcs
-                group._audit_rows[:] = fresh._audit_rows
-                group.nav_arcs[:] = fresh.nav_arcs
-            for program in self._distinct(programs):
-                program.n_events = fresh.n_events
-                program.node_paths = fresh.node_paths
-                program.channels = fresh.channels
-                program.media = fresh.media
-        self._rekey(new_schedule, programs, navigation, record,
-                    patched=False)
+        if not programs:
+            return  # no program cached: later probes compile lazily
+        fresh = compile_program(new_schedule)
+        record.events_touched = fresh.n_events
+        record.programs_recompiled += 1
+        for group in self._array_groups(programs):
+            group.begin_ms[:] = fresh.begin_ms
+            group.end_ms[:] = fresh.end_ms
+            group.channel_index[:] = fresh.channel_index
+            group.medium_index[:] = fresh.medium_index
+            group.audit_arcs[:] = fresh.audit_arcs
+            group._audit_rows[:] = fresh._audit_rows
+            group.nav_arcs[:] = fresh.nav_arcs
+        for program in self._distinct(programs):
+            program.n_events = fresh.n_events
+            program.node_paths = fresh.node_paths
+            program.channels = fresh.channels
+            program.media = fresh.media
 
     # -- shared re-keying / metadata refresh -------------------------------
 
-    def _rekey(self, new_schedule: Schedule, programs: dict, navigation,
+    def _rekey(self, new_schedule: Schedule, taken: dict, programs: dict,
                record: EditRecord, *, patched: bool) -> None:
         revision = new_schedule.compiled.document.revision
         base = programs.get(None)
@@ -300,11 +286,9 @@ class ProgramPatcher:
             program.schedule = new_schedule
             program.revision = revision
         for slot, program in programs.items():
-            if slot is None:
-                self.program_cache.restore(new_schedule, None, program)
-                record.programs_patched += 1 if patched else 0
-                continue
+            environment = taken[slot][1]
             if patched:
+                record.programs_patched += 1
                 # Timing edits never touch descriptors: re-stamp the
                 # composition at the new revision, keep the plan.
                 if program.adaptation is not None \
@@ -312,13 +296,12 @@ class ProgramPatcher:
                     program.adaptation = dataclasses.replace(
                         program.adaptation, revision=revision)
                     record.adaptations_patched += 1
-                self.program_cache.restore(new_schedule, slot, program)
-                record.programs_patched += 1
-                continue
-            program = self._readapt(new_schedule, slot, program, base,
-                                    record)
-            if program is not None:
-                self.program_cache.restore(new_schedule, slot, program)
+            elif slot is not None:
+                program = self._readapt(new_schedule, program, base,
+                                        environment, record)
+            self.program_cache.restore(new_schedule, slot, program,
+                                       environment)
+        navigation = taken.get(("derived", NAVIGATION_TAG), (None,))[0]
         if navigation is not None:
             recompile_into(navigation, new_schedule)
             if patched:
@@ -328,17 +311,12 @@ class ProgramPatcher:
             self.program_cache.restore(
                 new_schedule, ("derived", NAVIGATION_TAG), navigation)
 
-    def _readapt(self, new_schedule: Schedule, slot, program, base,
-                 record: EditRecord):
-        """Structural path: re-plan one cached environment composition.
-
-        Returns the entry to restore under the fingerprint, or None to
-        drop it (unregistered environment — recompiled lazily later).
-        """
-        environment = self.environments.get(slot)
-        if environment is None:
-            record.adaptations_recompiled += 1
-            return None
+    def _readapt(self, new_schedule: Schedule, program, base,
+                 environment: SystemEnvironment, record: EditRecord
+                 ) -> PlaybackProgram:
+        """Structural path: re-plan one cached composition for the
+        environment its entry was compiled for; returns the program to
+        restore under the fingerprint."""
         adaptation = adaptation_for(new_schedule, environment)
         record.adaptations_recompiled += 1
         if adaptation.identity:
@@ -389,28 +367,26 @@ class LiveEditor:
     :class:`EditRecord`.  When the schedule cache already holds the
     document's schedule (the document is being served), the scheduler
     adopts that exact object so the cached program pyramid stays
-    reachable across the editor's attach.
+    reachable across the editor's attach.  The editor schedules as
+    serving does: with channel serialization and the ``drop-last``
+    relaxation policy.
     """
 
     def __init__(self, document: CmifDocument, *,
                  schedule_cache: ScheduleCache | None = None,
-                 program_cache: ProgramCache | None = None,
-                 channel_serialization: bool = True,
-                 relaxation_policy: str = RELAX_DROP_LAST) -> None:
+                 program_cache: ProgramCache | None = None) -> None:
         self.document = document
-        existing = (schedule_cache.get(
-            document, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy)
-            if schedule_cache is not None else None)
-        self.scheduler = IncrementalScheduler(
-            document, cache=schedule_cache,
-            channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy)
+        existing = (schedule_cache.get(document)
+                    if schedule_cache is not None else None)
+        self.scheduler = IncrementalScheduler(document,
+                                              cache=schedule_cache)
         if existing is not None:
             self.scheduler.adopt_schedule(existing)
         self.patcher = (ProgramPatcher(program_cache)
                         if program_cache is not None else None)
-        self.records: list[EditRecord] = []
+        #: The most recent edit's record (None before the first edit);
+        #: the lifetime totals live in :attr:`stats`.
+        self.last_record: EditRecord | None = None
 
     @property
     def schedule(self) -> Schedule:
@@ -419,10 +395,6 @@ class LiveEditor:
     @property
     def stats(self):
         return self.scheduler.stats
-
-    def register_environment(self, environment: SystemEnvironment) -> None:
-        if self.patcher is not None:
-            self.patcher.register_environment(environment)
 
     # -- JSON edit specs (the --edit-script format) -----------------------
 
@@ -490,7 +462,7 @@ class LiveEditor:
             # cold compile of the edited document raises it too.
             record.mode = CONFLICT
             record.wall_seconds = time.perf_counter() - start
-            self.records.append(record)
+            self.last_record = record
             self.scheduler.stats.robustness.degraded_edits += 1
             raise
         changed = self.scheduler.last_changed_paths
@@ -503,7 +475,7 @@ class LiveEditor:
                            else PATCHED if (changed or arcs_changed)
                            else NOOP)
         record.wall_seconds = time.perf_counter() - start
-        self.records.append(record)
+        self.last_record = record
         # The lifetime stats share the record's per-level counters.
         self.scheduler.stats.merge(record)
         return record

@@ -511,12 +511,13 @@ class ProgramCache(LRUCache):
     :meth:`take` *before* the revision moves, re-keying the still-valid
     compiled programs it patched in place.
 
-    The key's third slot classifies the pyramid level an entry belongs
-    to — ``None`` for the base playback program, an environment
-    fingerprint for an adaptation composition, ``("derived", tag)``
-    for schedule-derived artifacts such as navigation programs — which
-    is what lets the patcher dirty (and recompile) levels selectively;
-    :meth:`level_of` names the classification.
+    The key's third slot is the pyramid level an entry belongs to —
+    ``None`` for the base playback program, an environment fingerprint
+    for an adaptation composition, ``("derived", tag)`` for
+    schedule-derived artifacts such as navigation programs.  A
+    composition's entry also keeps the :class:`SystemEnvironment` that
+    compiled it, so the patcher can re-plan every cached composition
+    after a structural edit from the cache alone.
     """
 
     name = "program cache"
@@ -525,28 +526,15 @@ class ProgramCache(LRUCache):
     def _key(schedule: Schedule, slot) -> tuple:
         return (id(schedule), schedule.compiled.document.revision, slot)
 
-    @staticmethod
-    def level_of(slot) -> str:
-        """The pyramid level a key's third slot classifies.
-
-        ``"program"`` — the base playback program; ``"adaptation"`` —
-        an environment-fingerprint composition; any derived tag (for
-        example ``"navigation"``) names itself.
-        """
-        if slot is None:
-            return "program"
-        if isinstance(slot, tuple) and len(slot) == 2 \
-                and slot[0] == "derived":
-            return slot[1]
-        return "adaptation"
-
     def _lookup(self, schedule: Schedule, slot):
         entry = super().get(self._key(schedule, slot))
         return None if entry is None else entry[1]
 
-    def _insert(self, schedule: Schedule, slot, value) -> None:
+    def _insert(self, schedule: Schedule, slot, value,
+                environment: SystemEnvironment | None = None) -> None:
         document = schedule.compiled.document
-        super().put(self._key(schedule, slot), (schedule, value),
+        super().put(self._key(schedule, slot),
+                    (schedule, value, environment),
                     owner=document, revision=document.revision)
 
     def get(self, schedule: Schedule, *,
@@ -558,7 +546,7 @@ class ProgramCache(LRUCache):
     def put(self, schedule: Schedule, program: PlaybackProgram, *,
             environment: SystemEnvironment | None = None) -> None:
         self._insert(schedule, None if environment is None
-                     else environment.fingerprint(), program)
+                     else environment.fingerprint(), program, environment)
 
     def get_derived(self, schedule: Schedule, tag: str):
         """A derived compiled artifact keyed by (schedule, revision, tag).
@@ -577,20 +565,21 @@ class ProgramCache(LRUCache):
     def take(self, schedule: Schedule) -> dict:
         """Remove and return every entry pinned to ``schedule``.
 
-        The result maps each entry's level slot (see :meth:`level_of`)
-        to its cached value.  The live-edit patcher calls this before a
-        document's revision moves, patches the values in place, and
-        re-inserts them under the successor schedule with
-        :meth:`restore` — the only path on which a superseded entry
-        survives an edit.
+        The result maps each entry's level slot to its cached value and
+        the environment stored with it (None outside the composition
+        level).  The live-edit patcher calls this before a document's
+        revision moves, patches the values in place, and re-inserts
+        them under the successor schedule with :meth:`restore` — the
+        only path on which a superseded entry survives an edit.
         """
         taken = super().take(schedule.compiled.document,
                              lambda key, entry: entry[0] is schedule)
-        return {key[2]: entry[1] for key, entry in taken}
+        return {key[2]: entry[1:] for key, entry in taken}
 
-    def restore(self, schedule: Schedule, slot, value) -> None:
+    def restore(self, schedule: Schedule, slot, value,
+                environment: SystemEnvironment | None = None) -> None:
         """Re-insert a :meth:`take`-n entry under ``schedule``'s key."""
-        self._insert(schedule, slot, value)
+        self._insert(schedule, slot, value, environment)
 
     def program_for(self, schedule: Schedule) -> PlaybackProgram:
         """The schedule's base (environment-free) program, compiled at

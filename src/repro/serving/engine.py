@@ -206,13 +206,11 @@ class ServingReport:
         return "\n".join(lines)
 
 
-def _run_queue(tasks: list, choices: ScriptedChoices | None = None,
-               edits=None) -> RunQueue:
-    """Drive ``tasks`` on one run queue; charge its wall time to the
-    environment rows in proportion to the replays each row's tasks
-    performed."""
-    queue = RunQueue(tasks, choices=(choices if choices is not None
-                                     else ScriptedChoices()))
+def _run_queue(tasks: list, edits=None) -> RunQueue:
+    """Drive ``tasks`` on one run queue, answering readers from their
+    scripted traces; charge its wall time to the environment rows in
+    proportion to the replays each row's tasks performed."""
+    queue = RunQueue(tasks, choices=ScriptedChoices())
     start = time.perf_counter()
     queue.drive(edits=edits)
     elapsed = time.perf_counter() - start
@@ -333,20 +331,15 @@ class SessionEngine:
         """Apply one live edit while sessions are being served.
 
         Lowers the edit onto every cached compiled program (see
-        :class:`~repro.pipeline.patch.LiveEditor`), then re-points the
-        given sessions of this document at the document's current
-        schedule and program — a swap the run queue only ever observes
-        between quanta.  Editing a document invalidates its cached
-        requirement profile (edits can change descriptors/channels), so
-        the profile is re-derived lazily on the next admission.
+        :class:`~repro.pipeline.patch.LiveEditor`), whether or not a
+        session is named for it, then re-points the given sessions of
+        this document at the document's current schedule and program —
+        a swap the run queue only ever observes between quanta.
+        Editing a document invalidates its cached requirement profile
+        (edits can change descriptors/channels), so the profile is
+        re-derived lazily on the next admission.
         """
         editor = self.editor_for(document)
-        for item in sessions:
-            session = (item.session
-                       if isinstance(item, (InteractiveSession,
-                                            BatchTask)) else item)
-            if session.admitted and session.document is document:
-                editor.register_environment(session.environment)
         record = editor.apply(spec)
         self._resync(document, editor, sessions)
         return record
@@ -367,9 +360,9 @@ class SessionEngine:
             desired = self.program_cache.get(schedule,
                                              environment=environment)
             if desired is None:
-                # The edit dropped this environment's composition (an
-                # unregistered fingerprint on the structural path):
-                # recompile it lazily, once, here.
+                # The LRU evicted this environment's composition, so
+                # the edit had none to carry: recompile it lazily,
+                # once, here.
                 desired = adapted_program_for(
                     schedule, environment,
                     program_cache=self.program_cache)
@@ -500,22 +493,9 @@ class SessionEngine:
 
     # -- replay -------------------------------------------------------------
 
-    def play(self, session: Session, replays: int = 1, *,
-             rate: float = 1.0, seek_to_ms: float = 0.0) -> int:
-        """Run ``replays`` replays of one session; returns events played."""
-        stats = self.stats_for(session.environment)
-        start = time.perf_counter()
-        events = 0
-        for _ in range(replays):
-            events += session.play(rate=rate,
-                                   seek_to_ms=seek_to_ms).played_count
-        stats.replay_seconds += time.perf_counter() - start
-        return events
-
     def drive(self, sessions, replays: int = 1, *, rate: float = 1.0,
-              seek_to_ms: float = 0.0,
-              choices: ScriptedChoices | None = None,
-              workers: int = 1, edits=None) -> int:
+              seek_to_ms: float = 0.0, workers: int = 1,
+              edits=None) -> int:
         """Interleave mixed batch + interactive sessions, run-queue style.
 
         ``sessions`` may mix plain :class:`Session` objects (wrapped as
@@ -526,9 +506,10 @@ class SessionEngine:
         task re-entering at the tail — so plain batch workloads keep
         the exact one-replay-per-session-per-round schedule (and the
         exact reports) of earlier engines, while a reader pausing on a
-        choice blocks only their own session.  Returns replays
-        performed (an interactive segment counts as one replay); the
-        full scheduler accounting stays on :attr:`last_queue`.
+        choice blocks only their own session, and each reader's choices
+        come from their own scripted trace.  Returns replays performed
+        (an interactive segment counts as one replay); the full
+        scheduler accounting stays on :attr:`last_queue`.
 
         ``workers`` > 1 partitions the task list into contiguous shards
         across a process pool — every session's replay outcome depends
@@ -539,8 +520,7 @@ class SessionEngine:
         on private copies of their tasks, re-driven in this process
         when a worker dies.  Parallel drives leave :attr:`last_queue`
         unset (the shards ran separate queues) and the caller's Session
-        objects unmutated; interactive choices pull from each shard's
-        own script, so an explicit shared ``choices`` forces serial.
+        objects unmutated.
         """
         if workers < 1:
             raise ValueError_(f"drive workers must be at least 1, "
@@ -559,7 +539,7 @@ class SessionEngine:
         # drives stay serial (the replay inner loop is unaffected).
         # Live edits mutate shared program state, so edited drives are
         # serial too: one process, edits applied between quanta.
-        if workers > 1 and choices is None and edits is None \
+        if workers > 1 and edits is None \
                 and self.federation is None and len(tasks) > 1:
             shards = run_sharded(tasks, workers, _drive_shard,
                                  faults=self.faults,
@@ -576,7 +556,7 @@ class SessionEngine:
                         self.robustness.merge(ledger)
                 self.last_queue = None
                 return performed
-        self.last_queue = _run_queue(tasks, choices, edits)
+        self.last_queue = _run_queue(tasks, edits)
         return self.last_queue.replays
 
     # -- corpus serving ------------------------------------------------------

@@ -235,10 +235,9 @@ class FederatedStore:
     map, then the remotes (paying simulated network cost); fetched
     descriptors are cached locally — the paper's "value of document
     sharing and multiple access to information".  Payload fetches
-    always pay full transfer cost and are *not* cached by default
-    (payloads are "massive"), unless ``cache_payloads`` is set; caching
-    a payload registers the descriptor locally and drops the now
-    redundant cache entry.
+    always pay full transfer cost and are never cached (payloads are
+    "massive"); moving a payload closer to its readers is placement's
+    job (:meth:`rebalance`).
     """
 
     #: Circuit-breaker tuning for remote sites (per-site breakers are
@@ -247,7 +246,6 @@ class FederatedStore:
     BREAKER_COOLDOWN_TICKS = 16
 
     def __init__(self, local: Site, remotes: list[Site], *,
-                 cache_payloads: bool = False,
                  faults: FaultPlan | str | None = None,
                  retry: RetryPolicy | None = None,
                  topology=None) -> None:
@@ -256,7 +254,6 @@ class FederatedStore:
             raise StoreError(f"duplicate site names in federation: {names}")
         self.local = local
         self.remotes = list(remotes)
-        self.cache_payloads = cache_payloads
         self.traffic = TrafficStats()
         #: Optional :class:`~repro.store.placement.SiteTopology`.  When
         #: set, reads that carry an ``origin=`` are priced by the
@@ -292,25 +289,23 @@ class FederatedStore:
         #: ``FaultPlan.fires``'s kept hashes for descriptor-id reads.
         self._fault_hashes: dict[tuple, int] = {}
 
-    def reset_traffic(self, *, forget_caches: bool = True) -> None:
-        """Reset traffic counters and, by default, the warm state too.
+    def reset_traffic(self) -> None:
+        """Reset traffic counters and the warm state with them.
 
-        With ``forget_caches`` (the default) the routing map, the
-        descriptor cache and the cached summaries are cleared together
+        The routing map, the descriptor cache, the cached summaries,
+        the affinity pins and the hot-set tracker are cleared together
         with the counters, so subsequent measurements include the
-        warm-up traffic a cold federation would pay.  Pass
-        ``forget_caches=False`` for the counters-only behaviour of
-        ``traffic.reset()``.
+        warm-up traffic a cold federation would pay.
+        ``traffic.reset()`` resets the counters alone.
         """
         self.traffic.reset()
-        if forget_caches:
-            self._descriptor_cache.clear()
-            self._routes.clear()
-            self._summaries.clear()
-            self._summary_sizes.clear()
-            self._affinity.clear()
-            if self.hot_tracker is not None:
-                self.hot_tracker.reset()
+        self._descriptor_cache.clear()
+        self._routes.clear()
+        self._summaries.clear()
+        self._summary_sizes.clear()
+        self._affinity.clear()
+        if self.hot_tracker is not None:
+            self.hot_tracker.reset()
 
     # -- guarded remote operations -----------------------------------------
 
@@ -633,15 +628,8 @@ class FederatedStore:
         else:
             rate = 0.0 if self.faults is None \
                 else self.faults.block_failure_rate
-            site, (block, size) = self._failover(
+            _, (block, size) = self._failover(
                 descriptor_id, origin, "block", self._fetch_block, rate)
-            if self.cache_payloads and origin is None:
-                descriptor = site.store.descriptor(descriptor_id)
-                if descriptor_id not in self.local.store:
-                    self.local.store.register_copy(descriptor, block)
-                # The local copy now serves lookups; a stale cache
-                # entry would shadow any later local update.
-                self._descriptor_cache.pop(descriptor_id, None)
         return block, size
 
     def _fetch_block(self, descriptor_id: str, site: Site,
@@ -691,9 +679,9 @@ class FederatedStore:
     def site_of(self, descriptor_id: str) -> str:
         """Which site physically holds a descriptor's data.
 
-        Locally held (including payload-cached) descriptors answer
-        immediately; everything the federation has ever routed answers
-        from the routing map without touching any site.
+        Locally held descriptors answer immediately; everything the
+        federation has ever routed answers from the routing map without
+        touching any site.
         """
         if descriptor_id in self.local.store:
             return self.local.name

@@ -183,15 +183,14 @@ def anchor_var(node: Node, anchor: Anchor) -> TimeVar:
 
 
 def build_constraints(compiled: CompiledDocument, *,
-                      channel_serialization: bool = True,
-                      include_conditional: bool = False) -> ConstraintSystem:
+                      channel_serialization: bool = True) -> ConstraintSystem:
     """Build the full constraint system for a compiled document.
 
     ``channel_serialization`` exists for the ablation bench: disabling it
     removes the section-3.1 per-channel ordering constraints so their
-    effect can be measured.  ``include_conditional`` folds conditional
-    (hyper-navigation) arcs into the static schedule; by default they are
-    runtime-only, as DESIGN.md notes.
+    effect can be measured.  Conditional (hyper-navigation) arcs are
+    runtime-only and never enter the static schedule, as DESIGN.md
+    notes.
     """
     document = compiled.document
     system = ConstraintSystem()
@@ -203,7 +202,7 @@ def build_constraints(compiled: CompiledDocument, *,
         _add_node_constraints(system, compiled, node)
     if channel_serialization:
         _add_channel_constraints(system, compiled)
-    _add_explicit_arcs(system, document, include_conditional)
+    _add_explicit_arcs(system, document)
     return system
 
 
@@ -255,12 +254,12 @@ def _add_channel_constraints(system: ConstraintSystem,
                 note=f"channel {channel!r} order")
 
 
-def _add_explicit_arcs(system: ConstraintSystem, document: CmifDocument,
-                       include_conditional: bool) -> None:
+def _add_explicit_arcs(system: ConstraintSystem,
+                       document: CmifDocument) -> None:
     """Translate every explicit arc into its window constraints."""
     for node in iter_preorder(document.root):
         for arc in node.arcs:
-            if isinstance(arc, ConditionalArc) and not include_conditional:
+            if isinstance(arc, ConditionalArc):
                 continue
             source = resolve_path(node, arc.source)
             destination = resolve_path(node, arc.destination)
@@ -395,16 +394,16 @@ def retime_delta(index: ConstraintIndex, leaf_path: str,
                            reason=f"retime {leaf_path}")
 
 
-def add_arc_delta(document: CmifDocument, owner: Node, arc: SyncArc, *,
-                  include_conditional: bool = False) -> ConstraintDelta:
+def add_arc_delta(document: CmifDocument, owner: Node,
+                  arc: SyncArc) -> ConstraintDelta:
     """The delta for :func:`repro.core.edit.add_arc`.
 
     Mirrors the per-arc translation of ``_add_explicit_arcs``: one lower
     constraint for the minimum delay, plus an upper constraint when the
-    maximum delay is finite.  Conditional arcs are runtime-only by
-    default and contribute an empty delta.
+    maximum delay is finite.  Conditional arcs are runtime-only and
+    contribute an empty delta.
     """
-    if isinstance(arc, ConditionalArc) and not include_conditional:
+    if isinstance(arc, ConditionalArc):
         return ConstraintDelta(reason="conditional arc (runtime-only)")
     source = resolve_path(owner, arc.source)
     destination = resolve_path(owner, arc.destination)

@@ -311,8 +311,7 @@ def _rows_by(ends: list[int], count: int) -> list[list[int]]:
 
 
 def compile_graph(compiled: CompiledDocument, *,
-                  channel_serialization: bool = True,
-                  include_conditional: bool = False) -> ConstraintGraph:
+                  channel_serialization: bool = True) -> ConstraintGraph:
     """Compile a document into a :class:`ConstraintGraph`.
 
     Emits the same rules, in the same order, as
@@ -420,7 +419,7 @@ def compile_graph(compiled: CompiledDocument, *,
     for seq in range(len(nodes)):
         node = nodes[seq]
         for arc in node.arcs:
-            if isinstance(arc, ConditionalArc) and not include_conditional:
+            if isinstance(arc, ConditionalArc):
                 continue
             source = resolve_path(node, arc.source)
             destination = resolve_path(node, arc.destination)

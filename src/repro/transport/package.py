@@ -10,7 +10,7 @@ Two transport modes, straight from the paper:
 * **Self-contained** — immediate nodes are "useful ... for transporting
   (large amounts of) data across environments that have no common
   storage server."  ``embed_data=True`` additionally carries payloads,
-  hex-encoded and checksummed; :func:`externals_to_immediates` goes
+  base64-encoded and checksummed; :func:`externals_to_immediates` goes
   further and rewrites external nodes into immediate nodes for text
   media so even the document itself needs no store.
 
@@ -20,8 +20,9 @@ package single-file and testable.
 
 Version history: v1 hex-encoded payload blocks; v2 (current) encodes
 them base64, shrinking self-contained packages by roughly a quarter.
-:func:`unpack` accepts both versions; :func:`pack` can still emit v1
-for receivers that predate the bump.
+:func:`pack` emits v2 only.  :func:`unpack` opens both versions, because
+a package is input from outside, and always verifies every embedded
+block's checksum.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ def _unpacked_store(pairs) -> DataStore:
 
 
 def pack(document: CmifDocument, store: DataStore | None = None, *,
-         embed_data: bool = False, strict: bool = True,
-         package_version: int = PACKAGE_VERSION) -> str:
+         embed_data: bool = False, strict: bool = True) -> str:
     """Serialize a document (and optionally its data) into a package.
 
     Descriptors referenced by the document's ``file`` attributes are
@@ -89,13 +89,7 @@ def pack(document: CmifDocument, store: DataStore | None = None, *,
     (the default) an unresolvable ``file`` reference fails the packing;
     ``strict=False`` ships the structure anyway — the paper allows a
     tree to travel "with or without the underlying data".
-    ``package_version=1`` emits the legacy hex payload encoding for old
-    receivers.
     """
-    if package_version not in SUPPORTED_PACKAGE_VERSIONS:
-        raise TransportError(
-            f"cannot emit package version {package_version!r}; supported "
-            f"versions are {SUPPORTED_PACKAGE_VERSIONS}")
     text = write_document(document)
     descriptors: dict[str, dict] = {}
     blocks: dict[str, dict] = {}
@@ -106,11 +100,10 @@ def pack(document: CmifDocument, store: DataStore | None = None, *,
                 and descriptor.block_id is not None \
                 and store.has_block(descriptor.block_id):
             block = store.block_for(descriptor.descriptor_id)
-            blocks[block.block_id] = _block_to_obj(block,
-                                                   package_version)
+            blocks[block.block_id] = _block_to_obj(block)
     payload = {
         "cmif-package": {
-            "version": package_version,
+            "version": PACKAGE_VERSION,
             "document": text,
             "descriptors": descriptors,
             "blocks": blocks,
@@ -172,27 +165,19 @@ def _descriptor_from_obj(obj: dict) -> DataDescriptor:
     )
 
 
-def _encode_payload(raw: bytes, package_version: int) -> str:
-    """Raw payload bytes -> the version's transfer text (hex or b64)."""
-    if package_version == 1:
-        return raw.hex()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _decode_payload(text: str, package_version: int) -> bytes:
+def _decode_payload(text: str, version: int) -> bytes:
     """The version's transfer text -> raw payload bytes."""
     try:
-        if package_version == 1:
+        if version == 1:
             return bytes.fromhex(text)
         return base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:
         raise TransportError(
-            f"corrupt block payload in a v{package_version} package: "
+            f"corrupt block payload in a v{version} package: "
             f"{exc}") from None
 
 
-def _block_to_obj(block: DataBlock,
-                  package_version: int = PACKAGE_VERSION) -> dict:
+def _block_to_obj(block: DataBlock) -> dict:
     data = block.materialize()
     if isinstance(data, str):
         raw = data.encode("utf-8")
@@ -212,15 +197,15 @@ def _block_to_obj(block: DataBlock,
         "block_id": block.block_id,
         "medium": block.medium.value,
         "encoding": encoding,
-        "data": _encode_payload(raw, package_version),
+        "data": base64.b64encode(raw).decode("ascii"),
         "checksum": block.checksum(),
     }
 
 
 def _block_from_obj(obj: dict,
-                    package_version: int = PACKAGE_VERSION) -> DataBlock:
+                    version: int = PACKAGE_VERSION) -> DataBlock:
     encoding = obj["encoding"]
-    raw = _decode_payload(obj["data"], package_version)
+    raw = _decode_payload(obj["data"], version)
     if encoding == "utf-8":
         payload: object = raw.decode("utf-8")
     elif encoding == "bytes":
@@ -237,7 +222,7 @@ def _block_from_obj(obj: dict,
                      payload=payload)
 
 
-def unpack(package_text: str, *, verify: bool = True,
+def unpack(package_text: str, *,
            faults: "FaultPlan | str | None" = None,
            retry: RetryPolicy | None = None) -> UnpackResult:
     """Open a package: parse the document, verify sums, defer the store.
@@ -293,16 +278,14 @@ def unpack(package_text: str, *, verify: bool = True,
                     injected += 1
         verified = 0
         mismatched: str | None = None
-        if verify:
-            for block_id, obj in block_objs.items():
-                actual = blocks[block_id].checksum()
-                if actual != obj.get("checksum"):
-                    mismatched = block_id
-                    break
-                verified += 1
+        for block_id, obj in block_objs.items():
+            if blocks[block_id].checksum() != obj.get("checksum"):
+                mismatched = block_id
+                break
+            verified += 1
         if mismatched is None:
-            # Undetected injected corruption (verify=False) reaches the
-            # caller — the ledger says so rather than hiding it.
+            # Only a fault that undid damage the package carried can
+            # pass the sums; book it so the ledger still balances.
             robustness.unrecovered += injected
             break
         robustness.checksum_rejects += 1

@@ -293,13 +293,6 @@ class RoutingFederatedStore(FederatedStore):
             self._classify_failover(pending, failed)
             self._record_route(descriptor_id, site.name)
             self._track(origin, descriptor_id, size)
-            if self.cache_payloads and origin is None:
-                descriptor = site.store.descriptor(descriptor_id)
-                if descriptor_id not in self.local.store:
-                    self.local.store.register_copy(descriptor, block)
-                # The local copy now serves lookups; a stale cache
-                # entry would shadow any later local update.
-                self._descriptor_cache.pop(descriptor_id, None)
             return block, size
         if failed:
             self.traffic.robustness.unrecovered += pending

@@ -288,6 +288,35 @@ class TestEnvironmentKeyedProgramCache:
         assert adapted_program_for(schedule, twin,
                                    program_cache=cache) is personal
 
+    def test_entries_carry_their_environment_through_take(self):
+        """A composition's entry keeps the environment that compiled
+        it: take hands it back with the program, restore re-inserts
+        both, and the base program's entry carries none."""
+        document = make_media_document(3, events=12)
+        cache = ProgramCache()
+        schedule = schedule_document(document.compile())
+        personal = adapted_program_for(schedule, PERSONAL_SYSTEM,
+                                       program_cache=cache)
+        workstation = adapted_program_for(schedule, WORKSTATION,
+                                          program_cache=cache)
+        expected = {
+            None: (cache.get(schedule), None),
+            PERSONAL_SYSTEM.fingerprint(): (personal, PERSONAL_SYSTEM),
+            WORKSTATION.fingerprint(): (workstation, WORKSTATION)}
+
+        def identities(entries):
+            return {slot: tuple(map(id, entry))
+                    for slot, entry in entries.items()}
+
+        taken = cache.take(schedule)
+        assert identities(taken) == identities(expected)
+        assert cache.get(schedule, environment=PERSONAL_SYSTEM) is None
+        for slot, (program, environment) in taken.items():
+            cache.restore(schedule, slot, program, environment)
+        assert cache.get(schedule, environment=PERSONAL_SYSTEM) \
+            is personal
+        assert identities(cache.take(schedule)) == identities(expected)
+
     def test_specialized_program_shares_base_arrays(self):
         document = make_media_document(3, events=12)
         cache = ProgramCache()

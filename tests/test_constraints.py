@@ -133,9 +133,20 @@ class TestExplicitArcs:
         b.add_arc(ConditionalArc("../a", ".", condition="link"))
         system = build_constraints(document.compile())
         assert ConstraintKind.EXPLICIT_ARC not in kinds(system)
-        included = build_constraints(document.compile(),
-                                     include_conditional=True)
-        assert ConstraintKind.EXPLICIT_ARC in kinds(included)
+
+    def test_conditional_arcs_never_reach_a_static_schedule(self):
+        """The graph compiler and the incremental add-arc delta leave
+        conditional arcs out, as the object builder does."""
+        from repro.core.syncarc import ConditionalArc
+        from repro.timing import compile_graph
+        from repro.timing.constraints import add_arc_delta
+        document, _builder = two_channel_par()
+        b = document.root.child_named("scene").child_named("b")
+        arc = ConditionalArc("../a", ".", condition="link")
+        b.add_arc(arc)
+        graph = compile_graph(document.compile())
+        assert ConstraintKind.EXPLICIT_ARC not in kinds(graph.system())
+        assert add_arc_delta(document, b, arc).empty
 
 
 class TestVarsAndTable:

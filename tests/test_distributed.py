@@ -67,15 +67,19 @@ class TestPayloadPath:
         federation.block_for("utrecht/story")
         assert federation.traffic.payload_bytes == 2 * first
 
-    def test_payload_caching_opt_in(self):
-        local = make_site("a", [])
-        remote = make_site("b", [("b/text", ("x",))])
-        federation = FederatedStore(local, [remote], cache_payloads=True)
-        federation.block_for("b/text")
-        first_bytes = federation.traffic.payload_bytes
-        federation.block_for("b/text")
-        # Second read served locally: no new transfer.
-        assert federation.traffic.payload_bytes == first_bytes
+    def test_payload_read_leaves_the_descriptor_remote(self, federation):
+        """A payload read registers nothing at home: the id stays
+        routed to its remote site, and its cached descriptor keeps
+        serving for free."""
+        federation.descriptor("delft/story")
+        requests = federation.traffic.requests
+        federation.block_for("delft/story")
+        assert "delft/story" not in federation.local.store
+        assert federation.site_of("delft/story") == "delft"
+        assert federation.cached_descriptor_count == 1
+        federation.descriptor("delft/story")
+        # The block transfer is the only new request.
+        assert federation.traffic.requests == requests + 1
 
 
 @pytest.mark.parametrize("site, read, expected", [
@@ -167,22 +171,6 @@ class TestSummaryRouting:
 
 
 class TestCacheConsistency:
-    def test_payload_caching_invalidates_descriptor_cache(self):
-        local = make_site("a", [])
-        remote = make_site("b", [("b/text", ("x",))])
-        federation = FederatedStore(local, [remote], cache_payloads=True)
-        federation.find(keywords="x")
-        assert federation.cached_descriptor_count == 1
-        federation.block_for("b/text")
-        # The descriptor is now registered locally; a stale cache entry
-        # would shadow any later local update.
-        assert federation.cached_descriptor_count == 0
-        requests = federation.traffic.requests
-        descriptor = federation.descriptor("b/text")
-        assert descriptor.descriptor_id == "b/text"
-        assert federation.traffic.requests == requests
-        assert federation.site_of("b/text") == "a"
-
     def test_stale_route_falls_back_to_probing(self):
         local = make_site("a", [])
         remote = make_site("b", [("b/text", ("x",))])
@@ -278,9 +266,3 @@ class TestResetSplit:
         federation.descriptor("delft/story")
         # Cold again: the refetch pays a request.
         assert federation.traffic.requests == 1
-
-    def test_reset_traffic_counters_only_mode(self, federation):
-        federation.descriptor("delft/story")
-        federation.reset_traffic(forget_caches=False)
-        federation.descriptor("delft/story")
-        assert federation.traffic.requests == 0

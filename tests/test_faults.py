@@ -641,15 +641,6 @@ class TestUnpackFaults:
                    faults=FaultPlan(seed=0, package_corrupt_rate=1.0),
                    retry=RetryPolicy(max_attempts=2))
 
-    def test_unverified_corruption_is_unrecovered(self, package_text):
-        result = unpack(package_text,
-                        faults=FaultPlan(seed=0,
-                                         package_corrupt_rate=1.0),
-                        verify=False)
-        ledger = result.robustness
-        assert ledger.unrecovered == ledger.total_faults > 0
-        assert ledger.balanced()
-
     def test_no_plan_is_byte_for_byte_unchanged(self, package_text):
         result = unpack(package_text)
         assert result.robustness.empty

@@ -9,10 +9,10 @@ run the same random script: ``stream``, ``descriptor`` and
 ``block_for`` reads from every site, an unknown origin and no origin,
 interleaved with placement under each policy, direct replica copies
 and removals (among them copies a pin or a route points at), attribute
-searches and traffic resets.  The worlds cover
-star, chain, mesh and no topology, payload caching, down and flapping
-sites, block, corrupt, summary and latency fault rates, and retry
-budgets tight enough to force failover and unrecovered reads.
+searches and traffic resets, cold or counters-only.  The worlds
+cover star, chain, mesh and no topology, down and flapping sites,
+block, corrupt, summary and latency fault rates, and retry budgets
+tight enough to force failover and unrecovered reads.
 
 After every step both must return equal values or raise equal errors,
 and hold equal traffic and robustness ledgers, routes, affinity pins,
@@ -113,8 +113,8 @@ def build(cls, world):
             block_failure_rate=faults["blocks"],
             block_corrupt_rate=faults["corrupt"],
             summary_failure_rate=faults["summaries"])
-    federation = cls(sites[0], sites[1:], cache_payloads=world["cache"],
-                     faults=faults, retry=world["retry"],
+    federation = cls(sites[0], sites[1:], faults=faults,
+                     retry=world["retry"],
                      topology=topology() if topology else None)
     if federation.hot_tracker is not None:
         # Small sketches evict, so merged and split records must agree
@@ -149,7 +149,6 @@ WORLDS = st.fixed_dictionaries({
     "replicas": st.lists(st.lists(st.integers(0, 3), max_size=2),
                          min_size=len(IDS), max_size=len(IDS)),
     "topology": st.sampled_from((None, "star", "chain", "mesh")),
-    "cache": st.booleans(),
     "capacity": st.sampled_from((1, 2, 3, 64)),
     "faults": st.none() | FAULTS,
     "retry": RETRIES,
@@ -201,7 +200,9 @@ def run_step(federation, step):
                     outcome.partial, outcome.unreachable_sites,
                     outcome.stale_sites)
         if action == "reset":
-            return federation.reset_traffic(forget_caches=step[1])
+            if step[1]:
+                return federation.reset_traffic()
+            return federation.traffic.reset()
         if action == "vanish":
             # Delete a copy some pin or route points at, behind the
             # router's back: the next read must heal, not follow it.
@@ -292,7 +293,7 @@ def test_a_standard_plan_reads_alike(topology):
                                              for _ in IDS],
         "authors": [1, 2, 3, 1, 2, 3, 0],
         "replicas": [[2], [3], [], [1], [0], [], [3]],
-        "topology": topology, "cache": topology is None, "capacity": 2,
+        "topology": topology, "capacity": 2,
         "faults": {"down": [], "flap": [1], "period": 3, "latency": 0.1,
                    "blocks": 0.3, "corrupt": 0.2, "summaries": 0.1},
         "retry": RetryPolicy(max_attempts=2),

@@ -170,6 +170,29 @@ class TestRetimePatch:
         assert session.schedule is engine.editor_for(document).schedule
 
 
+def _assert_every_composition_replanned(engine, document, twin,
+                                        environments, record):
+    """Each of ``environments`` has its composition cached under the
+    edited schedule, planned as a cold compile of ``twin`` plans it,
+    and ``record`` counts exactly those compositions as re-planned."""
+    from repro.pipeline.adaptation import adaptation_for
+    schedule = engine.editor_for(document).schedule
+    cold_schedule = schedule_for(twin)
+    compositions = {}
+    for environment in environments:
+        hot = engine.program_cache.get(schedule, environment=environment)
+        assert hot is not None, environment.name
+        compositions[environment.fingerprint()] = hot
+        cold = adaptation_for(cold_schedule, environment)
+        if hot.adaptation is None:
+            assert cold.identity, environment.name
+            continue
+        assert hot.adaptation.descriptor_ids == cold.descriptor_ids
+        assert hot.adaptation.actions == cold.actions
+        assert hot.adaptation.overrides == cold.overrides
+    assert record.adaptations_recompiled == len(compositions)
+
+
 class TestRandomizedEditScripts:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("seed", (0, 1, 2))
@@ -278,6 +301,28 @@ class TestCacheRetention:
         assert len(engine.requirements_cache) == 1
         assert len(engine.schedule_cache) == 1
 
+    def test_editor_keeps_only_the_last_record(self):
+        """An editor holds one record, not one per edit: the latest
+        edit's, while the lifetime totals accumulate in its stats."""
+        document = make_media_document(3, events=12)
+        engine = SessionEngine()
+        engine.admit(document, PROFILES[0])
+        editor = engine.editor_for(document)
+        assert editor.last_record is None
+        leaves = [event.event.node_path for event
+                  in engine.schedule_cache.get(document).events]
+        before = editor.stats.programs_patched
+        patched = 0
+        for index in range(5):
+            record = engine.apply_edit(
+                document, {"op": "retime", "path": leaves[index],
+                           "duration_ms": float(400 + index)})
+            assert editor.last_record is record
+            patched += record.programs_patched
+        assert not hasattr(editor, "records")
+        assert patched > 0
+        assert editor.stats.programs_patched - before == patched
+
     def test_editor_is_cached_per_document(self):
         document = make_media_document(3, events=12)
         engine = SessionEngine()
@@ -346,6 +391,52 @@ class TestStructuralFallback:
                 bystander_schedule, environment=environment) \
                 is bystander_entries[environment.name]
 
+    def test_structural_edit_keeps_every_composition(self):
+        """A structural edit re-plans every cached composition, even
+        with no session named: none is dropped for a later admission
+        to recompile, and the record counts exactly what it re-planned."""
+        document = make_media_document(5, events=24)
+        twin = make_media_document(5, events=24)
+        engine = SessionEngine(seed=9)
+        admitted = [environment for environment in PROFILES
+                    if engine.admit(document, environment).admitted]
+        assert admitted
+        leaf = engine.schedule_cache.get(document) \
+            .events[-1].event.node_path
+        record = engine.apply_edit(document, {"op": "remove",
+                                              "path": leaf})
+        core_edit.remove(twin, leaf)
+        assert record.mode == "recompiled"
+        _assert_every_composition_replanned(engine, document, twin,
+                                            admitted, record)
+
+    def test_structural_edit_replans_unnamed_environments(self):
+        """Naming one session does not narrow the re-plan: a node
+        added with one environment's session named re-plans every
+        environment's composition, and re-points the named session."""
+        document = make_media_document(5, events=24)
+        twin = make_media_document(5, events=24)
+        engine = SessionEngine(seed=9)
+        sessions = [session for session in
+                    (engine.admit(document, environment)
+                     for environment in PROFILES) if session.admitted]
+        assert len(sessions) > 1
+        named = sessions[0]
+        leaf = engine.schedule_cache.get(document) \
+            .events[0].event.node_path
+        record = engine.apply_edit(
+            document, {"op": "duplicate", "path": leaf, "name": "encore"},
+            sessions=[named])
+        core_edit.duplicate(twin, leaf, "encore")
+        assert record.mode == "recompiled"
+        _assert_every_composition_replanned(
+            engine, document, twin,
+            [session.environment for session in sessions], record)
+        schedule = engine.editor_for(document).schedule
+        assert named.schedule is schedule
+        assert named.program is engine.program_cache.get(
+            schedule, environment=named.environment)
+
     def test_feasible_after_infeasible_edit(self):
         """A conflicting edit stays applied and is reported; serving
         state survives and a later edit restores feasibility."""
@@ -359,8 +450,7 @@ class TestStructuralFallback:
                 document,
                 {"op": "remove", "path": "/nonexistent-node"},
                 sessions=sessions)
-        records = engine.editor_for(document).records
-        assert records and records[-1].mode == "conflict"
+        assert engine.editor_for(document).last_record.mode == "conflict"
         record = engine.apply_edit(
             document, {"op": "retime", "path": leaf,
                        "duration_ms": 900.0}, sessions=sessions)

@@ -1,5 +1,6 @@
 """Unit tests for environments, negotiation and packaging (repro.transport)."""
 
+import base64
 import json
 
 import pytest
@@ -15,6 +16,17 @@ from repro.transport import (FILTERABLE, PERSONAL_SYSTEM, PLAYABLE,
                              externals_to_immediates, negotiate, pack,
                              unpack)
 from repro.transport.package import _block_from_obj, _descriptor_from_obj
+
+
+def as_v1(package: str) -> str:
+    """The package a v1 sender would emit: version 1, each embedded
+    payload hex-encoded instead of base64."""
+    payload = json.loads(package)
+    body = payload["cmif-package"]
+    body["version"] = 1
+    for obj in body["blocks"].values():
+        obj["data"] = base64.b64decode(obj["data"]).hex()
+    return json.dumps(payload, indent=1)
 
 
 class TestEnvironments:
@@ -111,12 +123,6 @@ class TestPackaging:
         first["data"] = flipped + first["data"][2:]
         with pytest.raises(TransportError, match="checksum"):
             unpack(json.dumps(payload))
-
-    def test_unverified_unpack_skips_checksums(self, fragment_corpus):
-        package = pack(fragment_corpus.document, fragment_corpus.store,
-                       embed_data=True)
-        result = unpack(package, verify=False)
-        assert result.verified_checksums == 0
 
     def test_not_a_package(self):
         with pytest.raises(TransportError):
@@ -359,12 +365,10 @@ class TestPackageVersions:
 
     def test_cross_version_round_trip(self, fragment_corpus):
         """v1 (hex) and v2 (base64) packages open to identical data."""
-        import json
         import numpy as np
-        v1 = pack(fragment_corpus.document, fragment_corpus.store,
-                  embed_data=True, package_version=1)
         v2 = pack(fragment_corpus.document, fragment_corpus.store,
                   embed_data=True)
+        v1 = as_v1(v2)
         assert json.loads(v1)["cmif-package"]["version"] == 1
         assert len(v2) < len(v1)  # ~25% smaller payload encoding
         result_v1 = unpack(v1)
@@ -376,10 +380,19 @@ class TestPackageVersions:
         assert np.array_equal(block_v1.materialize(),
                               block_v2.materialize())
 
+    def test_v1_corruption_detected(self, fragment_corpus):
+        """Checksums are verified whatever version a package declares."""
+        v1 = as_v1(pack(fragment_corpus.document, fragment_corpus.store,
+                        embed_data=True))
+        payload = json.loads(v1)
+        first = next(iter(payload["cmif-package"]["blocks"].values()))
+        flipped = "00" if not first["data"].startswith("00") else "ff"
+        first["data"] = flipped + first["data"][2:]
+        with pytest.raises(TransportError, match="checksum"):
+            unpack(json.dumps(payload))
+
     def test_unknown_versions_rejected(self, fragment_corpus):
         import json
-        with pytest.raises(TransportError, match="version"):
-            pack(fragment_corpus.document, package_version=3)
         package = pack(fragment_corpus.document, fragment_corpus.store)
         payload = json.loads(package)
         payload["cmif-package"]["version"] = 99
