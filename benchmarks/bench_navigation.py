@@ -101,7 +101,8 @@ def _adapted_schedule(document, environment):
     """The naive per-session pipeline: adapt, then schedule, cold."""
     compiled = document.compile()
     plan = ConstraintFilter(environment).plan(compiled)
-    adaptation = compile_adaptation(plan, compiled, environment)
+    adaptation = compile_adaptation(plan.environment_plan, compiled,
+                                    environment)
     adapted = adaptation.adapt_document(document)
     return schedule_document(adapted.compile())
 

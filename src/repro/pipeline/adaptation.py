@@ -1,19 +1,20 @@
 """Compiled adaptation programs: filtering lowered for the serving path.
 
-A :class:`~repro.pipeline.filters.FilterPlan` is authored-side output:
-a list of declarative action objects, re-derived per plan call.  The
-serving engine admits many sessions of the same document against the
-same environment, and paying plan derivation, descriptor adaptation and
-playback-program compilation per *session* is the object-at-a-time cost
-this PR removes — the same lowering the schedule (PR 4) and replay
-(PR 3) paths already received.
+The serving engine admits many sessions of the same document against
+the same environment, so filtering is planned once per (document
+revision, environment) and lowered, never re-derived per session.  The
+plan is the requirement profile's memoized projection
+(:meth:`~repro.transport.requirements.DocumentRequirements.plan_for`),
+the one negotiation judged the document by; the authoring
+:class:`~repro.pipeline.filters.ConstraintFilter`, with its per-channel
+rows and device-conflict pass, stays off this path.
 
-:func:`compile_adaptation` lowers a plan once into an
+:func:`compile_adaptation` lowers that projection in one pass into an
 :class:`AdaptationProgram`: interned descriptor slots, a parallel
-(slot, action) op table deduplicated per descriptor, and precomputed
-adapted descriptors.  :func:`adapted_program_for` composes it with the shared
-base :class:`~repro.pipeline.program.PlaybackProgram` into an
-environment-specialized program, cached in the
+(slot, action) op table holding one action chain per descriptor, and
+precomputed adapted descriptors.  :func:`adapted_program_for` composes
+it with the shared base :class:`~repro.pipeline.program.PlaybackProgram`
+into an environment-specialized program, cached in the
 :class:`~repro.pipeline.program.ProgramCache` under (schedule identity,
 revision, environment fingerprint).  Per-descriptor filtering never
 changes event timing — durations are authored attributes, untouched by
@@ -39,14 +40,16 @@ from typing import Any
 from repro.core.descriptors import DataDescriptor
 from repro.core.document import CmifDocument, CompiledDocument
 from repro.core.errors import DeviceConstraintError, MediaError
-from repro.pipeline.filters import (ConstraintFilter, FilterAction,
-                                    FilterKind, FilterPlan,
-                                    adapt_attributes, apply_action)
+from repro.pipeline.filters import (FilterAction, FilterPlan,
+                                    adapt_attributes, apply_action,
+                                    filter_actions)
 from repro.pipeline.program import (PlaybackProgram, ProgramCache,
                                     compile_program)
 from repro.timing.schedule import Schedule
 from repro.transport.environments import SystemEnvironment
-from repro.transport.requirements import DocumentRequirements
+from repro.transport.requirements import (DocumentRequirements,
+                                          EnvironmentPlan,
+                                          requirements_for)
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,10 @@ class AdaptationProgram:
 
     The op table is two parallel tuples: ``op_slot[i]`` is the interned
     descriptor slot the ``i``-th op applies to, ``actions[i]`` the
-    deduplicated filter action itself; ``originals``/``overrides`` hold
-    the per-slot descriptor before and after adaptation, precomputed at
-    compile time so per-session work is a tuple lookup.
+    filter action itself, each slot's chain contiguous and in order;
+    ``originals``/``overrides`` hold the per-slot descriptor before and
+    after adaptation, precomputed at compile time so per-session work
+    is a tuple lookup.
     """
 
     environment: str
@@ -146,76 +150,75 @@ class AdaptationProgram:
         return clone
 
 
-def compile_adaptation(plan: FilterPlan, compiled: CompiledDocument,
+def compile_adaptation(environment_plan: EnvironmentPlan,
+                       compiled: CompiledDocument,
                        environment: SystemEnvironment
                        ) -> AdaptationProgram:
-    """Lower a filter plan into an :class:`AdaptationProgram`.
+    """Lower one environment's plan into an :class:`AdaptationProgram`.
 
-    Actions are grouped per descriptor (a descriptor shared by several
-    channels gets one op chain — applying identical transforms twice
-    would falsify the attributes) in one pass, and each chain is folded
-    in op order into its adapted descriptor through
-    :func:`~repro.pipeline.filters.adapt_attributes`.
+    ``environment_plan`` is the document profile's memoized
+    :meth:`~repro.transport.requirements.DocumentRequirements.plan_for`.
+    One pass over the events: each descriptor, at its first event,
+    becomes a slot when its :func:`~repro.pipeline.filters.filter_actions`
+    chain is not empty (one chain per descriptor, however many channels
+    show it — applying identical transforms twice would falsify the
+    attributes), and the chain is folded in order into the adapted
+    descriptor through :func:`~repro.pipeline.filters.adapt_attributes`.
     """
-    by_id: dict[str, DataDescriptor] = {}
-    for event in compiled.events:
-        if event.descriptor is not None:
-            by_id.setdefault(event.descriptor.descriptor_id,
-                             event.descriptor)
-    slots: dict[str, tuple[int, list[FilterAction]]] = {}
-    seen_kinds: set[tuple[str, FilterKind]] = set()
+    dropped: set[str] = set()
+    seen: set[str] = set()
+    descriptor_ids: list[str] = []
     op_slot: list[int] = []
     actions: list[FilterAction] = []
-    for action in plan.actions:
-        if action.kind is FilterKind.DROP_CHANNEL \
-                or action.descriptor_id is None:
-            continue
-        dedup = (action.descriptor_id, action.kind)
-        if dedup in seen_kinds:
-            continue
-        seen_kinds.add(dedup)
-        slot, chain = slots.setdefault(action.descriptor_id,
-                                       (len(slots), []))
-        chain.append(action)
-        op_slot.append(slot)
-        actions.append(action)
     originals: list[DataDescriptor] = []
     overrides: list[DataDescriptor] = []
-    for descriptor_id, (_, chain) in slots.items():
-        descriptor = by_id[descriptor_id]
-        attributes = dict(descriptor.attributes)
+    for event in compiled.events:
+        if not environment.supports(event.medium):
+            dropped.add(event.channel)
+        descriptor = event.descriptor
+        if descriptor is None or descriptor.descriptor_id in seen:
+            continue
+        descriptor_id = descriptor.descriptor_id
+        seen.add(descriptor_id)
+        adaptation = environment_plan.adaptation_for(descriptor_id)
+        if adaptation is None:  # newer than the profile: left as captured
+            continue
+        chain = filter_actions(adaptation, event.channel, environment)
+        if not chain:
+            continue
+        attributes = descriptor.attributes
         for action in chain:
             attributes = adapt_attributes(action, attributes)
+        op_slot.extend([len(descriptor_ids)] * len(chain))
+        descriptor_ids.append(descriptor_id)
+        actions.extend(chain)
         originals.append(descriptor)
         overrides.append(DataDescriptor(
-            descriptor_id=descriptor.descriptor_id,
-            medium=descriptor.medium,
-            block_id=descriptor.block_id,
-            attributes=attributes))
-    projected = (plan.environment_plan.projected_bandwidth_bps
-                 if plan.environment_plan is not None else 0)
+            descriptor_id=descriptor_id, medium=descriptor.medium,
+            block_id=descriptor.block_id, attributes=attributes))
     return AdaptationProgram(
         environment=environment.name,
         fingerprint=environment.fingerprint(),
         revision=compiled.document.revision,
-        descriptor_ids=tuple(slots),
+        descriptor_ids=tuple(descriptor_ids),
         op_slot=tuple(op_slot),
         actions=tuple(actions),
         originals=tuple(originals),
         overrides=tuple(overrides),
-        dropped_channels=tuple(sorted(plan.dropped_channels)),
-        projected_bandwidth_bps=projected)
+        dropped_channels=tuple(sorted(dropped)),
+        projected_bandwidth_bps=environment_plan.projected_bandwidth_bps)
 
 
 def adapt_document(document: CmifDocument, plan: FilterPlan,
                    environment: SystemEnvironment) -> CmifDocument:
     """Interpretively apply a filter plan to a whole document.
 
-    Convenience over :func:`compile_adaptation` +
-    :meth:`AdaptationProgram.adapt_document` — the reference path the
-    equivalence tests and the serving bench's naive baseline use.
+    Convenience over :func:`compile_adaptation` of the plan's
+    projection + :meth:`AdaptationProgram.adapt_document` — the
+    reference path the equivalence tests and the serving bench's naive
+    baseline use.
     """
-    return compile_adaptation(plan, document.compile(),
+    return compile_adaptation(plan.environment_plan, document.compile(),
                               environment).adapt_document(document)
 
 
@@ -242,16 +245,19 @@ def adaptation_for(schedule: Schedule, environment: SystemEnvironment,
                    ) -> AdaptationProgram:
     """Plan and lower one environment's adaptation of a schedule.
 
-    The plan-derivation + compile composition ``adapted_program_for``
-    performs on a miss, without the program-cache plumbing — the piece
-    delta-lowering's structural fallback re-runs per *cached*
-    environment after an un-patchable edit.  ``requirements`` is only a
-    profile-derivation speed cache; with or without it the output is
-    bit-identical.
+    The composition ``adapted_program_for`` performs on a miss, without
+    the program-cache plumbing — the piece delta-lowering's structural
+    fallback re-runs per *cached* environment after an un-patchable
+    edit.  ``requirements`` reuses a cached profile (and its memoized
+    plan); without one the profile is derived here.  Either way the
+    output is bit-identical.
     """
-    plan = ConstraintFilter(environment).plan(
-        schedule.compiled, requirements=requirements)
-    return compile_adaptation(plan, schedule.compiled, environment)
+    compiled = schedule.compiled
+    if requirements is None:
+        requirements = requirements_for(compiled.document,
+                                        compiled=compiled)
+    return compile_adaptation(requirements.plan_for(environment),
+                              compiled, environment)
 
 
 def adapted_program_for(schedule: Schedule,
@@ -263,11 +269,11 @@ def adapted_program_for(schedule: Schedule,
 
     On a cache hit this is one dictionary probe.  On a miss: the shared
     base program is compiled (or fetched) under the environment-free
-    key, the filter plan is derived (reusing ``requirements`` when the
-    caller holds a cached profile), lowered, and composed — then cached
-    under (schedule identity, revision, environment fingerprint).  A
-    plan with no ops composes to the base program itself, so playable
-    documents cost nothing extra per environment.
+    key, the profile's plan for the environment (``requirements`` when
+    the caller holds a cached profile) is lowered and composed — then
+    cached under (schedule identity, revision, environment
+    fingerprint).  A plan with no ops composes to the base program
+    itself, so playable documents cost nothing extra per environment.
     """
     if program_cache is not None:
         cached = program_cache.get(schedule, environment=environment)

@@ -9,18 +9,22 @@ resolution, full-frame-rate video to sub-sampled rate video."
 
 Exactly per the paper, "this tool manages a constraint *mapping*; the
 actual constraint implementation will be supported by user level,
-operating system, or hardware level modules": :class:`ConstraintFilter`
-produces a :class:`FilterPlan` of declarative :class:`FilterAction`
-records from descriptors alone, and a separate executor
-(:func:`apply_action`) realizes each action on payload data using the
-:mod:`repro.media` transformations.
+operating system, or hardware level modules": :func:`filter_actions`
+turns one descriptor's projected adaptation into declarative
+:class:`FilterAction` records, from descriptors alone, and a separate
+executor (:func:`apply_action`) realizes each action on payload data
+using the :mod:`repro.media` transformations.  :class:`ConstraintFilter`
+is the authoring view of the same mapping: a :class:`FilterPlan` of
+every channel's actions and drops, plus the §5.3.3 device conflicts.
+The serving path skips it and lowers the projection straight into an
+adaptation program (:mod:`repro.pipeline.adaptation`).
 
-Action parameters come from the shared planning math in
-:mod:`repro.transport.requirements` — the same projection negotiation
-uses to decide whether a document is ``playable-with-filtering`` — so a
+The projection is the shared planning math in
+:mod:`repro.transport.requirements` — the same one negotiation uses to
+decide whether a document is ``playable-with-filtering`` — so a
 filterable verdict is a promise this stage keeps: beyond the per-device
-cuts, the plan applies *bandwidth pressure* (deeper rate subsampling by
-a common factor) whenever the summed stream bandwidth still exceeds the
+cuts, it applies *bandwidth pressure* (deeper rate subsampling by a
+common factor) whenever the summed stream bandwidth still exceeds the
 environment's budget.  :func:`adapt_attributes` is the attribute-only
 form of each action; :func:`apply_action` applies the identical
 attribute update next to the payload transformation, so a document
@@ -45,8 +49,7 @@ from repro.media.image import reduce_color_depth, scale_image, to_monochrome
 from repro.media.video import scale_frames, subsample_frame_rate
 from repro.timing.conflicts import ConflictReport, detect_device_conflicts
 from repro.transport.environments import SystemEnvironment
-from repro.transport.requirements import (DocumentRequirements,
-                                          EnvironmentPlan,
+from repro.transport.requirements import (EnvironmentPlan,
                                           PlannedAdaptation,
                                           planned_frame_rate,
                                           planned_sample_rate,
@@ -87,8 +90,8 @@ class FilterPlan:
 
     ``environment_plan`` carries the per-descriptor projection the
     actions were derived from (including the projected post-adaptation
-    bandwidth) — the adaptation compiler and the serving engine read
-    it; interactive callers can ignore it.
+    bandwidth); :func:`~repro.pipeline.adaptation.adapt_document`
+    lowers it, interactive callers can ignore it.
     """
 
     environment: str
@@ -118,158 +121,126 @@ class FilterPlan:
 
 
 class ConstraintFilter:
-    """Derives a :class:`FilterPlan` from descriptors and capabilities."""
+    """Derives a :class:`FilterPlan` from descriptors and capabilities.
+
+    The authoring tool (the CLI, the examples, :func:`run_pipeline`):
+    besides the actions it reports channel drops and device conflicts.
+    The serving path lowers the projection straight into an
+    :class:`~repro.pipeline.adaptation.AdaptationProgram` and never
+    builds this plan.
+    """
 
     def __init__(self, environment: SystemEnvironment) -> None:
         self.environment = environment
 
-    def plan(self, compiled: CompiledDocument, *,
-             requirements: DocumentRequirements | None = None
-             ) -> FilterPlan:
+    def plan(self, compiled: CompiledDocument) -> FilterPlan:
         """Compute the constraint mapping for a compiled document.
 
-        ``requirements`` reuses a cached profile (the serving path);
-        without one, the profile is derived here.  Either way, the
-        per-descriptor adaptation projection drives every action's
-        parameters, so the plan and the negotiation verdict agree.
+        One row per distinct (channel, descriptor) pair: a drop when the
+        environment lacks the channel's medium, otherwise the
+        descriptor's :func:`filter_actions` chain; then the §5.3.3
+        device conflicts under the environment's start latencies.
         """
+        environment = self.environment
         document = compiled.document
-        if requirements is None:
-            requirements = requirements_for(document, compiled=compiled)
-        environment_plan = requirements.plan_for(self.environment)
-        plan = FilterPlan(environment=self.environment.name,
+        environment_plan = requirements_for(
+            document, compiled=compiled).plan_for(environment)
+        plan = FilterPlan(environment=environment.name,
                           environment_plan=environment_plan)
         seen: set[tuple[str, str]] = set()
         for event in compiled.events:
+            descriptor = event.descriptor
             key = (event.channel,
-                   event.descriptor.descriptor_id if event.descriptor
+                   descriptor.descriptor_id if descriptor
                    else event.event_id)
             if key in seen:
                 continue
             seen.add(key)
-            self._plan_event(plan, environment_plan, event.channel,
-                             event.medium, event.descriptor)
+            if not environment.supports(event.medium):
+                plan.actions.append(FilterAction(
+                    kind=FilterKind.DROP_CHANNEL, channel=event.channel,
+                    descriptor_id=None,
+                    parameters={"medium": event.medium.value},
+                    reason=f"environment {environment.name!r} does not "
+                           f"support {event.medium.value}"))
+            elif descriptor is not None:
+                plan.actions.extend(filter_actions(
+                    environment_plan.adaptation_for(
+                        descriptor.descriptor_id),
+                    event.channel, environment))
         latencies = {
-            name: self.environment.latency_for(
+            name: environment.latency_for(
                 document.channels.lookup(name).medium)
             for name in document.channels.names()}
         plan.conflicts = detect_device_conflicts(compiled, latencies)
         return plan
 
-    # -- per-event planning --------------------------------------------------
 
-    def _plan_event(self, plan: FilterPlan,
-                    environment_plan: EnvironmentPlan, channel: str,
-                    medium: Medium,
-                    descriptor: DataDescriptor | None) -> None:
-        environment = self.environment
-        if not environment.supports(medium):
-            plan.actions.append(FilterAction(
-                kind=FilterKind.DROP_CHANNEL, channel=channel,
-                descriptor_id=None,
-                parameters={"medium": medium.value},
-                reason=f"environment {environment.name!r} does not support "
-                       f"{medium.value}"))
-            return
-        if descriptor is None:
-            return
-        adaptation = environment_plan.adaptation_for(
-            descriptor.descriptor_id)
-        if adaptation is None or not adaptation.changed:
-            return
-        self._plan_color(plan, channel, descriptor, adaptation)
-        self._plan_resolution(plan, channel, descriptor, adaptation)
-        self._plan_frame_rate(plan, channel, descriptor, adaptation)
-        self._plan_audio(plan, channel, descriptor, adaptation)
+def filter_actions(adaptation: PlannedAdaptation, channel: str,
+                   environment: SystemEnvironment) -> list[FilterAction]:
+    """One planned descriptor change as its ordered action chain.
 
-    def _plan_color(self, plan: FilterPlan, channel: str,
-                    descriptor: DataDescriptor,
-                    adaptation: PlannedAdaptation) -> None:
-        if adaptation.color_depth is None:
-            return
-        environment = self.environment
-        depth = adaptation.demand.color_depth
+    The only place a projected adaptation turns into actions: colour,
+    resolution, frame rate, sample rate, then channel layout, each
+    parameterized by the projection and explained against
+    ``environment``.  A descriptor left as captured, or dropped with its
+    medium, yields no actions.
+    """
+    demand = adaptation.demand
+    descriptor_id = demand.descriptor_id
+    actions: list[FilterAction] = []
+    if adaptation.color_depth is not None:
+        depth = demand.color_depth
         if environment.color_depth <= 1:
-            plan.actions.append(FilterAction(
-                kind=FilterKind.TO_MONOCHROME, channel=channel,
-                descriptor_id=descriptor.descriptor_id,
-                parameters={},
-                reason=f"{depth}-bit colour on a monochrome display"))
+            actions.append(FilterAction(
+                FilterKind.TO_MONOCHROME, channel, descriptor_id, {},
+                f"{depth}-bit colour on a monochrome display"))
         else:
-            plan.actions.append(FilterAction(
-                kind=FilterKind.REDUCE_COLOR, channel=channel,
-                descriptor_id=descriptor.descriptor_id,
-                parameters={
-                    "bits_per_channel": adaptation.color_depth // 3},
-                reason=f"{depth}-bit colour exceeds the display's "
-                       f"{environment.color_depth}-bit depth"))
-
-    def _plan_resolution(self, plan: FilterPlan, channel: str,
-                         descriptor: DataDescriptor,
-                         adaptation: PlannedAdaptation) -> None:
-        if adaptation.resolution is None:
-            return
-        environment = self.environment
-        width, height = adaptation.demand.resolution
-        plan.actions.append(FilterAction(
-            kind=FilterKind.SCALE_RESOLUTION, channel=channel,
-            descriptor_id=descriptor.descriptor_id,
-            parameters={
-                "target_width": adaptation.resolution[0],
-                "target_height": adaptation.resolution[1],
-            },
-            reason=f"{width}x{height} exceeds the "
-                   f"{environment.screen_width}x"
-                   f"{environment.screen_height} screen"))
-
-    def _plan_frame_rate(self, plan: FilterPlan, channel: str,
-                         descriptor: DataDescriptor,
-                         adaptation: PlannedAdaptation) -> None:
-        if adaptation.frame_rate is None:
-            return
-        environment = self.environment
-        rate = adaptation.demand.frame_rate
+            actions.append(FilterAction(
+                FilterKind.REDUCE_COLOR, channel, descriptor_id,
+                {"bits_per_channel": adaptation.color_depth // 3},
+                f"{depth}-bit colour exceeds the display's "
+                f"{environment.color_depth}-bit depth"))
+    if adaptation.resolution is not None:
+        width, height = demand.resolution
+        actions.append(FilterAction(
+            FilterKind.SCALE_RESOLUTION, channel, descriptor_id,
+            {"target_width": adaptation.resolution[0],
+             "target_height": adaptation.resolution[1]},
+            f"{width}x{height} exceeds the {environment.screen_width}x"
+            f"{environment.screen_height} screen"))
+    if adaptation.frame_rate is not None:
+        rate = demand.frame_rate
         device_rate = planned_frame_rate(rate, environment)
-        if device_rate is not None \
-                and adaptation.frame_rate >= device_rate:
+        if device_rate is not None and adaptation.frame_rate >= device_rate:
             reason = (f"{rate:g}fps exceeds the device's "
                       f"{environment.max_frame_rate:g}fps")
         else:
             reason = (f"{rate:g}fps subsampled to fit the "
                       f"{environment.bandwidth_bps}bps stream budget")
-        plan.actions.append(FilterAction(
-            kind=FilterKind.SUBSAMPLE_FRAMES, channel=channel,
-            descriptor_id=descriptor.descriptor_id,
-            parameters={"target_rate": adaptation.frame_rate},
-            reason=reason))
-
-    def _plan_audio(self, plan: FilterPlan, channel: str,
-                    descriptor: DataDescriptor,
-                    adaptation: PlannedAdaptation) -> None:
-        environment = self.environment
-        if adaptation.sample_rate is not None:
-            rate = adaptation.demand.sample_rate
-            device_rate = planned_sample_rate(rate, environment)
-            if device_rate is not None \
-                    and adaptation.sample_rate >= device_rate:
-                reason = (f"{rate:g}Hz exceeds the device's "
-                          f"{environment.max_sample_rate:g}Hz")
-            else:
-                reason = (f"{rate:g}Hz downsampled to fit the "
-                          f"{environment.bandwidth_bps}bps stream budget")
-            plan.actions.append(FilterAction(
-                kind=FilterKind.DOWNSAMPLE_AUDIO, channel=channel,
-                descriptor_id=descriptor.descriptor_id,
-                parameters={"target_rate": adaptation.sample_rate},
-                reason=reason))
-        if adaptation.audio_channels is not None:
-            channels = adaptation.demand.audio_channels
-            plan.actions.append(FilterAction(
-                kind=FilterKind.MERGE_CHANNELS, channel=channel,
-                descriptor_id=descriptor.descriptor_id,
-                parameters={"target_channels": adaptation.audio_channels},
-                reason=f"{channels}-channel layout exceeds the device's "
-                       f"{environment.audio_channels} channel(s)"))
+        actions.append(FilterAction(
+            FilterKind.SUBSAMPLE_FRAMES, channel, descriptor_id,
+            {"target_rate": adaptation.frame_rate}, reason))
+    if adaptation.sample_rate is not None:
+        rate = demand.sample_rate
+        device_rate = planned_sample_rate(rate, environment)
+        if device_rate is not None \
+                and adaptation.sample_rate >= device_rate:
+            reason = (f"{rate:g}Hz exceeds the device's "
+                      f"{environment.max_sample_rate:g}Hz")
+        else:
+            reason = (f"{rate:g}Hz downsampled to fit the "
+                      f"{environment.bandwidth_bps}bps stream budget")
+        actions.append(FilterAction(
+            FilterKind.DOWNSAMPLE_AUDIO, channel, descriptor_id,
+            {"target_rate": adaptation.sample_rate}, reason))
+    if adaptation.audio_channels is not None:
+        actions.append(FilterAction(
+            FilterKind.MERGE_CHANNELS, channel, descriptor_id,
+            {"target_channels": adaptation.audio_channels},
+            f"{demand.audio_channels}-channel layout exceeds the "
+            f"device's {environment.audio_channels} channel(s)"))
+    return actions
 
 
 def _scale_stream_bandwidth(attributes: dict[str, Any],

@@ -50,7 +50,7 @@ from repro.timing.constraints import (ConstraintDelta, ConstraintIndex,
                                       remove_arc_delta, retime_delta)
 from repro.timing.schedule import (Schedule, ScheduleCache, event_order,
                                    make_schedule, wrap_event)
-from repro.timing.solver import IncrementalSolver, RELAX_DROP_LAST
+from repro.timing.solver import IncrementalSolver
 
 
 @dataclass
@@ -118,12 +118,8 @@ class IncrementalScheduler:
     """
 
     def __init__(self, document: CmifDocument, *,
-                 channel_serialization: bool = True,
-                 relaxation_policy: str = RELAX_DROP_LAST,
                  cache: ScheduleCache | None = None) -> None:
         self.document = document
-        self.channel_serialization = channel_serialization
-        self.relaxation_policy = relaxation_policy
         self.cache = cache
         self.stats = EngineStats()
         self.solver: IncrementalSolver | None = None
@@ -144,13 +140,10 @@ class IncrementalScheduler:
         self.solver = None
         self._schedule = None
         self.compiled = self.document.compile()
-        self.system = build_constraints(
-            self.compiled,
-            channel_serialization=self.channel_serialization)
+        self.system = build_constraints(self.compiled)
         self.index = ConstraintIndex(self.system)
         try:
-            solver = IncrementalSolver(
-                self.system, relaxation_policy=self.relaxation_policy)
+            solver = IncrementalSolver(self.system)
         except SchedulingConflict as conflict:
             self._conflict = conflict
             raise
@@ -166,9 +159,7 @@ class IncrementalScheduler:
 
     def _publish(self) -> None:
         if self.cache is not None and self._schedule is not None:
-            self.cache.put(self.document, self._schedule,
-                           channel_serialization=self.channel_serialization,
-                           relaxation_policy=self.relaxation_policy)
+            self.cache.put(self.document, self._schedule)
 
     def adopt_schedule(self, schedule: Schedule) -> None:
         """Adopt an externally solved schedule object for this document.

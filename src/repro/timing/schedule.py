@@ -270,8 +270,6 @@ class ScheduleCache(LRUCache):
                     schedule, owner=document, revision=document.revision)
 
     def schedule_for(self, document: CmifDocument, *,
-                     channel_serialization: bool = True,
-                     relaxation_policy: str = RELAX_DROP_LAST,
                      engine: str = ENGINE_REFERENCE,
                      compiled: CompiledDocument | None = None) -> Schedule:
         """The document's schedule, compiled and solved at most once.
@@ -283,19 +281,13 @@ class ScheduleCache(LRUCache):
         bit-identical, so the key ignores ``engine`` and a graph-warmed
         entry (corpus ingest) serves reference-path consumers directly.
         """
-        cached = self.get(document,
-                          channel_serialization=channel_serialization,
-                          relaxation_policy=relaxation_policy)
+        cached = self.get(document)
         if cached is not None:
             return cached
         schedule = schedule_document(
             compiled if compiled is not None else document.compile(),
-            channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy,
             engine=engine)
-        self.put(document, schedule,
-                 channel_serialization=channel_serialization,
-                 relaxation_policy=relaxation_policy)
+        self.put(document, schedule)
         return schedule
 
 
@@ -383,8 +375,6 @@ def make_schedule(compiled: CompiledDocument,
 
 def schedule_for(document: CmifDocument, *,
                  cache: ScheduleCache | None = None,
-                 channel_serialization: bool = True,
-                 relaxation_policy: str = RELAX_DROP_LAST,
                  engine: str = ENGINE_REFERENCE,
                  kernel=None,
                  compiled: CompiledDocument | None = None) -> Schedule:
@@ -397,11 +387,8 @@ def schedule_for(document: CmifDocument, *,
     kernel everywhere may still pass it here.
     """
     if cache is not None:
-        return cache.schedule_for(
-            document, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy, engine=engine,
-            compiled=compiled)
+        return cache.schedule_for(document, engine=engine,
+                                  compiled=compiled)
     return schedule_document(
         compiled if compiled is not None else document.compile(),
-        channel_serialization=channel_serialization,
-        relaxation_policy=relaxation_policy, engine=engine)
+        engine=engine)

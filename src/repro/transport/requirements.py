@@ -16,9 +16,11 @@ carries per-descriptor :class:`DescriptorDemand` rows, which is what
 lets negotiation be *honest* about ``playable-with-filtering``: the
 bandwidth verdict is no longer "some filter might help" but "the
 constraint filter's own planning math projects a post-adaptation
-bandwidth that fits" — the same math
-:class:`~repro.pipeline.filters.ConstraintFilter` uses to emit actions,
-so a filterable verdict is a promise the filter keeps.
+bandwidth that fits".  The projection is the plan itself:
+:meth:`DocumentRequirements.plan_for` is what
+:func:`~repro.pipeline.filters.filter_actions` turns into actions and
+the adaptation compiler lowers, so a filterable verdict is a promise
+the filter keeps.
 
 The planned-parameter helpers (:func:`planned_resolution`,
 :func:`planned_color_depth`, :func:`quantized_rate`, …) are the single
@@ -151,14 +153,6 @@ class PlannedAdaptation:
     sample_rate: float | None = None
     audio_channels: int | None = None
     bandwidth_bps: int = 0
-
-    @property
-    def changed(self) -> bool:
-        """True when any filtering applies to this descriptor."""
-        return self.dropped or any(
-            value is not None for value in (
-                self.resolution, self.color_depth, self.frame_rate,
-                self.sample_rate, self.audio_channels))
 
 
 def projected_bandwidth_bps(demand: DescriptorDemand,

@@ -145,7 +145,8 @@ class TestFilterableHonesty:
         assert negotiate(document, SILENT_TERMINAL).verdict == UNPLAYABLE
         plan = _plan_for(document, SILENT_TERMINAL)
         assert plan.dropped_channels
-        adaptation = compile_adaptation(plan, document.compile(),
+        adaptation = compile_adaptation(plan.environment_plan,
+                                        document.compile(),
                                         SILENT_TERMINAL)
         with pytest.raises(DeviceConstraintError, match="unplayable"):
             adaptation.adapt_document(document)
@@ -155,7 +156,8 @@ class TestAdaptationProgram:
     def test_ops_are_grouped_and_deduplicated(self):
         document = make_media_document(2, events=16)
         plan = _plan_for(document, PERSONAL_SYSTEM)
-        adaptation = compile_adaptation(plan, document.compile(),
+        adaptation = compile_adaptation(plan.environment_plan,
+                                        document.compile(),
                                         PERSONAL_SYSTEM)
         assert not adaptation.identity
         assert len(adaptation.op_slot) == len(adaptation.actions)
@@ -170,7 +172,8 @@ class TestAdaptationProgram:
         document = make_media_document(2, events=16)
         plan = _plan_for(document, PERSONAL_SYSTEM)
         compiled = document.compile()
-        adaptation = compile_adaptation(plan, compiled, PERSONAL_SYSTEM)
+        adaptation = compile_adaptation(plan.environment_plan, compiled,
+                                        PERSONAL_SYSTEM)
         for slot, descriptor_id in enumerate(adaptation.descriptor_ids):
             attributes = dict(adaptation.originals[slot].attributes)
             for action in adaptation.actions_for(descriptor_id):
@@ -182,7 +185,8 @@ class TestAdaptationProgram:
             document = make_media_document(seed, events=16)
             for environment in (WORKSTATION, PERSONAL_SYSTEM):
                 plan = _plan_for(document, environment)
-                adaptation = compile_adaptation(plan, document.compile(),
+                adaptation = compile_adaptation(plan.environment_plan,
+                                                document.compile(),
                                                 environment)
                 if adaptation.dropped_channels:
                     continue
@@ -212,7 +216,8 @@ class TestAdaptationProgram:
         })
         document = mapper.finish()
         plan = _plan_for(document, PERSONAL_SYSTEM)
-        adaptation = compile_adaptation(plan, document.compile(),
+        adaptation = compile_adaptation(plan.environment_plan,
+                                        document.compile(),
                                         PERSONAL_SYSTEM)
         descriptor = store.descriptor("v")
         payload = store.block_for("v").materialize()
@@ -246,7 +251,8 @@ class TestAdaptationProgram:
         plan = _plan_for(document, PERSONAL_SYSTEM)
         kinds = {action.kind for action in plan.actions}
         assert FilterKind.MERGE_CHANNELS in kinds
-        adaptation = compile_adaptation(plan, document.compile(),
+        adaptation = compile_adaptation(plan.environment_plan,
+                                        document.compile(),
                                         PERSONAL_SYSTEM)
         override = adaptation.override_for("stereo")
         assert override.get("channels") == 1

@@ -1,21 +1,23 @@
-"""The one-pass adaptation lowering against the retired one.
+"""The direct adaptation lowering against the retired derivation.
 
-``tests/oracles/adaptation.py`` keeps the earlier ``compile_adaptation``
-verbatim: it folds each descriptor's op chain by scanning the whole op
-table once per descriptor slot.  The shipped one groups the ops by slot
-in one pass.  Both lower the same filter plans, derived for rich and
-lean media documents, random documents and news documents under the
-era profiles and degraded copies of them, and must build the same
+``tests/oracles/adaptation.py`` keeps the earlier planner and lowering
+verbatim: ``ConstraintFilter.plan(compiled, requirements=)`` re-expresses
+the profile's projection per (channel, descriptor) row, and its
+``compile_adaptation`` deduplicates those actions back into one chain
+per descriptor.  The shipped ``compile_adaptation`` lowers the profile's
+plan straight.  Both derive programs for rich and lean media documents,
+random documents and news documents under the era profiles and degraded
+copies of them, and must build the same
 :class:`~repro.pipeline.adaptation.AdaptationProgram` field by field:
-the original descriptors and the actions by identity (they are the
-compiled document's and the plan's own objects), the adapted
-descriptors by value.
+the original descriptors by identity (they are the compiled document's
+own objects), the actions and the adapted descriptors by value (each
+side builds its own actions).  The authoring
+:class:`~repro.pipeline.filters.ConstraintFilter`, rebuilt on the same
+action builder, must still plan what the retired planner planned:
+actions, device conflicts and projection.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import random
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,8 @@ from repro.corpus import make_media_document, make_random_document
 from repro.corpus.news import make_news_document
 from repro.pipeline.adaptation import compile_adaptation
 from repro.pipeline.filters import ConstraintFilter
-from repro.transport.environments import PERSONAL_SYSTEM, PROFILES
+from repro.transport.environments import PROFILES
+from repro.transport.requirements import compute_requirements
 from tests.oracles import adaptation as oracle
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -34,7 +37,9 @@ FUZZ = settings(max_examples=60, deadline=None,
 
 @st.composite
 def documents(draw):
-    """A compiled document of one of the four shapes."""
+    """A compiled document of one of the four shapes, in which a few
+    external nodes may take an earlier drawn node's file, so that one
+    descriptor plays on several channels (of several media)."""
     shape = draw(st.sampled_from(("rich", "lean", "random", "news")))
     seed = draw(st.integers(0, 10_000))
     if shape == "news":
@@ -47,6 +52,13 @@ def documents(draw):
         document = make_media_document(
             seed, events=draw(st.integers(4, 60)),
             links=draw(st.integers(0, 3)), rich=shape == "rich")
+    references = list(document.file_references())
+    if references:
+        index = st.integers(0, len(references) - 1)
+        for source, target in draw(st.lists(st.tuples(index, index),
+                                            max_size=3)):
+            references[target][0].attributes.set(
+                "file", references[source][1])
     return document.compile()
 
 
@@ -78,8 +90,7 @@ def _assert_same_program(mine, theirs) -> None:
     assert mine.revision == theirs.revision
     assert mine.descriptor_ids == theirs.descriptor_ids
     assert mine.op_slot == theirs.op_slot
-    assert [id(action) for action in mine.actions] \
-        == [id(action) for action in theirs.actions]
+    assert mine.actions == theirs.actions
     assert [id(descriptor) for descriptor in mine.originals] \
         == [id(descriptor) for descriptor in theirs.originals]
     assert mine.overrides == theirs.overrides
@@ -87,39 +98,20 @@ def _assert_same_program(mine, theirs) -> None:
     assert mine.projected_bandwidth_bps == theirs.projected_bandwidth_bps
 
 
-def _shuffled(plan, seed: int):
-    """The plan with its actions in another order.
-
-    A derived plan lists each descriptor's ops together; a shuffled one
-    interleaves the chains, so a fold that mixes up slots or op order
-    shows.
-    """
-    actions = list(plan.actions)
-    random.Random(seed).shuffle(actions)
-    return dataclasses.replace(plan, actions=actions)
-
-
 @FUZZ
-@given(compiled=documents(), environment=environments(),
-       shuffle=st.none() | st.integers(0, 1 << 16))
-def test_lowering_matches_the_retired_one(compiled, environment, shuffle):
-    plan = ConstraintFilter(environment).plan(compiled)
-    if shuffle is not None:
-        plan = _shuffled(plan, shuffle)
-    _assert_same_program(compile_adaptation(plan, compiled, environment),
-                         oracle.compile_adaptation(plan, compiled,
-                                                   environment))
-
-
-def test_interleaved_chains_fold_in_op_order():
-    """The fuzz is only as good as its plans: here descriptors carry
-    chains of several ops, interleaved with other descriptors'."""
-    compiled = make_media_document(3, events=60, links=2,
-                                   rich=True).compile()
-    plan = _shuffled(ConstraintFilter(PERSONAL_SYSTEM).plan(compiled), 7)
-    program = compile_adaptation(plan, compiled, PERSONAL_SYSTEM)
-    slots = program.op_slot
-    assert len(set(slots)) < len(slots)
-    assert list(slots) != sorted(slots)
-    _assert_same_program(program, oracle.compile_adaptation(
-        plan, compiled, PERSONAL_SYSTEM))
+@given(compiled=documents(), environment=environments())
+def test_lowering_matches_the_retired_one(compiled, environment):
+    profile = compute_requirements(compiled.document, compiled)
+    retired = oracle.ConstraintFilter(environment).plan(
+        compiled, requirements=profile)
+    _assert_same_program(
+        compile_adaptation(profile.plan_for(environment), compiled,
+                           environment),
+        oracle.compile_adaptation(retired, compiled, environment))
+    # The authoring tool builds its rows on the same action builder and
+    # still plans what the retired per-event planner did.
+    authored = ConstraintFilter(environment).plan(compiled)
+    assert authored.environment == retired.environment
+    assert authored.actions == retired.actions
+    assert authored.conflicts == retired.conflicts
+    assert authored.environment_plan == retired.environment_plan

@@ -26,7 +26,7 @@ from repro.pipeline.program import compile_program
 from repro.serving import SessionEngine
 from repro.serving.engine import SCHEDULE_CACHE_CAPACITY
 from repro.timing.schedule import schedule_for
-from repro.transport import PROFILES
+from repro.transport import PROFILES, negotiate
 
 KERNELS = ("python", "numpy")
 
@@ -89,8 +89,13 @@ def _report_arrays(report):
 
 
 def _assert_pyramid_matches_cold(engine, document, twin, *,
-                                 kernel: str = "python"):
-    """Everything cached for ``document`` ≡ cold-compiling ``twin``."""
+                                 kernel: str = "python",
+                                 environments=PROFILES):
+    """Everything cached for ``document`` ≡ cold-compiling ``twin``.
+
+    Each of ``environments`` that admits ``twin`` has its composition
+    cached under the edited schedule; one that rejects it has none."""
+    from repro.pipeline.adaptation import adaptation_for
     editor = engine.editor_for(document)
     schedule = editor.schedule
     cold_schedule = schedule_for(twin, kernel=_kernel(kernel))
@@ -98,18 +103,21 @@ def _assert_pyramid_matches_cold(engine, document, twin, *,
     assert hot_base is not None
     cold_base = compile_program(cold_schedule)
     _assert_program_equal(hot_base, cold_base)
-    for environment in PROFILES:
+    for environment in environments:
         hot = engine.program_cache.get(schedule, environment=environment)
-        if hot is None:
+        if not negotiate(twin, environment).ok:
+            assert hot is None, environment.name
             continue
+        assert hot is not None, environment.name
         _assert_program_equal(hot, cold_base)
-        if hot.adaptation is not None:
-            from repro.pipeline.adaptation import adaptation_for
-            cold_ad = adaptation_for(cold_schedule, environment)
-            assert hot.adaptation.descriptor_ids == cold_ad.descriptor_ids
-            assert hot.adaptation.op_slot == cold_ad.op_slot
-            assert hot.adaptation.actions == cold_ad.actions
-            assert hot.adaptation.overrides == cold_ad.overrides
+        cold_ad = adaptation_for(cold_schedule, environment)
+        if hot.adaptation is None:
+            assert cold_ad.identity, environment.name
+            continue
+        assert hot.adaptation.descriptor_ids == cold_ad.descriptor_ids
+        assert hot.adaptation.op_slot == cold_ad.op_slot
+        assert hot.adaptation.actions == cold_ad.actions
+        assert hot.adaptation.overrides == cold_ad.overrides
     hot_nav = engine.program_cache.get_derived(schedule, "navigation")
     if hot_nav is not None:
         _assert_navigation_equal(hot_nav, compile_navigation(cold_schedule))
@@ -355,7 +363,8 @@ class TestCacheRetention:
                                   "duration_ms": 888.0})
         core_edit.retime(twin, leaf, 888.0)
         assert engine.editor_for(first) is not first_editor
-        _assert_pyramid_matches_cold(engine, first, twin)
+        _assert_pyramid_matches_cold(engine, first, twin,
+                                     environments=PROFILES[:1])
 
 
 class TestStructuralFallback:
@@ -397,6 +406,34 @@ class TestStructuralFallback:
         to recompile, and the record counts exactly what it re-planned."""
         document = make_media_document(5, events=24)
         twin = make_media_document(5, events=24)
+        engine = SessionEngine(seed=9)
+        admitted = [environment for environment in PROFILES
+                    if engine.admit(document, environment).admitted]
+        assert admitted
+        leaf = engine.schedule_cache.get(document) \
+            .events[-1].event.node_path
+        record = engine.apply_edit(document, {"op": "remove",
+                                              "path": leaf})
+        core_edit.remove(twin, leaf)
+        assert record.mode == "recompiled"
+        _assert_every_composition_replanned(engine, document, twin,
+                                            admitted, record)
+
+    def test_serving_path_skips_the_authoring_conflict_pass(
+            self, monkeypatch):
+        """Admission and the structural re-plan lower the profile's
+        plan straight: neither runs the authoring tool's §5.3.3
+        device-conflict pass, whose report the serving path never
+        reads."""
+        import repro.pipeline.filters as filters_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("device-conflict pass on the serving path")
+
+        monkeypatch.setattr(filters_module, "detect_device_conflicts",
+                            refuse)
+        document = make_media_document(5, events=24, rich=True)
+        twin = make_media_document(5, events=24, rich=True)
         engine = SessionEngine(seed=9)
         admitted = [environment for environment in PROFILES
                     if engine.admit(document, environment).admitted]
