@@ -8,7 +8,7 @@ edits onto the flat program arrays in place, O(affected events),
 instead of recompiling the world.  Structural edits fall back to a
 targeted per-level recompile of just the edited document's pyramid.
 
-This bench checks the gate recorded in
+This bench checks the gates recorded in
 ``benchmarks/baselines/live_edit.json``:
 
 * **live_edit**: a mixed edit script (16 retimes + 4 arc adds + 4 arc
@@ -19,6 +19,12 @@ This bench checks the gate recorded in
   wall-clock).  Bit-identity comes first: after both scripts run, the
   patched pyramid must equal the cold compile of the twin, array for
   array, before any timing is compared.
+* **reordering_retime**: 16 retimes on the same document, each
+  lengthening a par leaf past its co-starting neighbour's end, so every
+  edit reorders the canonical events and takes the array-rebuild
+  fallback (``mode == "recompiled"``).  The compiled document survives
+  each edit, so no composition is re-planned; the script must beat the
+  same naive path by the baseline factor, again after bit-identity.
 
 When the ``BENCH_RESULTS`` environment variable names a file, the gate
 merges its measurements into that JSON document — CI uploads the
@@ -62,6 +68,7 @@ BASELINE_PATH = Path(__file__).parent / "baselines" / "live_edit.json"
 BASELINE = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
 
 LIVE = BASELINE["live_edit"]
+REORDER = BASELINE["reordering_retime"]
 
 
 def _environments():
@@ -136,8 +143,8 @@ def _edit_script(document, leaves):
     script = []
     # Retimes target seq-section leaves: retiming inside a par section
     # can reorder equal-begin siblings, which the patcher's canonical
-    # order guard (correctly) answers with a structural fallback — the
-    # path this bench is *not* measuring.
+    # order guard (correctly) answers with the array-rebuild fallback —
+    # the path test_reordering_retime_speedup measures, not this gate.
     patchable = [path for path in leaves
                  if int(path.split("/")[1][len("sec"):]) % 3 != 0]
     stride = max(1, len(patchable) // LIVE["retimes"])
@@ -193,6 +200,27 @@ def _recompile_cold(twin, environments, *, kernel):
     return schedule, program, adaptations, navigation
 
 
+def _reordering_script(schedule):
+    """Par retimes that each reorder the canonical events: in each of
+    the first par sections, the earlier of an adjacent co-starting
+    pair is lengthened past the later one's end.  Sections run in
+    sequence, so an edit in one shifts the others whole and every
+    pair stays adjacent and co-starting until its own edit."""
+    events = schedule.ordered_events()
+    pairs: dict[str, tuple] = {}
+    for first, second in zip(events, events[1:]):
+        section = first.event.node_path.split("/")[1]
+        if int(section[len("sec"):]) % 3 == 0 \
+                and first.begin_ms == second.begin_ms \
+                and section == second.event.node_path.split("/")[1]:
+            pairs.setdefault(section, (first, second))
+    chosen = list(pairs.values())[:REORDER["retimes"]]
+    assert len(chosen) == REORDER["retimes"]
+    return [{"op": "retime", "path": first.event.node_path,
+             "duration_ms": second.end_ms - first.begin_ms + 50.0}
+            for first, second in chosen]
+
+
 def _assert_program_equal(hot, cold) -> None:
     assert list(hot.begin_ms) == list(cold.begin_ms)
     assert list(hot.end_ms) == list(cold.end_ms)
@@ -201,25 +229,32 @@ def _assert_program_equal(hot, cold) -> None:
     assert hot._audit_rows == cold._audit_rows
 
 
-def test_live_edit_speedup():
-    """Tentpole acceptance: >=10x mixed edit script, patch vs recompile."""
+def _hot_fleet(seed: int):
+    """The 1000-event document warm on the 8 environments, its cold
+    twin, and the fleet's sessions."""
     environments = _environments()
-    document = _bench_document(LIVE["seed"], events=LIVE["events"],
+    document = _bench_document(seed, events=LIVE["events"],
                                links=LIVE["links"])
-    twin = _bench_document(LIVE["seed"], events=LIVE["events"],
+    twin = _bench_document(seed, events=LIVE["events"],
                            links=LIVE["links"])
-    engine = SessionEngine(seed=LIVE["seed"])
+    engine = SessionEngine(seed=seed)
     sessions = [engine.admit(document, environment)
                 for environment in environments]
     # One interactive session warms the navigation level too.
     sessions.append(engine.admit_interactive(document, environments[0]))
-    schedule = engine.schedule_cache.get(document)
-    leaves = [event.event.node_path for event in schedule.events]
-    script = _edit_script(document, leaves)
+    return environments, document, twin, engine, sessions
 
+
+def _timed_scripts(engine, document, twin, sessions, environments,
+                   script):
+    """Run ``script`` patched and naive; bit-identity before speed.
+
+    Returns the two wall times and the patched edits' records."""
+    records = []
     start = time.perf_counter()
     for spec in script:
-        engine.apply_edit(document, spec, sessions=sessions)
+        records.append(engine.apply_edit(document, spec,
+                                         sessions=sessions))
     patched_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -228,8 +263,8 @@ def test_live_edit_speedup():
         cold = _recompile_cold(twin, environments, kernel=engine.kernel)
     naive_s = time.perf_counter() - start
 
-    # Bit-identity before speed: the patched pyramid equals the last
-    # cold rebuild of the twin, level by level.
+    # The patched pyramid equals the last cold rebuild of the twin,
+    # level by level.
     cold_schedule, cold_program, cold_adaptations, cold_nav = cold
     editor = engine.editor_for(document)
     hot_base = engine.program_cache.get(editor.schedule)
@@ -246,8 +281,20 @@ def test_live_edit_speedup():
     assert hot_nav.active_from == cold_nav.active_from
     assert hot_nav.active_until == cold_nav.active_until
     assert hot_nav.targets == cold_nav.targets
+    return patched_s, naive_s, records
 
-    stats = editor.stats
+
+def test_live_edit_speedup():
+    """Tentpole acceptance: >=10x mixed edit script, patch vs recompile."""
+    environments, document, twin, engine, sessions = _hot_fleet(
+        LIVE["seed"])
+    schedule = engine.schedule_cache.get(document)
+    leaves = [event.event.node_path for event in schedule.events]
+    script = _edit_script(document, leaves)
+    patched_s, naive_s, _ = _timed_scripts(
+        engine, document, twin, sessions, environments, script)
+
+    stats = engine.editor_for(document).stats
     edits = len(script)
     speedup = naive_s / max(patched_s, 1e-12)
     print(f"\n[live_edit] {edits} edits @ {LIVE['events']} events x "
@@ -264,6 +311,7 @@ def test_live_edit_speedup():
         "programs_patched": stats.programs_patched,
         "programs_recompiled": stats.programs_recompiled,
         "adaptations_patched": stats.adaptations_patched,
+        "adaptations_recompiled": stats.adaptations_recompiled,
         "navigations_patched": stats.navigations_patched,
         "speedup": round(speedup, 1),
         "floor": LIVE["min_speedup"]})
@@ -272,10 +320,47 @@ def test_live_edit_speedup():
         f"recompile (baseline floor {LIVE['min_speedup']}x)")
 
 
+def test_reordering_retime_speedup():
+    """Order-changing par retimes rebuild the arrays and keep every
+    plan: >=8x against the naive recompile."""
+    environments, document, twin, engine, sessions = _hot_fleet(
+        REORDER["seed"])
+    script = _reordering_script(engine.schedule_cache.get(document))
+    patched_s, naive_s, records = _timed_scripts(
+        engine, document, twin, sessions, environments, script)
+    assert [record.mode for record in records] \
+        == ["recompiled"] * len(script)
+
+    stats = engine.editor_for(document).stats
+    speedup = naive_s / max(patched_s, 1e-12)
+    print(f"\n[reordering_retime] {len(script)} order-changing retimes @ "
+          f"{LIVE['events']} events x {len(environments)} environments: "
+          f"patched {patched_s * 1000:.1f}ms, naive recompile "
+          f"{naive_s * 1000:.1f}ms -> {speedup:.1f}x (adaptations "
+          f"{stats.adaptations_patched}p/{stats.adaptations_recompiled}r)")
+    record_result("live_edit_reordering_retime", {
+        "events": LIVE["events"], "environments": len(environments),
+        "edits": len(script),
+        "patched_ms": round(patched_s * 1000, 2),
+        "naive_ms": round(naive_s * 1000, 2),
+        "programs_recompiled": stats.programs_recompiled,
+        "adaptations_patched": stats.adaptations_patched,
+        "adaptations_recompiled": stats.adaptations_recompiled,
+        "navigations_recompiled": stats.navigations_recompiled,
+        "speedup": round(speedup, 1),
+        "floor": REORDER["min_speedup"]})
+    assert speedup >= REORDER["min_speedup"], (
+        f"order-changing retimes only {speedup:.1f}x faster than naive "
+        f"recompile (baseline floor {REORDER['min_speedup']}x)")
+
+
 def main():
     test_live_edit_speedup()
+    test_reordering_retime_speedup()
     print(f"floors              : live edit {LIVE['min_speedup']}x "
-          f"(recorded {LIVE['reference_speedup']}x)")
+          f"(recorded {LIVE['reference_speedup']}x), reordering retime "
+          f"{REORDER['min_speedup']}x (recorded "
+          f"{REORDER['reference_speedup']}x)")
 
 
 if __name__ == "__main__":

@@ -202,14 +202,24 @@ def _load_edit_script(path: str) -> list:
 
     The spec format is :meth:`repro.pipeline.patch.LiveEditor.apply`'s
     — ``op`` plus per-op fields, optionally ``at_step`` (scheduler step
-    to fire at) and ``document`` (corpus index, ``serve`` only).
+    to fire at) and ``document`` (corpus index, ``serve`` only).  Every
+    spec is checked before any edit applies.
     """
     import json
-    script = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(script, list) \
-            or not all(isinstance(spec, dict) for spec in script):
+    from repro.pipeline.patch import check_edit_spec
+    try:
+        script = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CmifError(f"edit script {path} is not JSON: {exc}") from None
+    if not isinstance(script, list):
         raise CmifError(f"edit script {path} must be a JSON list of "
                         f"edit objects")
+    for number, spec in enumerate(script, 1):
+        try:
+            check_edit_spec(spec)
+        except CmifError as exc:
+            raise CmifError(f"edit script {path}, edit {number}: {exc}") \
+                from None
     return script
 
 

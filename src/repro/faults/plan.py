@@ -345,7 +345,23 @@ def parse_fault_plan(spec: "str | dict | FaultPlan | None"
         except ValueError:
             raise CmifError(f"bad fault plan value for {key}: "
                             f"{raw!r}") from None
-    return FaultPlan(**values)
+    return _checked_plan(values)
+
+
+def _is_list_of(kind):
+    return lambda value: isinstance(value, (list, tuple)) and all(
+        isinstance(item, kind) for item in value)
+
+
+#: What each field of the JSON form holds, rates apart.
+_OBJ_FIELDS = {
+    "seed": lambda value: isinstance(value, int),
+    "flap_period": lambda value: isinstance(value, int),
+    "latency_spike_ms": lambda value: isinstance(value, (int, float)),
+    "down_sites": _is_list_of(str),
+    "flap_sites": _is_list_of(str),
+    "crash_shards": _is_list_of(int),
+}
 
 
 def _plan_from_obj(obj: dict) -> FaultPlan:
@@ -354,12 +370,30 @@ def _plan_from_obj(obj: dict) -> FaultPlan:
     if unknown:
         raise CmifError(f"unknown fault plan fields: {sorted(unknown)}")
     values = dict(obj)
-    for name in ("down_sites", "flap_sites"):
-        if name in values:
-            values[name] = tuple(values[name])
-    if "crash_shards" in values:
-        values["crash_shards"] = tuple(int(index)
-                                       for index in values["crash_shards"])
+    for name, holds in _OBJ_FIELDS.items():
+        if name not in values:
+            continue
+        value = values[name]
+        if not holds(value):
+            raise CmifError(f"bad fault plan value for {name}: {value!r}")
+        if isinstance(value, list):
+            values[name] = tuple(value)
+    return _checked_plan(values)
+
+
+def _checked_plan(values: dict) -> FaultPlan:
+    """The plan of parsed ``values``, every rate a probability.
+
+    :meth:`FaultPlan.fires` reads a rate above 1 as 1 and one below 0
+    as 0, so refusing those takes no meaning away; a rate that is not a
+    number (or is NaN) would fail or never fire.
+    """
+    for field in fields(FaultPlan):
+        rate = values.get(field.name, 0.0)
+        if field.name.endswith("_rate") and not (
+                isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0):
+            raise CmifError(f"fault plan {field.name} must be a "
+                            f"probability in [0, 1], got {rate!r}")
     return FaultPlan(**values)
 
 

@@ -38,15 +38,23 @@ def document_from_json(text: str) -> CmifDocument:
     """Parse a JSON string back into a document."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"a CMIF JSON document is an object, got "
+                          f"{type(payload).__name__}")
     body = payload.get("cmif")
     if not isinstance(body, dict):
         raise FormatError("top-level object must contain a 'cmif' member")
     if body.get("version") != 1:
         raise FormatError(f"unsupported CMIF JSON version "
                           f"{body.get('version')!r}")
-    root = node_from_obj(body.get("root"))
+    try:
+        root = node_from_obj(body.get("root"))
+    except (AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:
+        # Members of the wrong JSON type, as unpack answers them.
+        raise FormatError(f"malformed CMIF JSON: {exc!r}") from None
     if not isinstance(root, ContainerNode):
         raise FormatError("the root node must be seq or par")
     return CmifDocument.from_root(root)

@@ -246,11 +246,10 @@ def adaptation_for(schedule: Schedule, environment: SystemEnvironment,
     """Plan and lower one environment's adaptation of a schedule.
 
     The composition ``adapted_program_for`` performs on a miss, without
-    the program-cache plumbing — the piece delta-lowering's structural
-    fallback re-runs per *cached* environment after an un-patchable
-    edit.  ``requirements`` reuses a cached profile (and its memoized
-    plan); without one the profile is derived here.  Either way the
-    output is bit-identical.
+    the program-cache plumbing — the piece delta-lowering re-runs per
+    *cached* environment after a structural edit.  ``requirements``
+    reuses a cached profile (and its memoized plan); without one the
+    profile is derived here.  Either way the output is bit-identical.
     """
     compiled = schedule.compiled
     if requirements is None:

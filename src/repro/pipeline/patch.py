@@ -25,9 +25,10 @@ edit) and lowers it onto the flat compiled arrays in place:
   compilation itself builds them with, and slice-assigned into the
   shared lists, so a patched row can never drift from what a cold
   compile would emit;
-* every cached :class:`AdaptationProgram` composition — adapted
-  descriptors are untouched by timing edits, so each environment's
-  entry is re-stamped at the new revision, never re-planned;
+* every cached :class:`AdaptationProgram` composition — an edit that
+  keeps the compiled document keeps every descriptor, channel and
+  medium the plans were lowered from, so each environment's entry is
+  re-stamped at the new revision, never re-planned;
 * the navigation program — refreshed in place
   (:func:`~repro.pipeline.navprogram.recompile_into`), preserving the
   object identity live readers hold.
@@ -39,21 +40,29 @@ shared ``patch_epoch`` counter then flushes every
 :class:`~repro.pipeline.program.BatchPlayer`'s derived caches and
 every kernel's compiled view lazily.
 
-Structural edits (node add/remove/move, channel changes) defeat
-patching and *detect themselves*: the scheduler records no localized
-region (``last_changed_paths is None``) and the patcher falls back to a
-targeted recompile — one base lowering slice-assigned into the live
-arrays, one adaptation re-plan per cached composition, for the
-environment its program-cache entry was compiled for, and one
-navigation recompile.  No cached composition is dropped.  Entries of
-other schedules (other documents on the same engine) are never touched,
-which the per-edit counters on :class:`EditRecord` (and the cumulative
-:class:`~repro.timing.incremental.EngineStats`) make checkable.
+Two kinds of edit defeat patching.  A retime that reorders the
+canonical event sequence keeps the compiled document: the patcher
+slice-assigns one fresh base lowering into the live arrays, recompiles
+the navigation program, and re-stamps every composition as above.
+Structural edits (node add/remove/move, channel changes, and solves
+that must drop may arcs) *detect themselves*: the scheduler records no
+localized region (``last_changed_paths is None``) and compiles the
+document afresh, so on top of the array rebuild each cached
+composition is re-planned once, for the environment its program-cache
+entry was compiled for, from one requirement profile of the new
+revision (derived through the serving engine's
+:class:`~repro.transport.requirements.RequirementsCache`, where the
+admissions after the edit find it).  No cached composition is dropped.
+Entries of other schedules (other documents on the same engine) are
+never touched, which the per-edit counters on :class:`EditRecord` (and
+the cumulative :class:`~repro.timing.incremental.EngineStats`) make
+checkable.
 
 :class:`LiveEditor` is the authoring-side entry point: it owns the
 incremental scheduler and the patcher and applies JSON edit specs (the
-CLI ``serve --edit-script`` / ``edit`` format) through the scheduler's
-editing methods.  Every path is pinned
+CLI ``serve --edit-script`` / ``edit`` format, checked by
+:func:`check_edit_spec`) through the scheduler's editing methods.
+Every path is pinned
 bit-identical to a cold recompile of the edited document by
 ``tests/test_live_edit.py``.
 """
@@ -61,6 +70,7 @@ bit-identical to a cold recompile of the edited document by
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -80,6 +90,9 @@ from repro.timing.constraints import begin_var, end_var
 from repro.timing.incremental import IncrementalScheduler
 from repro.timing.schedule import Schedule, ScheduleCache
 from repro.transport.environments import SystemEnvironment
+from repro.transport.requirements import (DocumentRequirements,
+                                          RequirementsCache,
+                                          requirements_for)
 
 #: :class:`EditRecord.mode` values.
 PATCHED = "patched"
@@ -93,8 +106,9 @@ class EditRecord(Ledger):
     """What one live edit cost, per pyramid level (``explain`` output).
 
     ``mode`` classifies the whole edit: ``patched`` (in-place array
-    patch), ``recompiled`` (structural fallback — targeted per-level
-    recompile), ``noop`` (no derived state existed or changed), or
+    patch), ``recompiled`` (the arrays lowered afresh — targeted
+    per-level recompile), ``noop`` (no derived state existed or
+    changed), or
     ``conflict`` (the edit left the document unschedulable).  The
     ``*_patched``/``*_recompiled`` pairs count cached entries per level,
     which is what proves invalidation precision: a retime against eight
@@ -125,6 +139,56 @@ class EditRecord(Ledger):
                 f"({self.wall_seconds * 1000:.2f}ms)")
 
 
+#: Each edit op's required fields (the :meth:`LiveEditor.apply` format).
+_EDIT_FIELDS = {
+    "retime": ("path", "duration_ms"), "add_arc": ("owner",),
+    "remove_arc": ("owner", "index"), "reorder": ("parent", "child", "index"),
+    "splice": ("path", "parent"), "duplicate": ("path", "name"),
+    "remove": ("path",)}
+
+#: What each known field reads as; null leaves a splice's ``index`` and
+#: an arc's ``max_delay_ms`` at their defaults.
+_FIELD_KINDS = {
+    **dict.fromkeys(("path", "owner", "parent", "child", "name", "source",
+                     "destination", "src_anchor", "dst_anchor",
+                     "strictness"), str),
+    **dict.fromkeys(("duration_ms", "offset_ms", "min_delay_ms",
+                     "max_delay_ms"), float),
+    **dict.fromkeys(("index", "at_step", "document"), int)}
+_KIND_NOUNS = {str: "a string", float: "a finite number",
+               int: "a non-negative integer"}
+
+
+def check_edit_spec(spec) -> None:
+    """Refuse a malformed JSON edit spec with :class:`ValueError_`.
+
+    The boundary check of :meth:`LiveEditor.apply`, ``serve``'s edit
+    scripts and the CLI's, so that a bad script fails with one typed
+    error before any of its edits applies.
+    """
+    op = spec.get("op") if isinstance(spec, dict) else None
+    if not isinstance(op, str) or op not in _EDIT_FIELDS:
+        raise ValueError_(f"an edit spec is an object whose op is one of "
+                          f"{', '.join(_EDIT_FIELDS)}; got {spec!r}")
+    for name in _EDIT_FIELDS[op]:
+        if spec.get(name) is None:
+            raise ValueError_(f"edit {op} needs a {name!r} field")
+    for name, value in spec.items():
+        kind = _FIELD_KINDS.get(name)
+        if kind is None or value is None and name in ("index",
+                                                      "max_delay_ms"):
+            continue
+        try:
+            valid = isinstance(value, str) if kind is str else (
+                math.isfinite(kind(value))
+                and (kind is float or kind(value) >= 0))
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ValueError_(f"edit {op}: {name!r} must be "
+                              f"{_KIND_NOUNS[kind]}, got {value!r}")
+
+
 def arc_from_spec(spec: dict) -> SyncArc:
     """Build a :class:`SyncArc` (or conditional) from a JSON edit spec."""
     max_delay = spec.get("max_delay_ms", 0.0)
@@ -149,12 +213,16 @@ class ProgramPatcher:
 
     Everything the patcher needs comes out of the program cache: each
     composition's entry carries the :class:`SystemEnvironment` it was
-    compiled for, so the structural fallback re-plans exactly the
-    compositions that are cached, each for its own environment.
+    compiled for, so a structural edit re-plans exactly the
+    compositions that are cached, each for its own environment, from
+    one profile derived through ``requirements_cache`` when given.
     """
 
-    def __init__(self, program_cache: ProgramCache) -> None:
+    def __init__(self, program_cache: ProgramCache,
+                 requirements_cache: RequirementsCache | None = None
+                 ) -> None:
         self.program_cache = program_cache
+        self.requirements_cache = requirements_cache
 
     # -- entry point -------------------------------------------------------
 
@@ -178,10 +246,13 @@ class ProgramPatcher:
         if not patched:
             # A structural edit, or one that reordered the canonical
             # event sequence (or lost a slot): the flat arrays no longer
-            # mean what they meant, so this edit pays the structural
-            # path.
+            # mean what they meant, so they are lowered afresh.
             self._rebuild(new_schedule, programs, record)
-        self._rekey(new_schedule, taken, programs, record, patched=patched)
+        # Retimes, arc edits and no-ops keep the compiled document, and
+        # with it every descriptor, channel and medium the plans were
+        # lowered from, whether or not the arrays could be patched.
+        self._rekey(new_schedule, taken, programs, record, patched=patched,
+                    kept=new_schedule.compiled is old_schedule.compiled)
 
     # -- the O(affected events) patch --------------------------------------
 
@@ -276,9 +347,11 @@ class ProgramPatcher:
     # -- shared re-keying / metadata refresh -------------------------------
 
     def _rekey(self, new_schedule: Schedule, taken: dict, programs: dict,
-               record: EditRecord, *, patched: bool) -> None:
-        revision = new_schedule.compiled.document.revision
+               record: EditRecord, *, patched: bool, kept: bool) -> None:
+        compiled = new_schedule.compiled
+        revision = compiled.document.revision
         base = programs.get(None)
+        requirements = None
         for epoch in {id(program.patch_epoch): program.patch_epoch
                       for program in programs.values()}.values():
             epoch[0] += 1
@@ -289,16 +362,22 @@ class ProgramPatcher:
             environment = taken[slot][1]
             if patched:
                 record.programs_patched += 1
-                # Timing edits never touch descriptors: re-stamp the
-                # composition at the new revision, keep the plan.
+            if kept:
+                # Every plan survived: re-stamp it at the new revision.
                 if program.adaptation is not None \
                         and program.adaptation.revision != revision:
                     program.adaptation = dataclasses.replace(
                         program.adaptation, revision=revision)
                     record.adaptations_patched += 1
             elif slot is not None:
+                if requirements is None:
+                    # One profile of the new revision serves every
+                    # re-plan, and the admissions after the edit.
+                    requirements = requirements_for(
+                        compiled.document, cache=self.requirements_cache,
+                        compiled=compiled)
                 program = self._readapt(new_schedule, program, base,
-                                        environment, record)
+                                        environment, requirements, record)
             self.program_cache.restore(new_schedule, slot, program,
                                        environment)
         navigation = taken.get(("derived", NAVIGATION_TAG), (None,))[0]
@@ -312,12 +391,14 @@ class ProgramPatcher:
                 new_schedule, ("derived", NAVIGATION_TAG), navigation)
 
     def _readapt(self, new_schedule: Schedule, program, base,
-                 environment: SystemEnvironment, record: EditRecord
+                 environment: SystemEnvironment,
+                 requirements: DocumentRequirements, record: EditRecord
                  ) -> PlaybackProgram:
         """Structural path: re-plan one cached composition for the
         environment its entry was compiled for; returns the program to
         restore under the fingerprint."""
-        adaptation = adaptation_for(new_schedule, environment)
+        adaptation = adaptation_for(new_schedule, environment,
+                                    requirements=requirements)
         record.adaptations_recompiled += 1
         if adaptation.identity:
             # Cold compilation caches the base program itself for
@@ -374,7 +455,9 @@ class LiveEditor:
 
     def __init__(self, document: CmifDocument, *,
                  schedule_cache: ScheduleCache | None = None,
-                 program_cache: ProgramCache | None = None) -> None:
+                 program_cache: ProgramCache | None = None,
+                 requirements_cache: RequirementsCache | None = None
+                 ) -> None:
         self.document = document
         existing = (schedule_cache.get(document)
                     if schedule_cache is not None else None)
@@ -382,7 +465,7 @@ class LiveEditor:
                                               cache=schedule_cache)
         if existing is not None:
             self.scheduler.adopt_schedule(existing)
-        self.patcher = (ProgramPatcher(program_cache)
+        self.patcher = (ProgramPatcher(program_cache, requirements_cache)
                         if program_cache is not None else None)
         #: The most recent edit's record (None before the first edit);
         #: the lifetime totals live in :attr:`stats`.
@@ -405,9 +488,12 @@ class LiveEditor:
         :func:`arc_from_spec` fields; a ``condition`` makes it
         conditional), ``remove_arc`` (owner, index), ``reorder``
         (parent, child, index), ``splice`` (path, parent, index?),
-        ``duplicate`` (path, name), ``remove`` (path).
+        ``duplicate`` (path, name), ``remove`` (path).  A malformed spec
+        raises :class:`ValueError_` (see :func:`check_edit_spec`) and
+        leaves the document untouched.
         """
-        op = spec.get("op")
+        check_edit_spec(spec)
+        op = spec["op"]
         scheduler = self.scheduler
         if op == "retime":
             return self._edited(op, spec["path"], scheduler.retime,
@@ -432,12 +518,8 @@ class LiveEditor:
         if op == "duplicate":
             return self._edited(op, spec["path"], scheduler.duplicate,
                                 spec["path"], spec["name"])
-        if op == "remove":
-            return self._edited(op, spec["path"], scheduler.remove,
-                                spec["path"])
-        raise ValueError_(f"unknown edit op {op!r}; expected retime, "
-                          f"add_arc, remove_arc, reorder, splice, "
-                          f"duplicate or remove")
+        return self._edited(op, spec["path"], scheduler.remove,
+                            spec["path"])
 
     # -- internals ---------------------------------------------------------
 
@@ -482,4 +564,5 @@ class LiveEditor:
 
 
 __all__ = ["CONFLICT", "EditRecord", "LiveEditor", "NOOP", "PATCHED",
-           "ProgramPatcher", "RECOMPILED", "arc_from_spec"]
+           "ProgramPatcher", "RECOMPILED", "arc_from_spec",
+           "check_edit_spec"]

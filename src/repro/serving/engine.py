@@ -47,7 +47,8 @@ from repro.ledger import Ledger
 from repro.pipeline.adaptation import (adapted_navigation_for,
                                        adapted_program_for)
 from repro.pipeline.navprogram import random_trace
-from repro.pipeline.patch import EditRecord, LiveEditor
+from repro.pipeline.patch import (EditRecord, LiveEditor,
+                                  check_edit_spec)
 from repro.pipeline.program import BatchPlayer, PlaybackProgram, \
     ProgramCache
 from repro.timing.schedule import (ENGINE_GRAPH, ENGINE_REFERENCE,
@@ -322,7 +323,8 @@ class SessionEngine:
             return entry[1]
         editor = LiveEditor(document,
                             schedule_cache=self.schedule_cache,
-                            program_cache=self.program_cache)
+                            program_cache=self.program_cache,
+                            requirements_cache=self.requirements_cache)
         self._editors.put(id(document), (document, editor))
         return editor
 
@@ -335,9 +337,11 @@ class SessionEngine:
         session is named for it, then re-points the given sessions of
         this document at the document's current schedule and program —
         a swap the run queue only ever observes between quanta.
-        Editing a document invalidates its cached requirement profile
-        (edits can change descriptors/channels), so the profile is
-        re-derived lazily on the next admission.
+        An edit moves the document's revision, so its cached
+        requirement profile no longer answers for it; a structural edit
+        derives the new revision's profile once, through this engine's
+        cache, to re-plan the cached compositions, and any other edit
+        leaves it to the next admission.
         """
         editor = self.editor_for(document)
         record = editor.apply(spec)
@@ -614,7 +618,12 @@ class SessionEngine:
         edits = None
         if edit_script:
             def make_edit(spec: dict):
-                target = documents[int(spec.get("document", 0))]
+                check_edit_spec(spec)
+                index = int(spec.get("document", 0))
+                if index >= len(documents):
+                    raise ValueError_(f"edit spec names document {index} "
+                                      f"of {len(documents)}")
+                target = documents[index]
 
                 def apply() -> None:
                     edit_records.append(self.apply_edit(

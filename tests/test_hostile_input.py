@@ -3,18 +3,35 @@
 Malformed CMIF text must raise :class:`FormatError` from
 ``parse_document``; a package whose JSON lacks the package's shape must
 raise :class:`TransportError` from ``unpack``, which the CLI reports
-with exit code 2.
+with exit code 2.  The same holds for live-edit specs
+(``LiveEditor.apply`` and the CLI's edit scripts), the JSON document
+form (``document_from_json``) and fault plans (``parse_fault_plan``):
+only :class:`CmifError` escapes them.
 """
 
 import copy
 import json
+import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.cli import main
-from repro.core.errors import FormatError, TransportError
+from repro.core.errors import (CmifError, FormatError, TransportError,
+                               ValueError_)
+from repro.corpus import make_media_document
 from repro.corpus.news import make_paintings_fragment
+from repro.faults.plan import FaultPlan, parse_fault_plan
+from repro.format.json_io import document_from_json, document_to_json
 from repro.format.parser import parse_document
+from repro.pipeline.patch import LiveEditor
+from repro.transport import PROFILES
 from repro.transport.package import pack, unpack
 
 ARC = ('(cmif (version 1) (par (attributes (name d)) '
@@ -156,3 +173,289 @@ def test_unpack_of_a_deeply_nested_descriptor_attribute_raises_transport_error(
     _descriptor(damaged["cmif-package"])["attributes"]["deep"] = deep
     with pytest.raises(TransportError, match="malformed package"):
         unpack(json.dumps(damaged))
+
+
+# -- live-edit specs, JSON documents and fault plans ----------------------
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+#: Any JSON value (floats include NaN and the infinities, which
+#: Python's json module reads and writes).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8)
+
+OPS = ("retime", "add_arc", "remove_arc", "reorder", "splice",
+       "duplicate", "remove")
+SPEC_FIELDS = ("path", "owner", "parent", "child", "name", "duration_ms",
+               "index", "offset_ms", "min_delay_ms", "max_delay_ms",
+               "source", "destination", "src_anchor", "dst_anchor",
+               "strictness", "condition", "at_step", "document")
+
+
+def _edit_document():
+    return make_media_document(3, events=12, links=1)
+
+
+#: Node paths of ``_edit_document()``, so fuzzed specs often name a
+#: real node.
+EDIT_PATHS = tuple(sorted(
+    {event.node_path for event in _edit_document().compile().events}))
+
+SPEC_VALUES = (JSON_VALUES | st.sampled_from(EDIT_PATHS + ("/",))
+               | st.sampled_from(("begin", "end", "may", "must"))
+               | st.floats(-100.0, 5000.0) | st.integers(-3, 40))
+SPECS = (JSON_VALUES
+         | st.dictionaries(st.sampled_from(("op",) + SPEC_FIELDS),
+                           SPEC_VALUES | st.sampled_from(OPS), max_size=8)
+         | st.builds(lambda op, rest: {**rest, "op": op},
+                     st.sampled_from(OPS),
+                     st.dictionaries(st.sampled_from(SPEC_FIELDS),
+                                     SPEC_VALUES, max_size=8)))
+
+
+@FUZZ
+@given(specs=st.lists(SPECS, min_size=1, max_size=3))
+def test_edit_specs_raise_only_cmif_errors(specs):
+    editor = LiveEditor(_edit_document())
+    for spec in specs:
+        try:
+            editor.apply(spec)
+        except CmifError:
+            pass
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_edit_spec_missing_a_field_is_a_typed_error(op):
+    with pytest.raises(ValueError_, match=f"edit {op} needs"):
+        LiveEditor(_edit_document()).apply({"op": op})
+
+
+@pytest.mark.parametrize("spec", [
+    {"op": "retime", "path": EDIT_PATHS[0], "duration_ms": "long"},
+    {"op": "retime", "path": EDIT_PATHS[0], "duration_ms": float("nan")},
+    {"op": "remove_arc", "owner": "/", "index": "last"},
+    {"op": "reorder", "parent": "/", "child": "x", "index": [1]},
+    {"op": "add_arc", "owner": "/", "source": EDIT_PATHS[0],
+     "destination": EDIT_PATHS[1], "offset_ms": "soon"},
+    {"op": "retime", "path": 7, "duration_ms": 10.0},
+    {"op": "splice", "path": EDIT_PATHS[0], "parent": "/", "index": -1},
+], ids=["duration-text", "duration-nan", "index-text", "index-list",
+        "offset-text", "path-number", "index-negative"])
+def test_edit_spec_with_a_mistyped_field_is_a_typed_error(spec):
+    document = _edit_document()
+    revision = document.revision
+    with pytest.raises(ValueError_):
+        LiveEditor(document).apply(spec)
+    assert document.revision == revision
+
+
+@pytest.mark.parametrize("spec", [[], "retime", None, 3],
+                         ids=["list", "string", "null", "number"])
+def test_edit_spec_that_is_not_an_object_is_a_typed_error(spec):
+    with pytest.raises(ValueError_):
+        LiveEditor(_edit_document()).apply(spec)
+
+
+def _json_paths(value, path=()):
+    """Every position inside a decoded JSON value."""
+    yield path
+    if isinstance(value, dict):
+        for key, nested in value.items():
+            yield from _json_paths(nested, path + (key,))
+    elif isinstance(value, list):
+        for index, nested in enumerate(value):
+            yield from _json_paths(nested, path + (index,))
+
+
+def _replaced(value, path, replacement):
+    if not path:
+        return replacement
+    copied = copy.copy(value)
+    copied[path[0]] = _replaced(value[path[0]], path[1:], replacement)
+    return copied
+
+
+JSON_DOCUMENT = json.loads(document_to_json(make_media_document(
+    4, events=6, links=1)))
+JSON_POSITIONS = tuple(_json_paths(JSON_DOCUMENT))
+
+
+@FUZZ
+@given(position=st.sampled_from(JSON_POSITIONS), replacement=JSON_VALUES)
+def test_json_documents_raise_only_cmif_errors(position, replacement):
+    text = json.dumps(_replaced(JSON_DOCUMENT, position, replacement))
+    try:
+        document_from_json(text)
+    except CmifError:
+        pass
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "3", '"cmif"'])
+def test_json_document_that_is_not_an_object_is_a_format_error(text):
+    with pytest.raises(FormatError, match="is an object"):
+        document_from_json(text)
+
+
+def test_deeply_nested_json_document_is_a_format_error():
+    with pytest.raises(FormatError, match="invalid JSON"):
+        document_from_json(DEEP_JSON)
+
+
+RATES = tuple(field.name for field in fields(FaultPlan)
+              if field.name.endswith("_rate"))
+CSV_KEYS = ("seed", "down", "flap", "period", "latency", "latency-ms",
+            "blocks", "corrupt", "summaries", "packages", "ingest",
+            "replay", "solve", "crash")
+
+
+def _use(plan) -> None:
+    """Ask a parsed plan every question the fleet asks one."""
+    for rate in RATES:
+        plan.fires(getattr(plan, rate), "kind", "key")
+    plan.site_down("site-1", 3)
+    plan.crashes_worker(0)
+    plan.describe()
+    assert plan.enabled in (True, False)
+
+
+FAULT_SPECS = (
+    st.dictionaries(st.sampled_from([field.name
+                                     for field in fields(FaultPlan)]),
+                    JSON_VALUES | st.floats(-1.0, 2.0), max_size=4)
+    | st.lists(st.tuples(st.sampled_from(CSV_KEYS),
+                         st.text(max_size=5)
+                         | st.floats().map(repr)), max_size=4)
+    .map(lambda pairs: ",".join(f"{key}={value}"
+                                for key, value in pairs)))
+
+
+@FUZZ
+@given(spec=FAULT_SPECS)
+def test_fault_plans_raise_only_cmif_errors(spec):
+    try:
+        plan = parse_fault_plan(spec)
+    except CmifError:
+        return
+    if plan is not None:
+        _use(plan)
+        for rate in RATES:
+            assert 0.0 <= getattr(plan, rate) <= 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    {"replay_failure_rate": "x"}, {"solve_failure_rate": None},
+    "replay=2.0", "replay=-1", "blocks=nan", {"block_failure_rate": 1.5},
+    json.dumps({"ingest_failure_rate": -0.5}),
+], ids=["json-text", "json-null", "csv-above-one", "csv-negative",
+        "csv-nan", "obj-above-one", "inline-json-negative"])
+def test_fault_plan_rate_outside_the_unit_interval_is_refused(spec):
+    with pytest.raises(CmifError, match="probability in"):
+        parse_fault_plan(spec)
+
+
+def test_fault_plan_rates_at_the_bounds_still_parse():
+    plan = parse_fault_plan("replay=0,solve=1")
+    assert plan.replay_failure_rate == 0.0
+    assert plan.solve_failure_rate == 1.0
+    assert plan.fires(plan.solve_failure_rate, "solve", 1)
+    assert not math.isnan(plan.replay_failure_rate)
+
+
+@pytest.mark.parametrize("spec", [
+    {"down_sites": 3}, {"crash_shards": ["x"]}, {"seed": "x"},
+    {"flap_period": "often"},
+], ids=["sites-number", "shards-text", "seed-text", "period-text"])
+def test_fault_plan_json_field_of_the_wrong_type_is_refused(spec):
+    with pytest.raises(CmifError, match="bad fault plan value"):
+        parse_fault_plan(spec)
+
+
+# -- the CLI answers each with exit code 2 and one error line -------------
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+
+def _cli(*argv, cwd):
+    """Run ``cmif`` in a fresh interpreter, as a shell would."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("REPRO_FAULTS", None)
+    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          capture_output=True, text=True, cwd=cwd,
+                          env=env, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def edit_package(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edit") / "doc.cmifpkg"
+    path.write_text(pack(_edit_document(), embed_data=False,
+                         strict=False), encoding="utf-8")
+    return path
+
+
+def _assert_one_error_line(result):
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("script", [
+    [{"op": "retime"}],
+    [{"op": "retime", "path": EDIT_PATHS[0], "duration_ms": 900.0},
+     {"op": "add_arc"}],
+    [{"op": "retime", "path": EDIT_PATHS[0], "duration_ms": "x"}],
+    [["retime"]],
+    {"op": "retime"},
+], ids=["missing-path", "second-edit-bad", "duration-text",
+        "spec-not-object", "script-not-list"])
+def test_cli_edit_with_a_bad_script_exits_2_before_any_edit(
+        edit_package, tmp_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    result = _cli("edit", str(edit_package), "--script", str(path),
+                  cwd=tmp_path)
+    _assert_one_error_line(result)
+    assert result.stdout == ""  # nothing was applied or reported
+
+
+def test_cli_edit_with_a_script_that_is_not_json_exits_2(edit_package,
+                                                         tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text("[{\"op\": ", encoding="utf-8")
+    result = _cli("edit", str(edit_package), "--script", str(path),
+                  cwd=tmp_path)
+    _assert_one_error_line(result)
+    assert "is not JSON" in result.stderr
+
+
+def test_serve_edit_naming_a_missing_document_is_a_typed_error():
+    from repro.serving import SessionEngine
+    document = _edit_document()
+    script = [{"op": "retime", "path": EDIT_PATHS[0], "duration_ms": 5.0,
+               "document": 1}]
+    with pytest.raises(ValueError_, match="names document 1 of 1"):
+        SessionEngine(seed=3).serve([document], PROFILES[:1], replays=1,
+                                    edit_script=script)
+    assert document.revision == _edit_document().revision
+
+
+def test_cli_serve_with_a_bad_edit_script_exits_2(edit_package, tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps([{"op": "retime", "path": EDIT_PATHS[0],
+                                 "duration_ms": 5.0, "at_step": "soon"}]),
+                    encoding="utf-8")
+    result = _cli("serve", str(edit_package.parent), "--pattern",
+                  "*.cmifpkg", "--edit-script", str(path), cwd=tmp_path)
+    _assert_one_error_line(result)
+
+
+def test_cli_serve_with_a_bad_fault_plan_exits_2(edit_package, tmp_path):
+    result = _cli("serve", str(edit_package.parent), "--pattern",
+                  "*.cmifpkg", "--faults", "seed=3,replay=2", cwd=tmp_path)
+    _assert_one_error_line(result)
+    assert "replay_failure_rate" in result.stderr

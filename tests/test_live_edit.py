@@ -12,26 +12,50 @@ entry point.
 """
 
 import copy
+import dataclasses
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import edit as core_edit
+from repro.core.errors import CmifError, PathError
+from repro.core.nodes import NodeKind
+from repro.core.paths import node_path, resolve_path
 from repro.core.syncarc import (Anchor, ConditionalArc, Strictness,
                                 SyncArc)
 from repro.core.timebase import MediaTime
+from repro.core.tree import iter_preorder
 from repro.corpus import make_media_document
+from repro.pipeline.adaptation import adaptation_for
 from repro.pipeline.navprogram import compile_navigation
 from repro.pipeline.program import compile_program
 from repro.serving import SessionEngine
 from repro.serving.engine import SCHEDULE_CACHE_CAPACITY
 from repro.timing.schedule import schedule_for
 from repro.transport import PROFILES, negotiate
+from repro.transport.environments import PERSONAL_SYSTEM, WORKSTATION
+from repro.transport.requirements import compute_requirements
 
 KERNELS = ("python", "numpy")
 
 #: PROFILES[0] without jitter: its replays run on the engine's kernel.
 QUIET = PROFILES[0].degraded(name="quiet", jitter_ms=0.0)
+
+#: Capability variants of the era profiles, one changed field each.
+VARIANTS = (
+    dataclasses.replace(WORKSTATION, name="wk-jittery", jitter_ms=6.0),
+    dataclasses.replace(WORKSTATION, name="wk-mono", audio_channels=1),
+    dataclasses.replace(WORKSTATION, name="wk-dim", color_depth=8),
+    dataclasses.replace(WORKSTATION, name="wk-slow",
+                        bandwidth_bps=2_000_000),
+    dataclasses.replace(PERSONAL_SYSTEM, name="ps-crisp", jitter_ms=1.0),
+    dataclasses.replace(PERSONAL_SYSTEM, name="ps-wide",
+                        screen_width=1024, screen_height=768),
+)
+
+#: Six compositions a rich document is admitted on everywhere.
+SIX = (WORKSTATION, PERSONAL_SYSTEM) + VARIANTS[:3] + VARIANTS[4:5]
 
 
 def _kernel(name: str) -> str:
@@ -95,7 +119,6 @@ def _assert_pyramid_matches_cold(engine, document, twin, *,
 
     Each of ``environments`` that admits ``twin`` has its composition
     cached under the edited schedule; one that rejects it has none."""
-    from repro.pipeline.adaptation import adaptation_for
     editor = engine.editor_for(document)
     schedule = editor.schedule
     cold_schedule = schedule_for(twin, kernel=_kernel(kernel))
@@ -183,7 +206,6 @@ def _assert_every_composition_replanned(engine, document, twin,
     """Each of ``environments`` has its composition cached under the
     edited schedule, planned as a cold compile of ``twin`` plans it,
     and ``record`` counts exactly those compositions as re-planned."""
-    from repro.pipeline.adaptation import adaptation_for
     schedule = engine.editor_for(document).schedule
     cold_schedule = schedule_for(twin)
     compositions = {}
@@ -447,6 +469,35 @@ class TestStructuralFallback:
         _assert_every_composition_replanned(engine, document, twin,
                                             admitted, record)
 
+    def test_structural_edit_derives_one_profile(self, monkeypatch):
+        """A structural edit re-plans every composition from one
+        requirement profile of the new revision, derived through the
+        engine's cache, where the admissions after the edit find it:
+        one derivation for the edit and one admission per composition."""
+        import repro.transport.requirements as requirements_module
+        document = make_media_document(5, events=40, links=2, rich=True)
+        engine = SessionEngine(seed=9)
+        admitted = [environment for environment in SIX
+                    if engine.admit(document, environment).admitted]
+        assert len(admitted) == len(SIX)
+        derived = []
+        compute = requirements_module.compute_requirements
+
+        def counted(*args, **kwargs):
+            derived.append(args[0])
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(requirements_module, "compute_requirements",
+                            counted)
+        leaf = engine.schedule_cache.get(document) \
+            .events[0].event.node_path
+        record = engine.apply_edit(
+            document, {"op": "duplicate", "path": leaf, "name": "encore"})
+        assert record.adaptations_recompiled == len(SIX)
+        for environment in admitted:
+            assert engine.admit(document, environment).admitted
+        assert derived == [document]
+
     def test_structural_edit_replans_unnamed_environments(self):
         """Naming one session does not narrow the re-plan: a node
         added with one environment's session named re-plans every
@@ -481,7 +532,7 @@ class TestStructuralFallback:
         engine, sessions = _hot_engine([document], interactive=False)
         schedule = engine.schedule_cache.get(document)
         leaf = schedule.events[0].event.node_path
-        from repro.core.errors import CmifError
+        from repro.core.errors import CmifError, PathError
         with pytest.raises(CmifError):
             engine.apply_edit(
                 document,
@@ -492,6 +543,68 @@ class TestStructuralFallback:
             document, {"op": "retime", "path": leaf,
                        "duration_ms": 900.0}, sessions=sessions)
         assert record.mode in ("patched", "recompiled")
+
+
+def _co_starting_par_pair(document, schedule):
+    """Two adjacent events of the canonical order that begin together
+    in a par, or None."""
+    events = schedule.ordered_events()
+    for first, second in zip(events, events[1:]):
+        if first.begin_ms == second.begin_ms and resolve_path(
+                document.root, first.event.node_path).parent.kind \
+                is NodeKind.PAR:
+            return first, second
+    return None
+
+
+class TestReorderingRetime:
+    def test_reordering_retime_keeps_every_composition(self):
+        """A retime that moves a par leaf's end past its co-starting
+        neighbour's reorders the canonical events, so the arrays are
+        lowered afresh; the compiled document survives the edit, so
+        every composition is re-stamped, none is re-planned, and every
+        session keeps its program and player."""
+        document = make_media_document(2, events=40, links=2, rich=True)
+        twin = make_media_document(2, events=40, links=2, rich=True)
+        engine = SessionEngine(seed=9)
+        sessions = [engine.admit(document, environment)
+                    for environment in SIX]
+        sessions.append(engine.admit_interactive(document, SIX[0]))
+        assert all(session.admitted for session in sessions[:len(SIX)])
+        editor = engine.editor_for(document)
+        schedule = editor.schedule
+        compiled = schedule.compiled
+        compositions = [engine.program_cache.get(schedule,
+                                                 environment=environment)
+                        for environment in SIX]
+        programs = [session.program for session in sessions[:len(SIX)]]
+        players = [session.player for session in sessions[:len(SIX)]]
+        first, second = _co_starting_par_pair(document, schedule)
+        duration = second.end_ms - first.begin_ms + 50.0
+        record = engine.apply_edit(
+            document, {"op": "retime", "path": first.event.node_path,
+                       "duration_ms": duration}, sessions=sessions)
+        core_edit.retime(twin, first.event.node_path, duration)
+        assert record.mode == "recompiled"
+        assert editor.schedule.compiled is compiled
+        assert record.adaptations_recompiled == 0
+        assert record.adaptations_patched == len(
+            {id(program) for program in compositions
+             if program.adaptation is not None})
+        assert record.adaptations_patched > 0
+        schedule = editor.schedule
+        cold = schedule_for(twin)
+        for environment, before in zip(SIX, compositions):
+            hot = engine.program_cache.get(schedule,
+                                           environment=environment)
+            assert hot is before, environment.name
+            assert hot.adaptation == adaptation_for(cold, environment)
+        for session, program, player in zip(sessions, programs, players):
+            assert session.schedule is schedule
+            assert session.program is program
+            assert session.player is player
+        _assert_pyramid_matches_cold(engine, document, twin,
+                                     environments=SIX)
 
 
 class TestConditionalArcs:
@@ -571,3 +684,193 @@ class TestServeEditScript:
         assert len(report.edit_records) == 1
         # A parallel drive would have left last_queue unset.
         assert engine.last_queue is not None
+
+
+# -- the edit oracle: every composition, profile and verdict after every
+# -- edit equals a cold derivation from a twin edited through core.edit
+
+ORACLE = settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+EDIT_KINDS = ("retime-seq", "retime-par", "add_arc", "add_link",
+              "remove_arc", "duplicate", "remove", "reorder")
+
+
+def _leaves(document):
+    return [node for node in iter_preorder(document.root) if node.is_leaf]
+
+
+def _arc_targets(document) -> set[int]:
+    """Ids of the nodes some arc of ``document`` names (an arc an
+    earlier edit left dangling names none)."""
+    named: set[int] = set()
+    for node in iter_preorder(document.root):
+        for arc in node.arcs:
+            for path in (arc.source, arc.destination):
+                try:
+                    named.add(id(resolve_path(node, path)))
+                except PathError:
+                    pass
+    return named
+
+
+def _draw_edit(data, document, schedule, step: int):
+    """One edit spec of a drawn kind, valid for ``document`` as it
+    stands, and the same edit for the twin; None when the kind has
+    nothing to act on."""
+    kind = data.draw(st.sampled_from(EDIT_KINDS))
+    leaves = _leaves(document)
+    if kind == "retime-par" and schedule is not None:
+        pair = _co_starting_par_pair(document, schedule)
+        if pair is not None:
+            first, second = pair
+            path = first.event.node_path
+            duration = second.end_ms - first.begin_ms + 50.0
+            return ({"op": "retime", "path": path, "duration_ms": duration},
+                    lambda twin: core_edit.retime(twin, path, duration))
+        kind = "retime-seq"
+    if kind == "retime-seq":
+        seq = [leaf for leaf in leaves
+               if leaf.parent.kind is NodeKind.SEQ] or leaves
+        path = node_path(data.draw(st.sampled_from(seq)))
+        duration = float(data.draw(st.integers(100, 5000)))
+        return ({"op": "retime", "path": path, "duration_ms": duration},
+                lambda twin: core_edit.retime(twin, path, duration))
+    if kind in ("add_arc", "add_link"):
+        source = node_path(data.draw(st.sampled_from(leaves)))
+        destination = node_path(data.draw(st.sampled_from(leaves)))
+        if kind == "add_link":
+            return ({"op": "add_arc", "owner": "/", "source": source,
+                     "destination": destination, "strictness": "may",
+                     "condition": "bonus"},
+                    lambda twin: core_edit.add_arc(twin, "/", ConditionalArc(
+                        condition="bonus", source=source,
+                        destination=destination,
+                        strictness=Strictness.MAY)))
+        offset = float(data.draw(st.integers(0, 200)))
+        return ({"op": "add_arc", "owner": "/", "source": source,
+                 "destination": destination, "src_anchor": "end",
+                 "dst_anchor": "begin", "strictness": "may",
+                 "offset_ms": offset},
+                lambda twin: core_edit.add_arc(twin, "/", SyncArc(
+                    source=source, destination=destination,
+                    src_anchor=Anchor.END, dst_anchor=Anchor.BEGIN,
+                    strictness=Strictness.MAY,
+                    offset=MediaTime.ms(offset))))
+    if kind == "remove_arc":
+        owners = [node for node in iter_preorder(document.root)
+                  if node.arcs]
+        if not owners:
+            return None
+        owner = data.draw(st.sampled_from(owners))
+        path = node_path(owner)
+        index = data.draw(st.integers(0, len(owner.arcs) - 1))
+        return ({"op": "remove_arc", "owner": path, "index": index},
+                lambda twin: core_edit.remove_arc(twin, path, index))
+    if kind == "duplicate":
+        path = node_path(data.draw(st.sampled_from(leaves)))
+        name = f"copy{step}"
+        return ({"op": "duplicate", "path": path, "name": name},
+                lambda twin: core_edit.duplicate(twin, path, name))
+    if kind == "remove":
+        named = _arc_targets(document)
+        free = [leaf for leaf in leaves if id(leaf) not in named]
+        if len(free) < 2:
+            return None
+        path = node_path(data.draw(st.sampled_from(free)))
+        return ({"op": "remove", "path": path},
+                lambda twin: core_edit.remove(twin, path))
+    # A reorder names the child it moves, so unnamed ones stay put.
+    parents = [node for node in iter_preorder(document.root)
+               if not node.is_leaf and len(node.children) > 1
+               and any(child.name for child in node.children)]
+    if not parents:
+        return None
+    parent = data.draw(st.sampled_from(parents))
+    path = node_path(parent)
+    child = data.draw(st.sampled_from(
+        [child.name for child in parent.children if child.name]))
+    index = data.draw(st.integers(0, len(parent.children) - 1))
+    return ({"op": "reorder", "parent": path, "child": child,
+             "index": index},
+            lambda twin: core_edit.reorder(twin, path, child, index))
+
+
+def _assert_matches_twin(engine, document, twin, environments, carried):
+    """What the engine holds for ``document`` ≡ a cold derivation from
+    ``twin``; ``carried`` environments must have a composition."""
+    try:
+        cold = schedule_for(twin)
+    except CmifError:
+        with pytest.raises(CmifError):
+            engine.editor_for(document).schedule
+        return False
+    schedule = engine.editor_for(document).schedule
+    assert schedule.times_ms == cold.times_ms
+    for environment in environments:
+        hot = engine.program_cache.get(schedule, environment=environment)
+        if hot is None:
+            assert environment.name not in carried, environment.name
+            continue
+        expected = adaptation_for(cold, environment)
+        if hot.adaptation is None:
+            assert expected.identity, environment.name
+        else:
+            assert hot.adaptation == expected, environment.name
+    if engine.requirements_cache.holds(document):
+        assert engine.requirements_cache.requirements_for(document) \
+            == compute_requirements(twin)
+    for environment in environments:
+        assert negotiate(document, environment,
+                         cache=engine.requirements_cache) \
+            == negotiate(twin, environment)
+    return True
+
+
+class TestEditOracle:
+    @ORACLE
+    @given(seed=st.integers(0, 10_000), events=st.integers(16, 40),
+           environments=st.lists(st.sampled_from(PROFILES + VARIANTS),
+                                 min_size=1, max_size=6,
+                                 unique_by=lambda env: env.name),
+           data=st.data())
+    def test_edit_scripts_match_a_cold_twin(self, seed, events,
+                                            environments, data):
+        """After every edit of a random script — seq retimes, par
+        retimes that reorder co-starting events, arc and link adds,
+        arc removes, duplicates, removes and reorders — each cached
+        composition, the cached profile and every verdict equal a cold
+        derivation from a twin edited through ``repro.core.edit``."""
+        document = make_media_document(seed, events=events, links=2,
+                                       rich=True)
+        twin = make_media_document(seed, events=events, links=2,
+                                   rich=True)
+        engine = SessionEngine(seed=5)
+        carried = {environment.name for environment in environments
+                   if engine.admit(document, environment).admitted}
+        for step in range(data.draw(st.integers(4, 10))):
+            try:
+                schedule = engine.editor_for(document).schedule
+            except CmifError:
+                schedule = None
+            drawn = _draw_edit(data, document, schedule, step)
+            if drawn is None:
+                continue
+            spec, twin_edit = drawn
+            try:
+                engine.apply_edit(document, spec)
+            except CmifError:
+                pass
+            try:
+                twin_edit(twin)
+            except CmifError:
+                pass
+            if not _assert_matches_twin(engine, document, twin,
+                                        environments, carried):
+                # Nothing is carried across an unschedulable revision.
+                carried = set()
+            elif data.draw(st.booleans()):
+                # The admissions after the edit.
+                carried |= {
+                    environment.name for environment in environments
+                    if engine.admit(document, environment).admitted}
