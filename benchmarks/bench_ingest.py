@@ -39,7 +39,15 @@ bench checks the gates recorded in ``benchmarks/baselines/ingest.json``:
   writer behind ``write_document`` must beat the retired printer
   (``tests/oracles/writer.py``), timed in the same process, by the
   baseline factor (>=1.5x), writing identical text.  Both MB/s figures
-  go to ``$BENCH_RESULTS``.
+  go to ``$BENCH_RESULTS``;
+* **cold_wrap**: on the compile gate's documents, compile → graph →
+  solve → wrap through ``schedule_document(engine="graph")`` (the
+  lowering reads the compile's preorder, rows carry no tuples and the
+  times stay dense) must beat the same steps through the retired
+  lowering and its dict result (``tests/oracles/graph.py``) wrapped by
+  ``make_schedule``, timed in the same process, by the baseline factor
+  (>=1.25x), building identical schedules.  Both
+  microseconds-per-event figures go to ``$BENCH_RESULTS``.
 
 Run directly for a small report::
 
@@ -61,8 +69,8 @@ from repro.corpus import generate_corpus, ingest_corpus, \
     make_media_document, make_random_document
 from repro.format import parse_document, write_document
 from repro.transport import pack, unpack
-from repro.timing import (build_constraints, compile_graph, make_schedule,
-                          solve_graph)
+from repro.timing import (ENGINE_GRAPH, build_constraints, compile_graph,
+                          make_schedule, schedule_document, solve_graph)
 
 from results import record_result
 
@@ -71,6 +79,7 @@ from results import record_result
 # lacks.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.oracles import compile as retired_compile  # noqa: E402
+from tests.oracles import graph as retired_graph  # noqa: E402
 from tests.oracles import reader as retired_reader  # noqa: E402
 from tests.oracles import solver as retired_solver  # noqa: E402
 from tests.oracles import writer as retired_writer  # noqa: E402
@@ -83,6 +92,7 @@ SMOKE = BASELINE["ingest_smoke"]
 PARSE = BASELINE["parse"]
 COMPILE = BASELINE["compile"]
 WRITE = BASELINE["write"]
+COLD_WRAP = BASELINE["cold_wrap"]
 
 
 def _corpus_documents():
@@ -241,16 +251,21 @@ def _event_rows(compiled) -> list[tuple]:
              event.attributes) for event in compiled.events]
 
 
-def test_compile_throughput(tmp_path):
-    """The one-pass compile vs the retired one: >=1.5x, same events."""
+def _compile_documents(tmp_path) -> list:
+    """The smoke corpus's documents plus unpacked media packages."""
     paths = generate_corpus(tmp_path / "corpus",
                             documents=SMOKE["documents"],
                             events=SMOKE["events"])
     documents = [parse_document(path.read_text(encoding="utf-8"))
                  for path in paths]
-    documents += [unpack(pack(make_media_document(
+    return documents + [unpack(pack(make_media_document(
         seed, events=COMPILE["package_events"], links=4))).document
         for seed in range(COMPILE["packages"])]
+
+
+def test_compile_throughput(tmp_path):
+    """The one-pass compile vs the retired one: >=1.5x, same events."""
+    documents = _compile_documents(tmp_path)
     for document in documents:
         assert _event_rows(document.compile()) \
             == _event_rows(retired_compile.compile_document(document))
@@ -277,6 +292,45 @@ def test_compile_throughput(tmp_path):
     assert speedup >= COMPILE["min_speedup"], (
         f"the one-pass compile is only {speedup:.2f}x faster than the "
         f"retired one (baseline floor {COMPILE['min_speedup']}x)")
+
+
+def _retired_cold_wrap(document):
+    compiled = document.compile()
+    result = retired_graph.solve_graph(retired_graph.compile_graph(compiled))
+    return make_schedule(compiled, result)
+
+
+def _cold_wrap(document):
+    return schedule_document(document.compile(), engine=ENGINE_GRAPH)
+
+
+def test_cold_wrap_speedup(tmp_path):
+    """One walk per cold solve vs the retired lowering: >=1.25x, same
+    schedules."""
+    documents = _compile_documents(tmp_path)
+    for document in documents:
+        _assert_identical(_cold_wrap(document), _retired_cold_wrap(document))
+    events = sum(len(document.compile().events) for document in documents)
+    retired_s = wrap_s = float("inf")
+    for _ in range(COLD_WRAP["rounds"]):  # interleaved: same machine state
+        retired_s = min(retired_s, _seconds(_retired_cold_wrap, documents))
+        wrap_s = min(wrap_s, _seconds(_cold_wrap, documents))
+    speedup = retired_s / max(wrap_s, 1e-12)
+    print(f"\n[ingest] cold wrap {events} events over {len(documents)} "
+          f"docs: retired {retired_s / events * 1e6:.2f} us/event, "
+          f"one walk {wrap_s / events * 1e6:.2f} us/event "
+          f"-> {speedup:.2f}x")
+    record_result("cold_wrap", {
+        "documents": len(documents),
+        "events": events,
+        "retired_us_per_event": round(retired_s / events * 1e6, 3),
+        "wrap_us_per_event": round(wrap_s / events * 1e6, 3),
+        "speedup": round(speedup, 3),
+        "min_speedup": COLD_WRAP["min_speedup"],
+    })
+    assert speedup >= COLD_WRAP["min_speedup"], (
+        f"the one-walk cold solve is only {speedup:.2f}x faster than the "
+        f"retired lowering (baseline floor {COLD_WRAP['min_speedup']}x)")
 
 
 def test_write_throughput(tmp_path):
@@ -325,6 +379,8 @@ def main():
         test_parse_throughput(Path(scratch))
     with tempfile.TemporaryDirectory() as scratch:
         test_compile_throughput(Path(scratch))
+    with tempfile.TemporaryDirectory() as scratch:
+        test_cold_wrap_speedup(Path(scratch))
     with tempfile.TemporaryDirectory() as scratch:
         test_write_throughput(Path(scratch))
     print(f"floor               : {COLD['min_speedup']}x "

@@ -172,7 +172,9 @@ class CmifDocument:
         section 3.1), and the node -> event mapping the constraint
         builder uses.
 
-        One preorder walk: a node's path extends its parent's (``#i``
+        One preorder walk, kept as ``nodes`` and ``paths`` (the cold
+        path's only walk; the constraint graph and the program's arc
+        tables read it): a node's path extends its parent's (``#i``
         when unnamed), the style dictionary is resolved at the first
         leaf, and each leaf builds its style-expanded level once, read
         for medium, slice/clip and duration and kept as the event's
@@ -187,6 +189,8 @@ class CmifDocument:
         """
         events: list[EventDescriptor] = []
         by_node: dict[int, EventDescriptor] = {}
+        nodes: list[Node] = []
+        paths: list[str] = []
         per_channel: dict[str, list[EventDescriptor]] = {
             name: [] for name in self.channels.names()}
         timebase = self.timebase
@@ -212,6 +216,8 @@ class CmifDocument:
         stack: list[tuple[Node, str, list | None]] = [(self.root, "", None)]
         while stack:
             node, path, parent = stack.pop()
+            nodes.append(node)
+            paths.append(path)
             if isinstance(node, ContainerNode):
                 frame = [node, None, parent]
                 children = node.children
@@ -286,8 +292,10 @@ class CmifDocument:
             events.append(event)
             by_node[id(node)] = event
             per_channel.setdefault(channel.name, []).append(event)
+        paths[0] = "/"
         return CompiledDocument(document=self, events=events,
-                                by_node=by_node, per_channel=per_channel)
+                                by_node=by_node, per_channel=per_channel,
+                                nodes=nodes, paths=paths)
 
 
 @dataclass
@@ -297,7 +305,9 @@ class CompiledDocument:
     ``per_channel`` preserves document order within each channel, which
     the constraint builder turns into the channel serialization
     constraints ("events that are placed on a single channel are
-    synchronized in linear time order").
+    synchronized in linear time order").  ``nodes`` is the tree in
+    preorder and ``paths`` each node's canonical path (the root's is
+    ``/``), as compiled: only topology edits change them, and recompile.
     """
 
     document: CmifDocument
@@ -305,6 +315,8 @@ class CompiledDocument:
     by_node: dict[int, EventDescriptor]
     per_channel: dict[str, list[EventDescriptor]] = field(
         default_factory=dict)
+    nodes: list[Node] = field(default_factory=list)
+    paths: list[str] = field(default_factory=list)
 
     def event_for(self, node: Node) -> EventDescriptor:
         """The event materialized from ``node`` (a leaf)."""

@@ -17,9 +17,12 @@ undo:
 * :func:`add_arc` / :func:`remove_arc` — attach or detach an explicit
   synchronization arc (the sync-arc refinement loop of section 5.3.2).
 
-Arc hygiene: operations that move or delete nodes re-resolve every arc
-in the document afterwards and report the ones whose endpoints broke —
-the editor's version of the validator's ``arc-endpoint`` rule.
+Arc hygiene: operations that move or delete nodes resolve every arc in
+the document before and after the edit, and report the ones whose
+endpoints broke — the editor's version of the validator's
+``arc-endpoint`` rule — and the ones whose endpoints now name other
+nodes: a positional ``#i`` path component silently shifts when its
+siblings move.  They report and do not repair.
 
 Every successful operation bumps :attr:`CmifDocument.revision`, which is
 what the incremental scheduler (:mod:`repro.timing.incremental`) and the
@@ -48,24 +51,45 @@ class EditReport:
     operation: str
     subject: str
     dangling_arcs: list[str] = field(default_factory=list)
+    retargeted_arcs: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when no synchronization arcs were broken."""
-        return not self.dangling_arcs
+        """True when no synchronization arc was broken or retargeted."""
+        return not self.dangling_arcs and not self.retargeted_arcs
 
 
-def _dangling_arcs(document: CmifDocument) -> list[str]:
-    """Every arc in the document whose endpoints no longer resolve."""
-    broken: list[str] = []
+def _arc_targets(document: CmifDocument
+                 ) -> dict[tuple[Node, int], tuple | None]:
+    """Every arc's endpoint nodes (None when one does not resolve),
+    keyed by the arc's owner and its position among the owner's arcs."""
+    targets: dict[tuple[Node, int], tuple | None] = {}
     for node in iter_preorder(document.root):
-        for arc in node.arcs:
+        for index, arc in enumerate(node.arcs):
             try:
-                resolve_path(node, arc.source)
-                resolve_path(node, arc.destination)
+                targets[node, index] = (resolve_path(node, arc.source),
+                                        resolve_path(node, arc.destination))
             except PathError:
-                broken.append(f"{node_path(node)}: {arc.describe()}")
-    return broken
+                targets[node, index] = None
+    return targets
+
+
+def _topology_report(operation: str, subject: str, document: CmifDocument,
+                     before: dict[tuple[Node, int], tuple | None]
+                     ) -> EditReport:
+    """A topology edit's report: the arcs whose endpoints no longer
+    resolve, and those that resolve to other nodes than ``before`` (the
+    edit's :func:`_arc_targets` snapshot) recorded."""
+    report = EditReport(operation=operation, subject=subject)
+    for (node, index), targets in _arc_targets(document).items():
+        if targets is None:
+            broken = report.dangling_arcs
+        elif (node, index) in before and before[node, index] != targets:
+            broken = report.retargeted_arcs
+        else:
+            continue
+        broken.append(f"{node_path(node)}: {node.arcs[index].describe()}")
+    return report
 
 
 def reorder(document: CmifDocument, parent_path: str, child_name: str,
@@ -84,12 +108,11 @@ def reorder(document: CmifDocument, parent_path: str, child_name: str,
     if not 0 <= new_index < count:
         raise StructureError(
             f"new index {new_index} out of range for {count} children")
+    before = _arc_targets(document)
     parent.detach(child)
     parent.insert(new_index, child)
     document.bump_revision()
-    return EditReport(operation="reorder",
-                      subject=node_path(child),
-                      dangling_arcs=_dangling_arcs(document))
+    return _topology_report("reorder", node_path(child), document, before)
 
 
 def splice(document: CmifDocument, node_path_: str, new_parent_path: str,
@@ -113,15 +136,14 @@ def splice(document: CmifDocument, node_path_: str, new_parent_path: str,
             raise StructureError(
                 f"cannot splice {node.label()} into its own subtree")
         current = current.parent
+    before = _arc_targets(document)
     node.parent.detach(node)
     new_parent.add(node)
     if index is not None:
         new_parent.detach(node)
         new_parent.insert(index, node)
     document.bump_revision()
-    return EditReport(operation="splice",
-                      subject=node_path(node),
-                      dangling_arcs=_dangling_arcs(document))
+    return _topology_report("splice", node_path(node), document, before)
 
 
 def _clone_node(node: Node) -> Node:
@@ -159,13 +181,13 @@ def duplicate(document: CmifDocument, node_path_: str,
     clone = _clone_node(node)
     clone.attributes.set("name", new_name)
     index = parent.index_of(node)
+    before = _arc_targets(document)
     parent.add(clone)
     parent.detach(clone)
     parent.insert(index + 1, clone)
     document.bump_revision()
-    return EditReport(operation="duplicate",
-                      subject=node_path(clone),
-                      dangling_arcs=_dangling_arcs(document))
+    return _topology_report("duplicate", node_path(clone), document,
+                            before)
 
 
 def retime(document: CmifDocument, node_path_: str,
@@ -195,10 +217,10 @@ def remove(document: CmifDocument, node_path_: str) -> EditReport:
     if parent is None:
         raise StructureError("the root cannot be removed")
     subject = node_path(node)
+    before = _arc_targets(document)
     parent.detach(node)
     document.bump_revision()
-    return EditReport(operation="remove", subject=subject,
-                      dangling_arcs=_dangling_arcs(document))
+    return _topology_report("remove", subject, document, before)
 
 
 def add_arc(document: CmifDocument, owner_path: str,

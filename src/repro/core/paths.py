@@ -104,29 +104,6 @@ def node_path(node: Node) -> str:
     return "/" + "/".join(reversed(components))
 
 
-def path_map(root: Node) -> dict[int, str]:
-    """Canonical root-relative paths for every node, in one walk.
-
-    Produces exactly :func:`node_path`'s output for each node, keyed by
-    ``id(node)`` — the batch form used by callers (the player's arc
-    auditor) that would otherwise recompute per-node parent chains on
-    every run.  The map is only valid while the tree is unmutated.
-    """
-    paths: dict[int, str] = {id(root): "/"}
-    stack: list[tuple[Node, str]] = [(root, "")]
-    while stack:
-        node, prefix = stack.pop()
-        if not isinstance(node, ContainerNode):
-            continue
-        for index, child in enumerate(node.children):
-            component = (child.name if child.name is not None
-                         else f"#{index}")
-            child_path = f"{prefix}/{component}"
-            paths[id(child)] = child_path
-            stack.append((child, child_path))
-    return paths
-
-
 def relative_path(origin: Node, target: Node) -> str:
     """A path from ``origin`` that resolves to ``target``.
 

@@ -28,11 +28,13 @@ mismatch traffic-driven placement exists to fix.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
+from repro.core.errors import ValueError_
 from repro.corpus.generate import make_media_document, make_payload_block
 from repro.store.datastore import DataStore
 from repro.store.distributed import FederatedStore, Site
@@ -104,8 +106,19 @@ def make_topology(spec: WorkloadSpec) -> SiteTopology:
 
 
 def zipf_weights(count: int, s: float) -> list[float]:
-    """Unnormalized zipf weights for ranks 1..count."""
-    return [1.0 / (rank ** s) for rank in range(1, count + 1)]
+    """Unnormalized zipf weights for ranks 1..count.
+
+    An exponent that is negative or not finite, or so large that a
+    rank's power overflows, raises :class:`ValueError_`.
+    """
+    if not 0.0 <= s < math.inf:
+        raise ValueError_("the zipf exponent must be a finite number at "
+                          "or above 0")
+    try:
+        return [1.0 / (rank ** s) for rank in range(1, count + 1)]
+    except OverflowError:
+        raise ValueError_(f"a zipf exponent of {s:g} overflows over "
+                          f"{count} ranks") from None
 
 
 def package_descriptor_id(document) -> str:
@@ -165,6 +178,8 @@ def build_workload(spec: WorkloadSpec, documents=None,
         catalog[index] = tuple(ids)
 
     weights = zipf_weights(len(documents), spec.zipf_s)
+    if not 0.0 <= spec.locality <= 1.0:
+        raise ValueError_("the locality must be a probability in [0, 1]")
     requests = []
     for _ in range(spec.sessions):
         document_index = rng.choices(range(len(documents)),

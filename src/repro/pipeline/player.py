@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import PlaybackError
 from repro.core.nodes import Node
-from repro.core.paths import path_map, resolve_path
+from repro.core.paths import resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
 from repro.core.tree import iter_postorder
-from repro.pipeline.program import BatchPlayer
+from repro.pipeline.program import (BatchPlayer, check_play_controls,
+                                    check_prefetch_lead)
 from repro.timing.conflicts import (ConflictReport, invalid_arcs_after_seek)
 from repro.timing.intervals import arc_window
 from repro.timing.schedule import Schedule
@@ -174,31 +175,11 @@ class Player:
                  strict: bool = False) -> None:
         self.environment = environment
         self.seed = seed
-        if prefetch_lead_ms < 0:
-            raise PlaybackError("prefetch lead cannot be negative")
+        check_prefetch_lead(prefetch_lead_ms)
         self.prefetch_lead_ms = prefetch_lead_ms
         self.strict = strict
         # One-slot compiled-program engine (see class docstring).
         self._batch: BatchPlayer | None = None
-        # One-slot node-path cache for the reference path: replays and
-        # seeks audit the same compiled document over and over; holding
-        # the compiled object pins its identity, and the revision guards
-        # against edits.
-        self._paths_compiled = None
-        self._paths_revision: int | None = None
-        self._paths: dict[int, str] | None = None
-
-    def _paths_for(self, schedule: Schedule) -> dict[int, str]:
-        """Root-relative paths for the schedule's document, cached."""
-        compiled = schedule.compiled
-        revision = compiled.document.revision
-        if (self._paths_compiled is not compiled
-                or self._paths_revision != revision
-                or self._paths is None):
-            self._paths = path_map(compiled.document.root)
-            self._paths_compiled = compiled
-            self._paths_revision = revision
-        return self._paths
 
     def _batch_for(self, schedule: Schedule) -> BatchPlayer:
         """The compiled engine for ``schedule``, rebuilt on change.
@@ -253,8 +234,6 @@ class Player:
         :class:`~repro.pipeline.program.PlaybackProgram`; the report is
         bit-identical to :meth:`play_reference` on the same inputs.
         """
-        if rate <= 0:
-            raise PlaybackError(f"rate must be positive, got {rate}")
         batch = self._batch_for(schedule)
         if rng is None:
             rng = self.rng_for(0)
@@ -277,8 +256,7 @@ class Player:
         it.  Events are dispatched in the schedule's canonical
         :func:`~repro.timing.schedule.event_order` (begin, end, id).
         """
-        if rate <= 0:
-            raise PlaybackError(f"rate must be positive, got {rate}")
+        check_play_controls(rate, seek_to_ms)
         working = schedule
         if rate != 1.0:
             working = _scaled(schedule, rate)
@@ -339,8 +317,9 @@ class Player:
     def _audit_arcs(self, schedule: Schedule,
                     actual_times: dict[str, tuple[float, float]]
                     ) -> list[ArcAudit]:
-        document = schedule.compiled.document
-        paths = self._paths_for(schedule)
+        compiled = schedule.compiled
+        document = compiled.document
+        paths = dict(zip(map(id, compiled.nodes), compiled.paths))
         node_times = _node_actual_times(document.root, actual_times,
                                         paths)
         audits: list[ArcAudit] = []
@@ -387,8 +366,8 @@ def _node_actual_times(root: Node,
     """Realized (begin, end) for every node, composed up from leaves.
 
     ``paths`` must cover every node of ``root``'s tree — callers pass
-    the player's cached :func:`~repro.core.paths.path_map`, so the walk
-    never falls back to per-node parent-chain recomputation.
+    the paths the compile recorded, so the walk never falls back to
+    per-node parent-chain recomputation.
     """
     times: dict[int, tuple[float, float]] = {}
     for node in iter_postorder(root):

@@ -30,6 +30,7 @@ which the equivalence tests and the playback bench both gate.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -37,7 +38,7 @@ from repro.cache import LRUCache
 from repro.core.channels import Medium
 from repro.core.errors import PathError, PlaybackError
 from repro.kernel import PYTHON_KERNEL, resolve_kernel
-from repro.core.paths import path_map, resolve_path
+from repro.core.paths import resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
 from repro.core.tree import iter_postorder, iter_preorder
 from repro.timing.conflicts import (ConflictReport,
@@ -331,6 +332,25 @@ class PlaybackProgram:
         return [table[m] for m in self.medium_index]
 
 
+def check_prefetch_lead(lead_ms: float) -> None:
+    """Refuse a prefetch lead that is negative or not finite."""
+    if not 0.0 <= lead_ms < math.inf:
+        raise PlaybackError("the prefetch lead must be a finite number of "
+                            "milliseconds at or above 0")
+
+
+def check_play_controls(rate: float, seek_to_ms: float) -> None:
+    """Refuse a rate that is not a positive finite number, or a seek
+    point that is negative or not finite (NaN included).  The messages
+    do not echo the value: a refused NaN or infinity stays out of every
+    line the program prints."""
+    if not 0.0 < rate < math.inf:
+        raise PlaybackError("the rate must be positive and finite")
+    if not 0.0 <= seek_to_ms < math.inf:
+        raise PlaybackError("the seek point must be a finite time at or "
+                            "after 0")
+
+
 def audit_row(arc: AuditArc) -> tuple:
     """The audit loop's hot-tuple form of one :class:`AuditArc` row."""
     return (arc.source_events, arc.src_begin, arc.dest_events,
@@ -410,11 +430,12 @@ def compiled_arc_rows(schedule: Schedule) -> tuple[list, list]:
 
     :func:`compile_program` builds its arc tables here, and an arc edit
     slice-assigns a fresh pair into the live shared lists, so a patch
-    and a cold compile share one loop order.
+    and a cold compile share one loop order.  Paths and the preorder
+    come from the compile (an arc edit keeps the tree's shape).
     """
     compiled = schedule.compiled
     document = compiled.document
-    paths = path_map(document.root)
+    paths = dict(zip(map(id, compiled.nodes), compiled.paths))
     timebase = document.timebase
     event_slot = event_slot_map(schedule)
     audit = []
@@ -425,7 +446,7 @@ def compiled_arc_rows(schedule: Schedule) -> tuple[list, list]:
             audit.append(build_audit_arc(node, arc, paths, timebase,
                                          compiled, event_slot))
     nav = []
-    for node in iter_preorder(document.root):
+    for node in compiled.nodes:
         for arc in node.arcs:
             nav.append(build_nav_arc(node, arc, paths, compiled,
                                      event_slot))
@@ -810,8 +831,7 @@ class BatchPlayer:
                  program: PlaybackProgram | None = None,
                  program_cache: "ProgramCache | None" = None,
                  kernel=None) -> None:
-        if prefetch_lead_ms < 0:
-            raise PlaybackError("prefetch lead cannot be negative")
+        check_prefetch_lead(prefetch_lead_ms)
         self.environment = environment
         self.seed = seed
         self.prefetch_lead_ms = prefetch_lead_ms
@@ -968,8 +988,7 @@ class BatchPlayer:
                 rng: random.Random | None = None,
                 replay: int = 0) -> CompactReport:
         """One replay, returned in compact (lazy) form."""
-        if rate <= 0:
-            raise PlaybackError(f"rate must be positive, got {rate}")
+        check_play_controls(rate, seek_to_ms)
         env = environment if environment is not None else self.environment
         transform_key, tb, te = self._transformed(rate, freeze_at_ms,
                                                   freeze_duration_ms)

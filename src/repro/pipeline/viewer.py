@@ -18,7 +18,10 @@ structure's role as "an internal table-of-contents function":
 
 from __future__ import annotations
 
+import math
+
 from repro.core.document import CmifDocument
+from repro.core.errors import ValueError_
 from repro.core.nodes import ImmNode, Node
 from repro.pipeline.presentation import PresentationMap
 from repro.timing.constraints import arc_table
@@ -80,17 +83,30 @@ def render_embedded(document: CmifDocument, width: int = 72) -> str:
     return "\n".join(lines)
 
 
+#: The most rows :func:`render_timeline` draws; a slot width that
+#: would need more is refused rather than rendered for minutes.
+MAX_TIMELINE_ROWS = 10_000
+
+
 def render_timeline(schedule: Schedule, *, slot_ms: float = 1000.0,
                     column_width: int = 14) -> str:
     """Figure 3 / figure 10: channel columns, time rows, event boxes.
 
     Each row covers ``slot_ms`` of presentation time; a cell shows the
     event active on that channel during the slot, with ``+--`` marking
-    the slot in which the event begins.
+    the slot in which the event begins.  A slot width that is not a
+    positive finite number, or that would need more than
+    :data:`MAX_TIMELINE_ROWS` rows, raises :class:`ValueError_`.
     """
+    if not 0.0 < slot_ms < math.inf:
+        raise ValueError_("the slot width must be a positive finite "
+                          "number of milliseconds")
     lanes = schedule.by_channel()
     channels = list(lanes)
     total = schedule.total_duration_ms
+    if total / slot_ms > MAX_TIMELINE_ROWS:
+        raise ValueError_(f"a {slot_ms:g}ms slot would draw more than "
+                          f"{MAX_TIMELINE_ROWS} rows for {total:g}ms")
     slots = max(1, int(total / slot_ms + 0.999))
     header = "time".ljust(10) + "".join(
         name.ljust(column_width) for name in channels)

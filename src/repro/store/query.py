@@ -17,6 +17,7 @@ its inverted indexes instead of scanning every descriptor.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterator
 
 from repro.core.channels import Medium
@@ -146,6 +147,10 @@ class DurationBetween(Query):
                  timebase: TimeBase | None = None) -> None:
         if min_ms is None and max_ms is None:
             raise QueryError("duration_between needs at least one bound")
+        for bound in (min_ms, max_ms):
+            if bound is not None and not math.isfinite(bound):
+                raise QueryError("a duration bound must be a finite "
+                                 "number of milliseconds")
         self.min_ms = min_ms
         self.max_ms = max_ms
         self.timebase = timebase or TimeBase()

@@ -13,16 +13,22 @@ it:
   :class:`TimeVar` frozen dataclass per variable and a
   :class:`Constraint` dataclass with an eagerly formatted note per
   rule.  Corpus ingest (thousands of cold documents, no warm cache to
-  help) would pay all of it per document.  Time variables are interned
-  to dense int ids in exactly the order ``build_constraints`` interns
-  them, and constraints are *rows in a metadata table*; the
-  corresponding :class:`Constraint` objects (with their formatted
-  notes) only materialize for cycle diagnostics, dropped-constraint
-  reporting and :func:`~repro.timing.solver.check_solution` audits.
+  help) would pay all of it per document.  It reads the preorder
+  :meth:`~repro.core.document.CmifDocument.compile` recorded, so the
+  compile's walk is the cold path's only one.  Time variables get dense
+  int ids in exactly the order ``build_constraints`` interns them, and
+  each row's provenance is three parallel *columns* (a rule code, a
+  subject and a second subject) holding objects the document already
+  has; the corresponding :class:`Constraint` objects (with their
+  formatted notes) only materialize for cycle diagnostics,
+  dropped-constraint reporting and
+  :func:`~repro.timing.solver.check_solution` audits.  Its solution
+  stays dense: :class:`DenseTimes` maps each :class:`TimeVar` to its
+  time by indexing the solve's own array.
 * :meth:`ConstraintGraph.from_system` lowers a built
   :class:`ConstraintSystem`, each row standing for one of the system's
   own constraint objects: what :func:`~repro.timing.solver.solve` and
-  the incremental solver run on.
+  the incremental solver run on.  Its solution is a dict.
 
 For one document both produce the same rows in the same order, so
 every tie-break of the solve matches.  One core solves them:
@@ -49,12 +55,13 @@ lists; the ``kernel=`` axis covers only the replay loop.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.document import CompiledDocument
 from repro.core.errors import SchedulingConflict
-from repro.core.nodes import NodeKind
+from repro.core.nodes import ContainerNode, NodeKind
 from repro.core.paths import resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness, SyncArc
 from repro.timing.constraints import (Constraint, ConstraintKind,
@@ -74,7 +81,8 @@ SUSPICION_LAPS = 16
 
 _EPS = 1e-9
 
-#: Metadata row codes — which rule produced a constraint, and from what.
+#: Row codes — which rule produced a constraint (the ``cons_code``
+#: column; ``cons_subject`` and ``cons_other`` say from what).
 _M_DUR_LOW = 0
 _M_DUR_UP = 1
 _M_SPAN = 2
@@ -98,7 +106,7 @@ class SolverResult:
     no relaxation was needed).
     """
 
-    times_ms: dict[TimeVar, float]
+    times_ms: Mapping[TimeVar, float]
     dropped: list[Constraint] = field(default_factory=list)
     iterations: int = 1
 
@@ -126,15 +134,24 @@ class ConstraintGraph:
     variable ``v`` in row order, the adjacency order every tie-break of
     the solve follows.
 
-    A compiled graph's ``meta`` carries, per document row, just enough
-    provenance to materialize the row's :class:`Constraint` on demand;
-    a graph lowered :meth:`from_system` holds the system's own
+    A compiled graph keeps, per document row, the provenance that
+    materializes its :class:`Constraint` on demand in three more
+    columns: ``cons_code`` (the rule), ``cons_subject`` (the event,
+    node, channel or arc) and ``cons_other`` (a seq chain row's next
+    sibling, an arc row's owner path, else None).  ``var_paths`` and
+    ``var_kinds`` name each variable, ``slots`` maps each node's path
+    to its preorder position and ``begin_ids``/``end_ids`` a position
+    to its anchors' ids, and ``event_begin``/``event_end`` hold each
+    event's: what :class:`DenseTimes` and the schedule wrap read.  A
+    graph lowered :meth:`from_system` holds the system's own
     constraints and variables instead.
     """
 
     __slots__ = ("count", "root", "real_count", "var_paths", "var_kinds",
-                 "cons_var", "cons_base", "cons_weight", "cons_relax",
-                 "meta", "out", "_timevars", "_constraints")
+                 "slots", "begin_ids", "end_ids", "event_begin",
+                 "event_end", "cons_var", "cons_base", "cons_weight",
+                 "cons_relax", "cons_code", "cons_subject", "cons_other",
+                 "out", "_timevars", "_constraints")
 
     def __init__(self) -> None:
         self.count = 0
@@ -142,11 +159,18 @@ class ConstraintGraph:
         self.real_count = 0
         self.var_paths: list[str] = []
         self.var_kinds: list[int] = []          # 0 = begin, 1 = end
+        self.slots: dict[str, int] | None = None
+        self.begin_ids: list[int] = []
+        self.end_ids: list[int] = []
+        self.event_begin: list[int] = []
+        self.event_end: list[int] = []
         self.cons_var: list[int] = []
         self.cons_base: list[int] = []
         self.cons_weight: list[float] = []
         self.cons_relax: list[int] = []
-        self.meta: list[tuple] = []
+        self.cons_code: list[int] = []
+        self.cons_subject: list = []
+        self.cons_other: list = []
         self.out: list[list[int]] = []
         self._timevars: list[TimeVar | None] = []
         self._constraints: dict[int, Constraint] = {}
@@ -157,7 +181,10 @@ class ConstraintGraph:
 
         Row ``r`` stands for ``system.constraints[r]`` itself, so
         results and conflict cycles hold the caller's instances;
-        implied root rows materialize on demand.
+        implied root rows materialize on demand.  The
+        :class:`~repro.timing.solver.IncrementalSolver` mutates these
+        rows in place (``cons_*[row]``, ``out``, ``_timevars``,
+        ``_constraints``), so this layout is its live state as well.
         """
         if system.root_begin is None:
             raise SchedulingConflict("constraint system has no root anchor")
@@ -229,14 +256,14 @@ class ConstraintGraph:
         var = self.timevar(self.cons_var[cons_id])
         base = self.timevar(self.cons_base[cons_id])
         weight = self.cons_weight[cons_id]
-        row = self.meta[cons_id]
-        code = row[0]
+        code = self.cons_code[cons_id]
+        subject = self.cons_subject[cons_id]
         if code in (_M_DUR_LOW, _M_DUR_UP):
             return Constraint(var, base, weight, ConstraintKind.DURATION,
-                              note=f"duration of {row[1].event_id}")
+                              note=f"duration of {subject.event_id}")
         if code == _M_SPAN:
             kind = (ConstraintKind.SEQ_DEFAULT
-                    if row[1].kind is NodeKind.SEQ
+                    if subject.kind is NodeKind.SEQ
                     else ConstraintKind.PAR_DEFAULT)
             return Constraint(var, base, weight, kind,
                               note="container non-negative span")
@@ -247,8 +274,8 @@ class ConstraintGraph:
         if code == _M_SEQ_CHAIN:
             return Constraint(var, base, weight,
                               ConstraintKind.SEQ_DEFAULT,
-                              note=f"seq chain {row[1].label()} -> "
-                                   f"{row[2].label()}")
+                              note=f"seq chain {subject.label()} -> "
+                                   f"{self.cons_other[cons_id].label()}")
         if code == _M_SEQ_END:
             return Constraint(var, base, weight,
                               ConstraintKind.SEQ_DEFAULT,
@@ -256,20 +283,21 @@ class ConstraintGraph:
         if code == _M_PAR_FORK:
             return Constraint(var, base, weight,
                               ConstraintKind.PAR_DEFAULT,
-                              note=f"par fork -> {row[1].label()}")
+                              note=f"par fork -> {subject.label()}")
         if code == _M_PAR_JOIN:
             return Constraint(var, base, weight,
                               ConstraintKind.PAR_DEFAULT,
-                              note=f"par join <- {row[1].label()}")
+                              note=f"par join <- {subject.label()}")
         if code == _M_CHANNEL:
             return Constraint(var, base, weight,
                               ConstraintKind.CHANNEL_ORDER,
-                              note=f"channel {row[1]!r} order")
-        # _M_ARC_LOW / _M_ARC_UP: (code, owner_path, arc)
+                              note=f"channel {subject!r} order")
+        # _M_ARC_LOW / _M_ARC_UP: the arc, then its owner's path.
         return Constraint(var, base, weight, ConstraintKind.EXPLICIT_ARC,
                           relaxable=bool(self.cons_relax[cons_id]),
-                          arc=row[2],
-                          note=f"arc at {row[1]}: {row[2].describe()}")
+                          arc=subject,
+                          note=f"arc at {self.cons_other[cons_id]}: "
+                               f"{subject.describe()}")
 
     def arc_of(self, cons_id: int) -> SyncArc | None:
         """The owning SyncArc of a row, without materializing (or None)."""
@@ -278,8 +306,9 @@ class ConstraintGraph:
             return cached.arc
         if cons_id >= self.real_count:
             return None
-        row = self.meta[cons_id]
-        return row[2] if row[0] in (_M_ARC_LOW, _M_ARC_UP) else None
+        return (self.cons_subject[cons_id]
+                if self.cons_code[cons_id] in (_M_ARC_LOW, _M_ARC_UP)
+                else None)
 
     def system(self) -> ConstraintSystem:
         """Materialize the full object-form system (tests, diagnostics).
@@ -316,130 +345,174 @@ def compile_graph(compiled: CompiledDocument, *,
 
     Emits the same rules, in the same order, as
     :func:`~repro.timing.constraints.build_constraints` — but into flat
-    rows, with no TimeVar or Constraint objects and no note formatting.
-    Variable ids follow the reference interning order (first mention in
-    emission order, root begin first), so the rows are the ones
-    :meth:`ConstraintGraph.from_system` lowers the built system to.
+    rows, with no TimeVar or Constraint objects and no note formatting,
+    walking ``compiled.nodes`` (the compile's preorder) instead of the
+    tree.  Variable ids follow the reference interning order (first
+    mention in emission order, root begin first), so the rows are the
+    ones :meth:`ConstraintGraph.from_system` lowers the built system to.
     """
     graph = ConstraintGraph()
-    document = compiled.document
-    root = document.root
-
-    # One walk assigns every node a preorder sequence number and its
-    # canonical path (the reference recomputes node_path per mention).
-    nodes: list = []
-    paths: list[str] = []
-    seq_of: dict[int, int] = {}
-    seq_by_path: dict[str, int] = {}
-    stack = [(root, "/", "")]
-    while stack:
-        node, path, prefix = stack.pop()
-        seq_of[id(node)] = len(nodes)
-        seq_by_path[path] = len(nodes)
-        nodes.append(node)
-        paths.append(path)
-        if not node.is_leaf:
-            for index in reversed(range(len(node.children))):
-                child = node.children[index]
-                component = (child.name if child.name is not None
-                             else f"#{index}")
-                child_path = f"{prefix}/{component}"
-                stack.append((child, child_path, child_path))
-    # The stack pops children in document order (reversed push), so
-    # ``nodes`` is exactly ``iter_preorder(root)``.
-
-    var_ids: dict[int, int] = {}
-    var_paths = graph.var_paths
-    var_kinds = graph.var_kinds
-
-    def intern(key: int) -> int:
-        var_id = var_ids.get(key)
-        if var_id is None:
-            var_id = len(var_paths)
-            var_ids[key] = var_id
-            var_paths.append(paths[key >> 1])
-            var_kinds.append(key & 1)
-        return var_id
-
+    nodes = compiled.nodes
+    paths = compiled.paths
+    count = len(nodes)
+    seq_of = dict(zip(map(id, nodes), range(count)))
+    slots = graph.slots = dict(zip(paths, range(count)))
+    # A node's anchors are first mentioned by its parent's rows (the
+    # root's by its own span row), so numbering them there, in the order
+    # those rows name them, is the reference interning order.
+    begin_ids = graph.begin_ids = [0] * count
+    end_ids = graph.end_ids = [1] * count
+    fresh = 2                               # the next unnumbered anchor
     cons_var = graph.cons_var
     cons_base = graph.cons_base
     cons_weight = graph.cons_weight
-    cons_relax = graph.cons_relax
-    meta = graph.meta
+    codes = graph.cons_code
+    subjects = graph.cons_subject
+    others = graph.cons_other
 
-    def lower(var_key: int, base_key: int, weight: float,
-              row: tuple, relaxable: bool = False) -> None:
-        cons_var.append(intern(var_key))
-        cons_base.append(intern(base_key))
+    def row(var: int, base: int, weight: float, code: int, subject,
+            other=None) -> None:
+        cons_var.append(var)
+        cons_base.append(base)
         cons_weight.append(weight)
-        cons_relax.append(1 if relaxable else 0)
-        meta.append(row)
+        codes.append(code)
+        subjects.append(subject)
+        others.append(other)
 
-    root_id = intern(0)  # begin(root): key (seq 0 << 1) | 0
-
-    for seq in range(len(nodes)):
+    events = iter(compiled.events)
+    for seq in range(count):
         node = nodes[seq]
-        begin_key = seq << 1
-        end_key = begin_key | 1
-        if node.is_leaf:
-            event = compiled.event_for(node)
+        begin = begin_ids[seq]
+        end = end_ids[seq]
+        if not isinstance(node, ContainerNode):
+            # Leaves come in ``compiled.events`` order.  The upper bound
+            # upper(end, begin, d) is stored as begin - end >= -d.
+            event = next(events)
             duration = event.duration_ms
-            lower(end_key, begin_key, duration, (_M_DUR_LOW, event))
-            # upper(end, begin, d) stores begin - end >= -d.
-            lower(begin_key, end_key, -duration, (_M_DUR_UP, event))
+            graph.event_begin.append(begin)
+            graph.event_end.append(end)
+            cons_var += (end, begin)
+            cons_base += (begin, end)
+            cons_weight += (duration, -duration)
+            codes += (_M_DUR_LOW, _M_DUR_UP)
+            subjects += (event, event)
+            others += (None, None)
             continue
+        row(end, begin, 0.0, _M_SPAN, node)
         children = node.children
-        lower(end_key, begin_key, 0.0, (_M_SPAN, node))
         if not children:
             continue
-        child_seq = [seq_of[id(child)] for child in children]
+        kids = [seq_of[id(child)] for child in children]
         if node.kind is NodeKind.SEQ:
-            lower(child_seq[0] << 1, begin_key, 0.0, (_M_SEQ_START, node))
-            for position in range(len(children) - 1):
-                lower(child_seq[position + 1] << 1,
-                      (child_seq[position] << 1) | 1, 0.0,
-                      (_M_SEQ_CHAIN, children[position],
-                       children[position + 1]))
-            lower(end_key, (child_seq[-1] << 1) | 1, 0.0,
-                  (_M_SEQ_END, node))
-        else:
-            for position, child in enumerate(children):
-                fork_key = child_seq[position] << 1
-                lower(fork_key, begin_key, 0.0, (_M_PAR_FORK, child))
-                lower(end_key, fork_key | 1, 0.0, (_M_PAR_JOIN, child))
+            begin_ids[kids[0]] = fresh
+            row(fresh, begin, 0.0, _M_SEQ_START, node)
+            fresh += 1
+            for position in range(1, len(kids)):
+                begin_ids[kids[position]] = fresh
+                end_ids[kids[position - 1]] = fresh + 1
+                row(fresh, fresh + 1, 0.0, _M_SEQ_CHAIN,
+                    children[position - 1], children[position])
+                fresh += 2
+            end_ids[kids[-1]] = fresh
+            row(end, fresh, 0.0, _M_SEQ_END, node)
+            fresh += 1
+            continue
+        for child, kid in zip(children, kids):
+            begin_ids[kid] = fresh
+            end_ids[kid] = fresh + 1
+            cons_var += (fresh, end)
+            cons_base += (begin, fresh + 1)
+            cons_weight += (0.0, 0.0)
+            codes += (_M_PAR_FORK, _M_PAR_JOIN)
+            subjects += (child, child)
+            others += (None, None)
+            fresh += 2
 
     if channel_serialization:
-        for channel, events in compiled.per_channel.items():
-            for before, after in zip(events, events[1:]):
-                lower(seq_by_path[after.node_path] << 1,
-                      (seq_by_path[before.node_path] << 1) | 1, 0.0,
-                      (_M_CHANNEL, channel))
+        for channel, lane in compiled.per_channel.items():
+            for before, after in zip(lane, lane[1:]):
+                row(begin_ids[slots[after.node_path]],
+                    end_ids[slots[before.node_path]], 0.0, _M_CHANNEL,
+                    channel)
 
-    timebase = document.timebase
-    for seq in range(len(nodes)):
+    cons_relax = graph.cons_relax
+    cons_relax += [0] * len(cons_var)      # only arc rows can be may rows
+    timebase = compiled.document.timebase
+    for seq in range(count):
         node = nodes[seq]
         for arc in node.arcs:
             if isinstance(arc, ConditionalArc):
                 continue
-            source = resolve_path(node, arc.source)
-            destination = resolve_path(node, arc.destination)
-            src_key = (seq_of[id(source)] << 1) | (
-                0 if arc.src_anchor is Anchor.BEGIN else 1)
-            dst_key = (seq_of[id(destination)] << 1) | (
-                0 if arc.dst_anchor is Anchor.BEGIN else 1)
+            source = seq_of[id(resolve_path(node, arc.source))]
+            destination = seq_of[id(resolve_path(node, arc.destination))]
+            src = (begin_ids if arc.src_anchor is Anchor.BEGIN
+                   else end_ids)[source]
+            dst = (begin_ids if arc.dst_anchor is Anchor.BEGIN
+                   else end_ids)[destination]
             delta_ms, epsilon_ms = arc.window_ms(timebase)
             offset_ms = timebase.to_ms(arc.offset)
-            relaxable = arc.strictness is Strictness.MAY
-            owner_path = paths[seq]
-            lower(dst_key, src_key, offset_ms + delta_ms,
-                  (_M_ARC_LOW, owner_path, arc), relaxable)
+            relaxable = 1 if arc.strictness is Strictness.MAY else 0
+            row(dst, src, offset_ms + delta_ms, _M_ARC_LOW, arc, paths[seq])
+            cons_relax.append(relaxable)
             if epsilon_ms is not None:
-                lower(src_key, dst_key, -(offset_ms + epsilon_ms),
-                      (_M_ARC_UP, owner_path, arc), relaxable)
+                row(src, dst, -(offset_ms + epsilon_ms), _M_ARC_UP, arc,
+                    paths[seq])
+                cons_relax.append(relaxable)
 
-    graph._timevars = [None] * len(var_paths)
-    graph._close(len(var_paths), root_id)
+    var_paths = graph.var_paths = [""] * fresh
+    var_kinds = graph.var_kinds = [0] * fresh
+    for seq in range(count):
+        var_paths[begin_ids[seq]] = var_paths[end_ids[seq]] = paths[seq]
+        var_kinds[end_ids[seq]] = 1
+    graph._timevars = [None] * fresh
+    graph._close(fresh, 0)
     return graph
+
+
+class DenseTimes(Mapping):
+    """A compiled graph's solution as a read-only ``TimeVar -> ms`` map.
+
+    It holds the solve's dense ``dist`` list and the graph's names for
+    it (``var_paths``, ``var_kinds``, ``slots``, ``begin_ids`` and
+    ``end_ids``), never its rows, ``out`` lists or provenance columns,
+    so a cached schedule keeps alive only what a lookup reads.  A lookup
+    is one path lookup plus an index; a :class:`TimeVar` is built only
+    when something iterates, in variable order.  It compares equal to
+    the dict a reference solve returns for the same document, and
+    pickles.
+    """
+
+    __slots__ = ("dist", "_paths", "_kinds", "_slots", "_begin", "_end")
+
+    def __init__(self, dist: list[float], graph: ConstraintGraph) -> None:
+        self.dist = dist
+        self._paths = graph.var_paths
+        self._kinds = graph.var_kinds
+        self._slots = graph.slots
+        self._begin = graph.begin_ids
+        self._end = graph.end_ids
+
+    def __getitem__(self, var: TimeVar) -> float:
+        slot = self._slots.get(var.path) if type(var) is TimeVar else None
+        if slot is None:
+            raise KeyError(var)
+        ids = self._end if var.kind is VarKind.END else self._begin
+        return self.dist[ids[slot]]
+
+    def __iter__(self):
+        kinds = (VarKind.BEGIN, VarKind.END)
+        return map(TimeVar, self._paths, map(kinds.__getitem__, self._kinds))
+
+    def __len__(self) -> int:
+        return len(self.dist)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        missing = object()
+        return len(other) == len(self.dist) and all(
+            other.get(var, missing) == time
+            for var, time in zip(self, self.dist))
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +757,9 @@ def solve_graph(graph: ConstraintGraph, *,
 
     Returns the :class:`SolverResult` of
     :func:`~repro.timing.solver.solve` (times keyed by the graph's
-    TimeVars in variable order, dropped constraints materialized in
-    drop order) and raises the same
+    TimeVars in variable order: a :class:`DenseTimes` for a compiled
+    graph, a dict for one lowered :meth:`~ConstraintGraph.from_system`;
+    dropped constraints materialized in drop order) and raises the same
     :class:`~repro.core.errors.SchedulingConflict` on must-constraint
     cycles.
     """
@@ -695,9 +769,8 @@ def solve_graph(graph: ConstraintGraph, *,
               else min(max_relaxations, relaxable_total))
     dist, _, dropped, _, iterations = _relax(graph, relaxation_policy,
                                              budget)
-    timevar = graph.timevar
     return SolverResult(
-        times_ms={timevar(var_id): dist[var_id]
-                  for var_id in range(graph.count)},
+        times_ms=(dict(zip(graph._timevars, dist)) if graph.slots is None
+                  else DenseTimes(dist, graph)),
         dropped=[graph.constraint(row) for row in dropped],
         iterations=iterations)

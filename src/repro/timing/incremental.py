@@ -46,7 +46,8 @@ from repro.core.errors import SchedulingConflict
 from repro.faults import RobustnessStats
 from repro.ledger import Ledger
 from repro.timing.constraints import (ConstraintDelta, ConstraintIndex,
-                                      add_arc_delta, build_constraints,
+                                      add_arc_delta, begin_var,
+                                      build_constraints, end_var,
                                       remove_arc_delta, retime_delta)
 from repro.timing.schedule import (Schedule, ScheduleCache, event_order,
                                    make_schedule, wrap_event)
@@ -318,7 +319,8 @@ class IncrementalScheduler:
             stale = events_by_path.get(path)
             if stale is None:
                 continue  # container anchor: no event of its own
-            events_by_path[path] = wrap_event(stale.event, times)
+            events_by_path[path] = wrap_event(
+                stale.event, times[begin_var(path)], times[end_var(path)])
         events = sorted(events_by_path.values(), key=event_order)
         self._events_by_path = events_by_path
         self._schedule = Schedule(

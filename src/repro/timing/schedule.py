@@ -10,6 +10,7 @@ viewing tools.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.cache import LRUCache
@@ -67,7 +68,7 @@ class Schedule:
     """The complete solved timeline of one compiled document."""
 
     compiled: CompiledDocument
-    times_ms: dict[TimeVar, float]
+    times_ms: Mapping[TimeVar, float]
     events: list[ScheduledEvent] = field(default_factory=list)
     dropped_constraints: list[Constraint] = field(default_factory=list)
     solver_iterations: int = 1
@@ -319,11 +320,15 @@ def schedule_document(compiled: CompiledDocument, *,
         graph = compile_graph(
             compiled, channel_serialization=channel_serialization)
         result = solve_graph(graph, relaxation_policy=relaxation_policy)
+        dist = result.times_ms.dist
+        schedule = make_schedule(compiled, result, zip(
+            map(dist.__getitem__, graph.event_begin),
+            map(dist.__getitem__, graph.event_end)))
     else:
         system = build_constraints(
             compiled, channel_serialization=channel_serialization)
         result = solve(system, relaxation_policy=relaxation_policy)
-    schedule = make_schedule(compiled, result)
+        schedule = make_schedule(compiled, result)
     if cache is not None:
         cache.put(compiled.document, schedule,
                   channel_serialization=channel_serialization,
@@ -331,16 +336,14 @@ def schedule_document(compiled: CompiledDocument, *,
     return schedule
 
 
-def wrap_event(event: EventDescriptor,
-               times_ms: dict[TimeVar, float]) -> ScheduledEvent:
+def wrap_event(event: EventDescriptor, begin: float,
+               end: float) -> ScheduledEvent:
     """One event's solved interval, checked against its duration.
 
-    The single place the span-equals-duration contract lives; both the
-    full wrap below and the incremental engine's schedule patch use it,
-    so the two paths cannot drift apart.
+    The single place the span-equals-duration contract lives; the full
+    wrap below (from either engine) and the incremental engine's
+    schedule patch all use it, so the paths cannot drift apart.
     """
-    begin = times_ms[begin_var(event.node_path)]
-    end = times_ms[end_var(event.node_path)]
     if not times_close(end - begin, event.duration_ms, 1e-3):
         raise SchedulingConflict(
             f"solver assigned {event.event_id} a span of "
@@ -354,15 +357,23 @@ def event_order(event: ScheduledEvent) -> tuple[float, float, str]:
     return (event.begin_ms, event.end_ms, event.event.event_id)
 
 
-def make_schedule(compiled: CompiledDocument,
-                  result: SolverResult) -> Schedule:
+def make_schedule(compiled: CompiledDocument, result: SolverResult,
+                  spans: Iterable[tuple[float, float]] | None = None
+                  ) -> Schedule:
     """Wrap a solver result into a :class:`Schedule`.
 
     Engine-agnostic: both the reference solve and the graph solve
-    produce the same :class:`SolverResult` shape.
+    produce the same :class:`SolverResult` shape.  ``spans``, each
+    event's ``(begin, end)`` in ``compiled.events`` order (the graph
+    engine's read off its solve), defaults to ``result.times_ms``'s.
     """
-    events = [wrap_event(event, result.times_ms)
-              for event in compiled.events]
+    if spans is None:
+        times = result.times_ms
+        spans = [(times[begin_var(event.node_path)],
+                  times[end_var(event.node_path)])
+                 for event in compiled.events]
+    events = [wrap_event(event, begin, end)
+              for event, (begin, end) in zip(compiled.events, spans)]
     events.sort(key=event_order)
     return Schedule(
         compiled=compiled,

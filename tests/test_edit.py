@@ -3,9 +3,13 @@
 import pytest
 
 from repro.core.builder import DocumentBuilder
-from repro.core.edit import (duplicate, remove, reorder, retime, splice)
+from repro.core.edit import (add_arc, duplicate, remove, reorder, retime,
+                             splice)
 from repro.core.errors import StructureError
+from repro.core.paths import resolve_path
+from repro.core.syncarc import Anchor, SyncArc
 from repro.core.timebase import MediaTime
+from repro.corpus import make_media_document
 from repro.timing import schedule_document
 
 
@@ -143,3 +147,38 @@ class TestRemove:
         remove(document, "/body/captions")  # takes the arc with it
         schedule = schedule_document(document.compile())
         assert schedule.total_duration_ms == 6000.0
+
+
+class TestRetargetedArcs:
+    """A positional ``#i`` path that a topology edit shifts onto another
+    node is reported, not silently followed."""
+
+    def test_duplicate_before_a_positional_endpoint(self):
+        document = make_media_document(1, events=16, links=2, rich=True)
+        arc = SyncArc("/e0", "/#3", Anchor.END, Anchor.BEGIN,
+                      max_delay=None)
+        add_arc(document, "/", arc)
+        target = resolve_path(document.root, "/#3")
+        report = duplicate(document, "/e1", "e1-copy")
+        assert resolve_path(document.root, "/#3") is not target
+        assert not report.clean
+        assert report.dangling_arcs == []
+        assert report.retargeted_arcs == [f"/: {arc.describe()}"]
+
+    def test_reorder_of_an_unnamed_sibling(self):
+        builder = DocumentBuilder("positional")
+        builder.channel("v", "video")
+        with builder.seq("body", channel="v"):
+            builder.imm("a", data="a", duration=1000)
+            builder.imm(data="b", duration=2000)
+            builder.imm(data="c", duration=3000)
+        document = builder.build()
+        arc = SyncArc("/body/#1", "/body/#2", max_delay=None)
+        add_arc(document, "/", arc)
+        report = reorder(document, "/body", "a", 2)
+        assert not report.clean
+        assert report.retargeted_arcs == [f"/: {arc.describe()}"]
+        add_arc(document, "/body", SyncArc("a", "a", max_delay=None))
+        report = reorder(document, "/body", "a", 0)
+        # The named arc follows its node; only the positional one moved.
+        assert report.retargeted_arcs == [f"/: {arc.describe()}"]

@@ -9,17 +9,27 @@ constraint table reproduces build_constraints() row for row, which is
 what anchors every downstream tie-break.
 """
 
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.builder import DocumentBuilder
 from repro.core.errors import SchedulingConflict, ValueError_
+from repro.core.paths import node_path
 from repro.core.timebase import MediaTime
+from repro.core.tree import iter_preorder
 from repro.corpus import (make_deep_document, make_flat_document,
-                          make_news_document, make_random_document)
+                          make_media_document, make_news_document,
+                          make_random_document)
+from repro.serving import SessionEngine
 from repro.timing import (ENGINE_GRAPH, RELAX_DROP_LAST, RELAX_DROP_WIDEST,
                           ScheduleCache, build_constraints, check_solution,
                           compile_graph, schedule_document, solve,
                           solve_graph)
+from repro.timing.constraints import TimeVar, VarKind
+from repro.timing.graph import DenseTimes
+from repro.transport.environments import WORKSTATION
 
 POLICIES = (RELAX_DROP_LAST, RELAX_DROP_WIDEST)
 
@@ -234,3 +244,155 @@ class TestScheduleEngine:
         with pytest.raises(ValueError_, match="engine"):
             schedule_document(make_flat_document(4).compile(),
                               engine="quantum")
+
+
+# -- the dense times and the recorded preorder ---------------------------------
+
+CONTRACT = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _contract_document(shape, seed, events):
+    """A generated document of one corpus shape (random ones carry
+    bounded may arcs; rich media documents carry links and anchors)."""
+    if shape == "flat":
+        return make_flat_document(events)
+    if shape == "deep":
+        return make_deep_document(2 + seed % 4)
+    if shape == "random":
+        return make_random_document(seed, events=events, arc_fraction=0.7)
+    return make_media_document(seed, events=events, links=2,
+                               rich=seed % 2 == 0)
+
+
+documents = st.builds(
+    _contract_document, st.sampled_from(("flat", "deep", "random", "media")),
+    st.integers(0, 10_000), st.integers(3, 60))
+
+
+class TestDenseTimes:
+    """A compiled-graph solve's ``times_ms`` behaves like the dict of a
+    reference solve of the same document."""
+
+    @CONTRACT
+    @given(document=documents)
+    def test_behaves_like_the_reference_dict(self, document):
+        compiled = document.compile()
+        try:
+            reference = solve(build_constraints(compiled)).times_ms
+        except SchedulingConflict:
+            with pytest.raises(SchedulingConflict):
+                schedule_document(compiled, engine=ENGINE_GRAPH)
+            return
+        schedule = schedule_document(compiled, engine=ENGINE_GRAPH)
+        times = schedule.times_ms
+        assert isinstance(times, DenseTimes)
+        assert times == reference and reference == times
+        assert not times != reference and not reference != times
+        assert list(times) == list(reference)
+        assert len(times) == len(reference)
+        assert list(times.items()) == list(reference.items())
+        for var, time in reference.items():
+            assert times[var] == time
+            assert times.get(var, None) == time
+        moved = dict(reference)
+        moved[next(reversed(moved))] += 1.0
+        assert times != moved and moved != times
+        foreign = TimeVar("/no-such-node", VarKind.END)
+        assert times.get(foreign, -1.0) == -1.0
+        assert foreign not in times
+        with pytest.raises(KeyError):
+            times[foreign]
+        restored = pickle.loads(pickle.dumps(times))
+        assert restored == reference
+        assert list(restored.items()) == list(reference.items())
+        assert schedule.shifted(250.0).times_ms == {
+            var: time + 250.0 for var, time in reference.items()}
+
+    def test_reference_lowerings_keep_returning_dicts(self):
+        compiled = make_random_document(4, events=30).compile()
+        assert type(solve(build_constraints(compiled)).times_ms) is dict
+        assert type(schedule_document(compiled).times_ms) is dict
+
+    def test_holds_no_rows(self):
+        """A cached schedule's times must not pin the graph's rows."""
+        graph = compile_graph(
+            make_media_document(2, events=30, links=2).compile())
+        times = solve_graph(graph).times_ms
+        held = {id(getattr(times, name)) for name in DenseTimes.__slots__}
+        for name in ("cons_var", "cons_base", "cons_weight", "cons_relax",
+                     "cons_code", "cons_subject", "cons_other", "out"):
+            assert id(getattr(graph, name)) not in held
+
+    @CONTRACT
+    @given(document=documents)
+    def test_compile_records_its_preorder(self, document):
+        compiled = document.compile()
+        preorder = list(iter_preorder(document.root))
+        assert len(compiled.nodes) == len(preorder)
+        assert all(recorded is node
+                   for recorded, node in zip(compiled.nodes, preorder))
+        assert compiled.paths == [node_path(node) for node in preorder]
+
+
+class TestRetiredLowering:
+    @CONTRACT
+    @given(document=documents)
+    def test_rows_and_solution_match(self, document):
+        """The one-walk lowering builds the retired lowering's rows and
+        solves to its times, drops and cycles."""
+        from tests.oracles import graph as retired
+        compiled = document.compile()
+        mine = compile_graph(compiled)
+        theirs = retired.compile_graph(compiled)
+        for name in ("var_paths", "var_kinds", "cons_var", "cons_base",
+                     "cons_weight", "cons_relax", "cons_code",
+                     "cons_subject", "cons_other", "out"):
+            assert getattr(mine, name) == getattr(theirs, name), name
+        assert (mine.count, mine.root, mine.real_count) \
+            == (theirs.count, theirs.root, theirs.real_count)
+        try:
+            expected = retired.solve_graph(theirs)
+        except SchedulingConflict as conflict:
+            with pytest.raises(SchedulingConflict) as info:
+                solve_graph(mine)
+            assert str(info.value) == str(conflict)
+            return
+        result = solve_graph(mine)
+        assert type(expected.times_ms) is dict
+        assert result.times_ms == expected.times_ms
+        assert list(result.times_ms) == list(expected.times_ms)
+        assert result.dropped == expected.dropped
+        assert result.iterations == expected.iterations
+
+
+class TestInPlaceEdits:
+    def test_retime_and_arc_add_match_cold_solves(self):
+        """Live edits over an admitted (graph-solved) schedule equal a
+        cold graph schedule and a reference solve of the edited
+        document."""
+        document = make_media_document(5, events=20, links=2, rich=False)
+        engine = SessionEngine(seed=3)
+        engine.admit(document, WORKSTATION)
+        admitted = engine.schedule_cache.get(document)
+        assert isinstance(admitted.times_ms, DenseTimes)
+        ordered = admitted.ordered_events()
+        first = ordered[0].event.node_path
+        last = ordered[-1].event.node_path
+        edits = (
+            {"op": "retime", "path": first, "duration_ms": 3210.0},
+            {"op": "add_arc", "owner": "/", "source": first,
+             "destination": last, "src_anchor": "begin",
+             "dst_anchor": "begin", "strictness": "must",
+             "offset_ms": admitted.total_duration_ms + 500.0,
+             "max_delay_ms": None})
+        before = admitted.times_ms
+        for spec in edits:
+            engine.apply_edit(document, spec)
+            patched = engine.editor_for(document).schedule.times_ms
+            assert patched != before
+            compiled = document.compile()
+            cold = schedule_document(compiled, engine=ENGINE_GRAPH)
+            assert patched == cold.times_ms and cold.times_ms == patched
+            assert patched == solve(build_constraints(compiled)).times_ms
+            before = patched

@@ -6,13 +6,17 @@ raise :class:`TransportError` from ``unpack``, which the CLI reports
 with exit code 2.  The same holds for live-edit specs
 (``LiveEditor.apply`` and the CLI's edit scripts), the JSON document
 form (``document_from_json``) and fault plans (``parse_fault_plan``):
-only :class:`CmifError` escapes them.
+only :class:`CmifError` escapes them.  Every float-typed CLI flag
+refuses a value outside its range with exit code 2 and one error line,
+and no run prints a NaN or an infinity.
 """
 
 import copy
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -459,3 +463,97 @@ def test_cli_serve_with_a_bad_fault_plan_exits_2(edit_package, tmp_path):
                   "*.cmifpkg", "--faults", "seed=3,replay=2", cwd=tmp_path)
     _assert_one_error_line(result)
     assert "replay_failure_rate" in result.stderr
+
+
+# -- numeric CLI flags: a typed error, never a crash, a hang or a NaN --------
+
+HOSTILE_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e-9", "1e308")
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@pytest.fixture(scope="module")
+def media_package(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "media.cmifpkg"
+    document = make_media_document(3, events=30, links=2, rich=True)
+    path.write_text(pack(document), encoding="utf-8")
+    return path
+
+
+def _expire(signum, frame):
+    raise TimeoutError("the CLI run did not finish in time")
+
+
+def _run_cli(argv, capsys, seconds=30):
+    """``main(argv)`` in this process, cut off after ``seconds``; returns
+    the exit code, stdout and stderr."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(seconds)
+    try:
+        code = main([str(part) for part in argv])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("schedule", ["--slot-ms", "0"]),
+    ("schedule", ["--slot-ms", "nan"]),
+    ("schedule", ["--slot-ms", "1e-9"]),
+    ("schedule", ["--slot-ms=-5"]),
+    ("schedule", ["--slot-ms", "inf"]),
+    ("play", ["--rate", "nan"]),
+    ("play", ["--sweep", "--rates", "1,nan"]),
+    ("play", ["--sweep", "--rates", "1,inf"]),
+    ("play", ["--prefetch", "nan"]),
+    ("play", ["--seek", "nan"]),
+], ids=["slot-0", "slot-nan", "slot-1e-9", "slot-negative", "slot-inf",
+        "rate-nan", "rates-nan", "rates-inf", "prefetch-nan", "seek-nan"])
+def test_cli_refuses_a_hostile_number(media_package, capsys, command,
+                                      flags):
+    code, out, err = _run_cli([command, media_package, *flags], capsys)
+    assert code == 2, (out, err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not NON_FINITE.search(err)
+
+
+#: Each float-typed flag's command line, the flags it takes last.
+FLOAT_FLAG_COMMANDS = (
+    (("schedule", "{package}"), ("--slot-ms",)),
+    (("play", "{package}"), ("--rate", "--seek", "--prefetch")),
+    (("play", "{package}", "--sweep"), ("--rates", "--seeks", "--prefetch")),
+    (("serve", "{directory}", "--generate", "3", "--events", "8",
+      "--sites", "2", "--placement-sessions", "12"),
+     ("--zipf", "--locality")),
+    (("query", "{package}", "--explain"),
+     ("--min-duration", "--max-duration")),
+)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_float_flags_exit_0_or_2_and_print_no_nan(media_package, tmp_path,
+                                                  capsys, data):
+    base, flags = data.draw(st.sampled_from(FLOAT_FLAG_COMMANDS))
+    argv = [part.format(package=media_package,
+                        directory=tmp_path / "serve") for part in base]
+    for flag in flags:
+        if flag in ("--rates", "--seeks"):
+            values = data.draw(st.lists(st.sampled_from(HOSTILE_NUMBERS),
+                                        min_size=1, max_size=3))
+        else:
+            values = data.draw(st.lists(st.sampled_from(HOSTILE_NUMBERS),
+                                        max_size=1))
+        if values:
+            argv.append(f"{flag}={','.join(values)}")
+    code, out, err = _run_cli(argv, capsys)
+    assert code in (0, 2), (argv, out, err)
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not NON_FINITE.search(out + err), (argv, out, err)

@@ -117,24 +117,3 @@ class TestRelativePath:
         stranger = SeqNode("elsewhere")
         with pytest.raises(PathError):
             relative_path(tree[0], stranger)
-
-
-class TestPathMap:
-    def test_matches_node_path_for_every_node(self, tree):
-        from repro.core.paths import path_map
-        root = tree[0]
-        paths = path_map(root)
-        for node in tree:
-            assert paths[id(node)] == node_path(node)
-
-    def test_covers_deep_trees(self):
-        from repro.core.paths import path_map
-        from repro.core.tree import iter_preorder
-        root = SeqNode("r")
-        level = root
-        for depth in range(5):
-            level = level.add(ParNode(f"p{depth}" if depth % 2 else None))
-            level.add(ImmNode())
-        paths = path_map(root)
-        for node in iter_preorder(root):
-            assert paths[id(node)] == node_path(node)
