@@ -47,7 +47,13 @@ bench checks the gates recorded in ``benchmarks/baselines/ingest.json``:
   lowering and its dict result (``tests/oracles/graph.py``) wrapped by
   ``make_schedule``, timed in the same process, by the baseline factor
   (>=1.25x), building identical schedules.  Both
-  microseconds-per-event figures go to ``$BENCH_RESULTS``.
+  microseconds-per-event figures go to ``$BENCH_RESULTS``;
+* **cold_open_cycles**: opening the compile gate's packed media
+  documents through ``unpack`` and ``SessionEngine.admit`` on the three
+  era profiles, then dropping everything, must leave no object that
+  only the cyclic collector frees (an exact count, so timing noise
+  cannot flake it): parent links are weak, and values sit in the
+  attribute lists bare.
 
 Run directly for a small report::
 
@@ -60,6 +66,7 @@ or through pytest (the CI smoke pass)::
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -68,7 +75,8 @@ from pathlib import Path
 from repro.corpus import generate_corpus, ingest_corpus, \
     make_media_document, make_random_document
 from repro.format import parse_document, write_document
-from repro.transport import pack, unpack
+from repro.serving import SessionEngine
+from repro.transport import PROFILES, pack, unpack
 from repro.timing import (ENGINE_GRAPH, build_constraints, compile_graph,
                           make_schedule, schedule_document, solve_graph)
 
@@ -370,6 +378,39 @@ def test_write_throughput(tmp_path):
         f"retired one (baseline floor {WRITE['min_speedup']}x)")
 
 
+def _open_and_admit(packages) -> None:
+    engine = SessionEngine(seed=3)
+    for package in packages:
+        document = unpack(package).document
+        for environment in PROFILES:
+            engine.admit(document, environment)
+
+
+def test_cold_open_leaves_no_cycles():
+    """Cold opens and admissions leave nothing for the cyclic collector."""
+    packages = [pack(make_media_document(
+        seed, events=COMPILE["package_events"], links=4))
+        for seed in range(COMPILE["packages"])]
+    _open_and_admit(packages)     # first-call caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        _open_and_admit(packages)
+    finally:
+        unreachable = gc.collect()
+        gc.enable()
+    print(f"\n[ingest] cold open of {len(packages)} packages on "
+          f"{len(PROFILES)} profiles: {unreachable} cyclic objects")
+    record_result("cold_open_cycles", {
+        "packages": len(packages),
+        "profiles": len(PROFILES),
+        "unreachable": unreachable,
+    })
+    assert unreachable == 0, (
+        f"a cold open left {unreachable} objects that only the cyclic "
+        f"collector frees")
+
+
 def main():
     test_cold_schedule_throughput()
     import tempfile
@@ -383,6 +424,7 @@ def main():
         test_cold_wrap_speedup(Path(scratch))
     with tempfile.TemporaryDirectory() as scratch:
         test_write_throughput(Path(scratch))
+    test_cold_open_leaves_no_cycles()
     print(f"floor               : {COLD['min_speedup']}x "
           f"(recorded reference {COLD['reference_speedup']}x)")
 

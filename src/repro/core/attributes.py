@@ -188,6 +188,21 @@ def spec_for(name: str) -> AttributeSpec | None:
     return STANDARD_ATTRIBUTES.get(name)
 
 
+def _checked_value(name: str, value: Any) -> Any:
+    """The value an attribute list stores for ``name`` (a non-empty
+    string): a standard attribute's value validated against its kind, a
+    repeatable one's items in a list (sync arcs validate themselves)."""
+    if not isinstance(name, str) or not name:
+        raise AttributeError_(
+            f"attribute name must be a non-empty string, got {name!r}")
+    spec = spec_for(name)
+    if spec is None:
+        return value
+    if spec.repeatable_value:
+        return value if isinstance(value, list) else [value]
+    return validate_value(spec.kind, value)
+
+
 @dataclass
 class Attribute:
     """A single name/value pair in an attribute list."""
@@ -196,20 +211,7 @@ class Attribute:
     value: Any
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise AttributeError_(
-                f"attribute name must be a non-empty string, "
-                f"got {self.name!r}")
-        spec = spec_for(self.name)
-        if spec is not None:
-            if spec.repeatable_value:
-                # Repeatable attributes store a list of validated items;
-                # validation of the items happens where the item type is
-                # known (sync arcs validate themselves on construction).
-                if not isinstance(self.value, list):
-                    self.value = [self.value]
-            else:
-                self.value = validate_value(spec.kind, self.value)
+        self.value = _checked_value(self.name, self.value)
 
     @property
     def spec(self) -> AttributeSpec | None:
@@ -223,24 +225,25 @@ class AttributeList:
     Implements the paper's rule that "each name may occur at most once in
     each list for each node".  For repeatable attributes (currently only
     ``sync-arc``) the single entry holds a list and :meth:`append_value`
-    extends it.
+    extends it.  Names map to bare values: only iteration builds an
+    :class:`Attribute` per entry, and :meth:`items` reads the pairs.
     """
 
+    __slots__ = ("_items",)
+
     def __init__(self, attributes: dict[str, Any] | None = None) -> None:
-        self._items: dict[str, Attribute] = {}
+        self._items: dict[str, Any] = {}
         if attributes:
             for name, value in attributes.items():
                 self.set(name, value)
 
     def set(self, name: str, value: Any) -> None:
         """Set (or overwrite) the attribute ``name``."""
-        self._items[name] = Attribute(name, value)
+        self._items[name] = _checked_value(name, value)
 
     def _set_trusted(self, name: str, value: Any) -> None:
         """``set`` minus the checks, for what the parser vouches for."""
-        attribute = object.__new__(Attribute)
-        attribute.name, attribute.value = name, value
-        self._items[name] = attribute
+        self._items[name] = value
 
     def append_value(self, name: str, value: Any) -> None:
         """Append ``value`` to a repeatable attribute's value list."""
@@ -249,21 +252,19 @@ class AttributeList:
             raise AttributeError_(
                 f"attribute {name!r} is not repeatable; use set()")
         if name in self._items:
-            self._items[name].value.append(value)
+            self._items[name].append(value)
         else:
             self.set(name, [value])
 
     def get(self, name: str, default: Any = None) -> Any:
         """Return the value of ``name``, or ``default`` when absent."""
-        item = self._items.get(name)
-        return item.value if item is not None else default
+        return self._items.get(name, default)
 
     def require(self, name: str) -> Any:
         """Return the value of ``name``, raising when absent."""
-        item = self._items.get(name)
-        if item is None:
+        if name not in self._items:
             raise AttributeError_(f"required attribute {name!r} is absent")
-        return item.value
+        return self._items[name]
 
     def remove(self, name: str) -> None:
         """Delete the attribute ``name`` (missing names are ignored)."""
@@ -276,7 +277,14 @@ class AttributeList:
         return len(self._items)
 
     def __iter__(self) -> Iterator[Attribute]:
-        return iter(self._items.values())
+        for name, value in self._items.items():
+            attribute = object.__new__(Attribute)
+            attribute.name, attribute.value = name, value
+            yield attribute
+
+    def items(self):
+        """The (name, value) pairs in declaration order (a live view)."""
+        return self._items.items()
 
     def names(self) -> list[str]:
         """Attribute names in declaration order."""
@@ -284,18 +292,16 @@ class AttributeList:
 
     def as_dict(self) -> dict[str, Any]:
         """A plain name -> value snapshot (values are not copied)."""
-        return {name: item.value for name, item in self._items.items()}
+        return dict(self._items)
 
     def copy(self) -> "AttributeList":
         """A shallow copy (repeatable value lists are copied)."""
         clone = AttributeList()
-        for name, item in self._items.items():
-            value = item.value
-            if isinstance(value, list):
-                value = list(value)
-            clone.set(name, value)
+        clone._items = {name: list(value) if isinstance(value, list)
+                        else value for name, value in self._items.items()}
         return clone
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{a.name}={a.value!r}" for a in self)
+        inner = ", ".join(f"{name}={value!r}"
+                          for name, value in self._items.items())
         return f"AttributeList({inner})"

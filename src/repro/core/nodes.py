@@ -25,6 +25,7 @@ attributes on a node").
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Any, Iterator
 
 from repro.core.attributes import AttributeList, spec_for
@@ -56,7 +57,7 @@ class NodeKind(enum.Enum):
 class Node:
     """Base class for all four node kinds.
 
-    Nodes own an :class:`AttributeList` and a parent pointer.  Child
+    Nodes own an :class:`AttributeList` and a weak parent link.  Child
     management lives on :class:`ContainerNode`; leaves reject children.
     """
 
@@ -68,7 +69,23 @@ class Node:
         if name is not None:
             validate_name(name)
             self.attributes.set("name", name)
-        self.parent: ContainerNode | None = None
+        self._parent: weakref.ref[ContainerNode] | None = None
+
+    @property
+    def parent(self) -> ContainerNode | None:
+        """The container this node is a child of, or None.
+
+        The link is weak: a tree is owned from its root down, with no
+        reference cycle, so a dropped document is freed by reference
+        counting.  A node held past its tree reads None here, and so
+        does a node copied (``copy.deepcopy``, ``pickle``) on its own:
+        a copy covers a subtree, never what is above it."""
+        ref = self._parent
+        return None if ref is None else ref()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Weak links do not copy: ContainerNode.__setstate__ relinks.
+        return {**self.__dict__, "_parent": None}
 
     # -- identity -----------------------------------------------------
 
@@ -175,7 +192,9 @@ class Node:
 
     @property
     def arcs(self) -> list[SyncArc]:
-        """The explicit synchronization arcs anchored at this node."""
+        """The explicit synchronization arcs anchored at this node, as a
+        new list.  A walk that neither keeps nor mutates it reads the
+        stored one instead: ``attributes.get("sync-arc", ())``."""
         return list(self.attributes.get("sync-arc", []))
 
     def add_arc(self, arc: SyncArc) -> SyncArc:
@@ -205,6 +224,13 @@ class ContainerNode(Node):
         names: set[str] = set()
         for child in children or []:
             self.add(child, names)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        ref = weakref.ref(self)
+        for child in self._children:
+            if child._parent is None:   # not a shallow copy's shared child
+                child._parent = ref
 
     @property
     def children(self) -> tuple[Node, ...]:
@@ -240,7 +266,7 @@ class ContainerNode(Node):
                 raise StructureError(
                     f"two direct children of {self.label()} share the "
                     f"name {name!r}")
-        child.parent = self
+        child._parent = weakref.ref(self)   # one shared ref per container
         self._children.append(child)
         return child
 
@@ -257,7 +283,7 @@ class ContainerNode(Node):
         except ValueError:
             raise StructureError(
                 f"{child.label()} is not a child of {self.label()}") from None
-        child.parent = None
+        child._parent = None
         return child
 
     def child_named(self, name: str) -> Node:

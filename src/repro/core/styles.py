@@ -25,6 +25,9 @@ from typing import Any, Iterator
 
 from repro.core.errors import StyleError
 
+#: The three colours of :meth:`StyleDictionary.validate`'s search.
+_WHITE, _GREY, _BLACK = 0, 1, 2
+
 
 class StyleDictionary:
     """The root node's style dictionary: style name -> attribute group."""
@@ -79,29 +82,31 @@ class StyleDictionary:
         which the paper forbids ("no style refers to itself, directly or
         indirectly").
         """
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {name: WHITE for name in self._styles}
-
-        def visit(name: str, trail: list[str]) -> None:
-            if name not in self._styles:
-                raise StyleError(
-                    f"style {trail[-1]!r} refers to undefined style "
-                    f"{name!r}" if trail else
-                    f"undefined style {name!r}")
-            if colour[name] == GREY:
-                cycle = trail[trail.index(name):] + [name]
-                raise StyleError(
-                    "style definitions form a cycle: " + " -> ".join(cycle))
-            if colour[name] == BLACK:
-                return
-            colour[name] = GREY
-            for parent in self._parents(name):
-                visit(parent, trail + [name])
-            colour[name] = BLACK
-
+        colour = {name: _WHITE for name in self._styles}
         for name in self._styles:
-            if colour[name] == WHITE:
-                visit(name, [])
+            if colour[name] == _WHITE:
+                self._visit(name, [], colour)
+
+    def _visit(self, name: str, trail: list[str],
+               colour: dict[str, int]) -> None:
+        """One step of :meth:`validate`'s search.  A method, not a
+        nested function: one calling itself by name would be a
+        reference cycle."""
+        if name not in self._styles:
+            raise StyleError(
+                f"style {trail[-1]!r} refers to undefined style "
+                f"{name!r}" if trail else
+                f"undefined style {name!r}")
+        if colour[name] == _GREY:
+            cycle = trail[trail.index(name):] + [name]
+            raise StyleError(
+                "style definitions form a cycle: " + " -> ".join(cycle))
+        if colour[name] == _BLACK:
+            return
+        colour[name] = _GREY
+        for parent in self._parents(name):
+            self._visit(parent, trail + [name], colour)
+        colour[name] = _BLACK
 
     def expand(self, name: str, _active: frozenset[str] = frozenset()
                ) -> dict[str, Any]:

@@ -88,20 +88,20 @@ class DocumentValidator:
     def _check_attribute_placement(self, node: Node,
                                    path: str) -> Iterator[ValidationIssue]:
         """Root-only and node-kind placement rules from the registry."""
-        for attribute in node.attributes:
-            spec = spec_for(attribute.name)
+        for name in node.attributes.names():
+            spec = spec_for(name)
             if spec is None:
                 continue
             if spec.root_only and node.parent is not None:
                 yield ValidationIssue(
                     ERROR, "root-only-attribute", path,
-                    f"attribute {attribute.name!r} should currently only "
+                    f"attribute {name!r} should currently only "
                     f"occur on the root node")
             if (node.kind.value not in spec.node_kinds
                     and not spec.inherited and not spec.root_only):
                 yield ValidationIssue(
                     ERROR, "attribute-node-kind", path,
-                    f"attribute {attribute.name!r} is not allowed on "
+                    f"attribute {name!r} is not allowed on "
                     f"{node.kind.value} nodes (allowed: "
                     f"{sorted(spec.node_kinds)})")
 

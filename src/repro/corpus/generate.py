@@ -20,6 +20,7 @@ events with controlled shape:
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from repro.core.builder import DocumentBuilder
 from repro.core.channels import Medium
@@ -58,20 +59,53 @@ def make_deep_document(depth: int, *, fanout: int = 2,
     """A deep document: alternating seq/par nesting ``depth`` levels."""
     builder = DocumentBuilder("deep", root_kind="seq")
     names = _declare_channels(builder, 2)
-
-    def descend(level: int, index: int) -> None:
-        if level >= depth:
-            builder.imm(None, channel=names[level % 2],
-                        data=f"leaf at {level}",
-                        duration=MediaTime.ms(event_ms))
-            return
-        opener = builder.seq if level % 2 == 0 else builder.par
-        with opener(f"level-{level}-{index}"):
-            for child in range(fanout if level < 3 else 1):
-                descend(level + 1, child)
-
-    descend(0, 0)
+    _descend(builder, names, depth, fanout, event_ms, 0, 0)
     return builder.build(validate=False)
+
+
+# The tree growers below are module-level functions: a nested function
+# that calls itself by name ties itself and everything it captures (the
+# builder, and through it the document) into a reference cycle.
+
+
+def _descend(builder: DocumentBuilder, names: list[str], depth: int,
+             fanout: int, event_ms: float, level: int, index: int) -> None:
+    """Build one level of :func:`make_deep_document`'s nesting."""
+    if level >= depth:
+        builder.imm(None, channel=names[level % 2],
+                    data=f"leaf at {level}",
+                    duration=MediaTime.ms(event_ms))
+        return
+    opener = builder.seq if level % 2 == 0 else builder.par
+    with opener(f"level-{level}-{index}"):
+        for child in range(fanout if level < 3 else 1):
+            _descend(builder, names, depth, fanout, event_ms, level + 1,
+                     child)
+
+
+def _grow(builder: DocumentBuilder, rng: random.Random,
+          add_leaf: Callable[[int], None], remaining: int, level: int,
+          leaf_below: float, seq_below: float) -> int:
+    """Fill one container of a seeded random tree; return the number of
+    leaves still to place.
+
+    Each step draws a leaf (below ``leaf_below``, and always from level
+    4 down), a nested seq (below ``seq_below``) or a nested par; below
+    the top level the container then closes with probability 0.3.
+    ``add_leaf`` places one leaf, given the count left after it.
+    """
+    while remaining > 0:
+        choice = rng.random()
+        if choice < leaf_below or level >= 4:
+            remaining -= 1
+            add_leaf(remaining)
+        else:
+            with (builder.seq if choice < seq_below else builder.par)(None):
+                remaining = _grow(builder, rng, add_leaf, remaining,
+                                  level + 1, leaf_below, seq_below)
+        if rng.random() < 0.3 and level > 0:
+            break
+    return remaining
 
 
 def make_random_document(seed: int, *, events: int = 40,
@@ -88,28 +122,13 @@ def make_random_document(seed: int, *, events: int = 40,
     rng = random.Random(seed)
     builder = DocumentBuilder(f"random-{seed}", root_kind="seq")
     names = _declare_channels(builder, channels)
-    remaining = events
 
-    def grow(level: int) -> None:
-        nonlocal remaining
-        while remaining > 0:
-            choice = rng.random()
-            if choice < 0.5 or level >= 4:
-                remaining -= 1
-                builder.imm(None, channel=rng.choice(names),
-                            data=f"event {remaining}",
-                            duration=MediaTime.ms(
-                                rng.uniform(100.0, 3000.0)))
-            elif choice < 0.75:
-                with builder.seq(None):
-                    grow(level + 1)
-            else:
-                with builder.par(None):
-                    grow(level + 1)
-            if rng.random() < 0.3 and level > 0:
-                return
+    def add_leaf(remaining: int) -> None:
+        builder.imm(None, channel=rng.choice(names),
+                    data=f"event {remaining}",
+                    duration=MediaTime.ms(rng.uniform(100.0, 3000.0)))
 
-    grow(0)
+    _grow(builder, rng, add_leaf, events, 0, 0.5, 0.75)
     document = builder.build(validate=False)
     _add_random_arcs(document, rng, arc_fraction)
     return document
@@ -314,34 +333,18 @@ def make_media_document(seed: int, *, events: int = 24,
         name = f"ch-{medium.value}"
         builder.channel(name, medium.value)
         channel_names[medium] = name
-    remaining = events
-    serial = 0
 
-    def grow(level: int) -> None:
-        nonlocal remaining, serial
-        while remaining > 0:
-            choice = rng.random()
-            if choice < 0.55 or level >= 4:
-                remaining -= 1
-                medium = rng.choice(media)
-                duration_ms = rng.uniform(400.0, 6000.0)
-                descriptor = _media_descriptor(
-                    rng, f"d{serial}", medium, duration_ms)
-                builder.descriptor(descriptor.descriptor_id, descriptor)
-                builder.ext(f"e{serial}",
-                            file=descriptor.descriptor_id,
-                            channel=channel_names[medium])
-                serial += 1
-            elif choice < 0.8:
-                with builder.seq(None):
-                    grow(level + 1)
-            else:
-                with builder.par(None):
-                    grow(level + 1)
-            if rng.random() < 0.3 and level > 0:
-                return
+    def add_leaf(remaining: int) -> None:
+        serial = events - 1 - remaining     # leaves placed before this one
+        medium = rng.choice(media)
+        duration_ms = rng.uniform(400.0, 6000.0)
+        descriptor = _media_descriptor(
+            rng, f"d{serial}", medium, duration_ms)
+        builder.descriptor(descriptor.descriptor_id, descriptor)
+        builder.ext(f"e{serial}", file=descriptor.descriptor_id,
+                    channel=channel_names[medium])
 
-    grow(0)
+    _grow(builder, rng, add_leaf, events, 0, 0.55, 0.8)
     document = builder.build(validate=False)
     _add_random_arcs(document, rng, arc_fraction=0.2)
     if links > 0:

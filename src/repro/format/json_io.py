@@ -65,11 +65,11 @@ def node_to_obj(node: Node) -> dict[str, Any]:
     obj: dict[str, Any] = {"kind": node.kind.value}
     attributes: dict[str, Any] = {}
     arcs: list[dict[str, Any]] = []
-    for attribute in node.attributes:
-        if attribute.name == "sync-arc":
-            arcs = [arc_to_obj(arc) for arc in attribute.value]
+    for name, value in node.attributes.items():
+        if name == "sync-arc":
+            arcs = [arc_to_obj(arc) for arc in value]
             continue
-        attributes[attribute.name] = value_to_obj(attribute.value)
+        attributes[name] = value_to_obj(value)
     if attributes:
         obj["attributes"] = attributes
     if arcs:

@@ -66,6 +66,11 @@ _READ_RE = re.compile(
 _ATOM, _OPEN, _CLOSE, _PLAIN_STRING, _ESCAPED_STRING, _UNTERMINATED = \
     range(1, 7)
 
+#: ``_READ_RE``'s tokens as texts for ``findall``: an atom, a paren, a
+#: plain string (quoted), a lone ``"`` (any other string) or the end.
+_TOKEN_RE = re.compile(
+    r'(?:\s+|;[^\n]*)*([^\s()";]+|[()]|"[^"\\\n]*"|"|\Z)')
+
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
@@ -182,43 +187,68 @@ def _try_number(word: str) -> int | float | None:
 def parse_all(text: str) -> list[object]:
     """Parse the source text into a list of top-level expressions.
 
-    One pass from scanner matches to nested lists: no tokens, no line
-    bookkeeping (a position is derived from the offset only to raise),
-    and each distinct atom is converted once per text.
+    One pass over the token texts of one ``findall``: no match objects,
+    no offsets, and each distinct atom or string is converted once.  A
+    text it cannot finish (a string with escapes, newlines or no end, a
+    stray ``)``, an unclosed ``(``) goes to :func:`_parse_positional`.
     """
     top: list[object] = []
     current = top
     enclosing: list[list[object]] = []   # the lists around ``current``
-    opens: list[int] = []                # offsets of the unclosed '('
     atoms: dict[str, object] = {}
-    for found in _READ_RE.finditer(text):
-        kind = found.lastindex
-        if kind == _ATOM:
-            word = found.group(kind)
-            value = atoms.get(word)
-            if value is None:
-                value = atoms[word] = _atom(word)
-            current.append(value)
-        elif kind == _OPEN:
+    for token in _TOKEN_RE.findall(text):
+        if token == "(":
             child: list[object] = []
             current.append(child)
             enclosing.append(current)
             current = child
-            opens.append(found.start(kind))
-        elif kind == _CLOSE:
+        elif token == ")":
             if not enclosing:
-                raise FormatError("unbalanced ')'",
-                                  *_position(text, found.start(kind)))
+                return _parse_positional(text)
+            current = enclosing.pop()
+        else:
+            value = atoms.get(token)
+            if value is None:
+                if token[:1] == '"':
+                    if len(token) == 1:
+                        return _parse_positional(text)
+                    value = token[1:-1]
+                elif not token:           # the end of the text
+                    break
+                else:
+                    value = _atom(token)
+                atoms[token] = value
+            current.append(value)
+    if enclosing:
+        return _parse_positional(text)
+    return top
+
+
+def _parse_positional(text: str) -> list[object]:
+    """:func:`parse_all` over :func:`tokenize`'s tokens, which decode
+    every string and carry their positions: the path for the texts the
+    token scan cannot finish."""
+    top: list[object] = []
+    current = top
+    enclosing: list[list[object]] = []   # the lists around ``current``
+    opens: list[Token] = []              # the unclosed '('
+    for token in tokenize(text):
+        if token.kind == "open":
+            child: list[object] = []
+            current.append(child)
+            enclosing.append(current)
+            current = child
+            opens.append(token)
+        elif token.kind == "close":
+            if not enclosing:
+                raise FormatError("unbalanced ')'", token.line,
+                                  token.column)
             current = enclosing.pop()
             opens.pop()
-        elif kind == _PLAIN_STRING:
-            current.append(found.group(kind))
-        elif kind is not None:
-            current.append(_string_value(
-                text, found.start(kind) - 1,
-                None if kind == _UNTERMINATED else found.end()))
+        else:
+            current.append(token.value)
     if enclosing:
-        raise FormatError("unbalanced '('", *_position(text, opens[-1]))
+        raise FormatError("unbalanced '('", opens[-1].line, opens[-1].column)
     return top
 
 

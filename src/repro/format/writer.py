@@ -71,13 +71,12 @@ def _immediate_data(node: ImmNode) -> str:
 def attributes_expression(node: Node) -> list[list]:
     """All attribute forms of a node, one list per (name, value)."""
     forms: list[list] = []
-    for attribute in node.attributes:
-        if attribute.name == "sync-arc":
-            for arc in attribute.value:
+    for name, value in node.attributes.items():
+        if name == "sync-arc":
+            for arc in value:
                 forms.append(arc_expression(arc))
             continue
-        forms.append([Symbol(attribute.name),
-                      *value_items(attribute.value)])
+        forms.append([Symbol(name), *value_items(value)])
     return forms
 
 

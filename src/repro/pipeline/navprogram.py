@@ -147,7 +147,7 @@ def compile_navigation(schedule: Schedule) -> NavigationProgram:
     if deferred is None:
         document = schedule.compiled.document
         for node in iter_preorder(document.root):
-            for arc in node.arcs:
+            for arc in node.attributes.get("sync-arc", ()):
                 if isinstance(arc, ConditionalArc):
                     continue
                 source = resolve_path(node, arc.source)

@@ -440,14 +440,14 @@ def compiled_arc_rows(schedule: Schedule) -> tuple[list, list]:
     event_slot = event_slot_map(schedule)
     audit = []
     for node in iter_postorder(document.root):
-        for arc in node.arcs:
+        for arc in node.attributes.get("sync-arc", ()):
             if isinstance(arc, ConditionalArc):
                 continue
             audit.append(build_audit_arc(node, arc, paths, timebase,
                                          compiled, event_slot))
     nav = []
     for node in compiled.nodes:
-        for arc in node.arcs:
+        for arc in node.attributes.get("sync-arc", ()):
             nav.append(build_nav_arc(node, arc, paths, compiled,
                                      event_slot))
     return audit, nav

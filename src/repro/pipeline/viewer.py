@@ -46,41 +46,45 @@ def _node_caption(node: Node) -> str:
 
 def render_tree(document: CmifDocument) -> str:
     """Figure 5a: the conventional tree with branch characters."""
-    lines: list[str] = []
-
-    def visit(node: Node, prefix: str, is_last: bool, is_root: bool) -> None:
-        if is_root:
-            lines.append(_node_caption(node))
-            child_prefix = ""
-        else:
-            connector = "`-- " if is_last else "|-- "
-            lines.append(prefix + connector + _node_caption(node))
-            child_prefix = prefix + ("    " if is_last else "|   ")
-        children = node.children
-        for index, child in enumerate(children):
-            visit(child, child_prefix, index == len(children) - 1, False)
-
-    visit(document.root, "", True, True)
+    lines = [_node_caption(document.root)]
+    _branch_lines(document.root, "", lines)
     return "\n".join(lines)
+
+
+# The two walks are module-level functions: a nested function that
+# calls itself by name ties itself and what it captures into a
+# reference cycle.
+
+
+def _branch_lines(node: Node, prefix: str, lines: list[str]) -> None:
+    """Append the lines of ``node``'s children, each after ``prefix``."""
+    children = node.children
+    for index, child in enumerate(children):
+        is_last = index == len(children) - 1
+        connector = "`-- " if is_last else "|-- "
+        lines.append(prefix + connector + _node_caption(child))
+        _branch_lines(child, prefix + ("    " if is_last else "|   "),
+                      lines)
 
 
 def render_embedded(document: CmifDocument, width: int = 72) -> str:
     """Figure 5b: the embedded (nested box) form of the same tree."""
     lines: list[str] = []
-
-    def visit(node: Node, depth: int) -> None:
-        indent = "  " * depth
-        inner = width - len(indent) - 2
-        caption = _node_caption(node)[:inner - 2]
-        lines.append(f"{indent}+{'-' * inner}+")
-        lines.append(f"{indent}| {caption:<{inner - 2}} |")
-        for child in node.children:
-            visit(child, depth + 1)
-        if node.children:
-            lines.append(f"{indent}+{'-' * inner}+")
-
-    visit(document.root, 0)
+    _box_lines(document.root, 0, width, lines)
     return "\n".join(lines)
+
+
+def _box_lines(node: Node, depth: int, width: int, lines: list[str]) -> None:
+    """Append the box of ``node``, its children's boxes inside it."""
+    indent = "  " * depth
+    inner = width - len(indent) - 2
+    caption = _node_caption(node)[:inner - 2]
+    lines.append(f"{indent}+{'-' * inner}+")
+    lines.append(f"{indent}| {caption:<{inner - 2}} |")
+    for child in node.children:
+        _box_lines(child, depth + 1, width, lines)
+    if node.children:
+        lines.append(f"{indent}+{'-' * inner}+")
 
 
 #: The most rows :func:`render_timeline` draws; a slot width that

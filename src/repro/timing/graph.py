@@ -440,7 +440,7 @@ def compile_graph(compiled: CompiledDocument, *,
     timebase = compiled.document.timebase
     for seq in range(count):
         node = nodes[seq]
-        for arc in node.arcs:
+        for arc in node.attributes.get("sync-arc", ()):
             if isinstance(arc, ConditionalArc):
                 continue
             source = seq_of[id(resolve_path(node, arc.source))]

@@ -339,13 +339,11 @@ def externals_to_immediates(document: CmifDocument,
         if parent is None:
             continue
         replacement = ImmNode(None, None, str(block.materialize()))
-        for attribute in node.attributes:
-            if attribute.name == "file":
+        for name, value in node.attributes.items():
+            if name == "file":
                 continue
-            value = attribute.value
             replacement.attributes.set(
-                attribute.name, list(value) if isinstance(value, list)
-                else value)
+                name, list(value) if isinstance(value, list) else value)
         index = parent.index_of(node)
         parent.detach(node)
         parent.insert(index, replacement)

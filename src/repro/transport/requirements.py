@@ -397,7 +397,7 @@ def _tightest_must_window(document: CmifDocument) -> float | None:
     """The smallest finite max-delay among must arcs, if any."""
     tightest: float | None = None
     for node in iter_preorder(document.root):
-        for arc in node.arcs:
+        for arc in node.attributes.get("sync-arc", ()):
             if isinstance(arc, ConditionalArc):
                 continue
             if arc.strictness is not Strictness.MUST:
