@@ -23,7 +23,7 @@ the spec and enforced by :mod:`repro.core.validate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.core.errors import AttributeError_

@@ -140,10 +140,6 @@ class ChannelDictionary:
         """Channel names in declaration order."""
         return list(self._channels)
 
-    def by_medium(self, medium: Medium) -> list[Channel]:
-        """All channels carrying ``medium``, in declaration order."""
-        return [c for c in self if c.medium is medium]
-
     @classmethod
     def from_group(cls, group: dict[str, Any]) -> "ChannelDictionary":
         """Build the dictionary from a ``channel-dictionary`` group value.

@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.core.errors import MediaError, ValueError_
 from repro.core.channels import Medium
-from repro.core.timebase import MediaTime, TimeBase, Unit
+from repro.core.timebase import MediaTime, TimeBase
 
 
 @dataclass
@@ -263,11 +263,6 @@ class EventDescriptor:
                 f"{self.duration_ms}ms")
         if not isinstance(self.medium, Medium):
             self.medium = Medium.from_name(self.medium)
-
-    @property
-    def shares_descriptor(self) -> bool:
-        """True when this event references an external data descriptor."""
-        return self.descriptor is not None
 
     def describe(self) -> str:
         """One-line summary used by the structure viewer."""

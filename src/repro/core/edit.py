@@ -32,7 +32,6 @@ schedule cache (:class:`repro.timing.schedule.ScheduleCache`) key on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.document import CmifDocument
 from repro.core.errors import PathError, StructureError

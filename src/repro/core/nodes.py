@@ -95,11 +95,6 @@ class Node:
         return self.attributes.get("name")
 
     @property
-    def is_root(self) -> bool:
-        """True when the node has no parent."""
-        return self.parent is None
-
-    @property
     def root(self) -> "Node":
         """The root of the tree this node belongs to."""
         node: Node = self
@@ -349,11 +344,6 @@ class ImmNode(Node):
                  data: Any = "") -> None:
         super().__init__(name, attributes)
         self.data = data
-
-    @property
-    def medium_name(self) -> str:
-        """The inline data's medium; text unless declared otherwise."""
-        return self.attributes.get("medium", "text")
 
 
 def make_node(kind: NodeKind | str, name: str | None = None,

@@ -32,7 +32,7 @@ events on separate channels") is implemented by :class:`ConditionalArc`;
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import SyncArcError
 from repro.core.timebase import MediaTime, TimeBase
@@ -137,11 +137,6 @@ class SyncArc:
         return (self.min_delay.value == 0
                 and self.max_delay is not None
                 and self.max_delay.value == 0)
-
-    @property
-    def is_bounded(self) -> bool:
-        """True when the arc imposes a finite maximum tolerable delay."""
-        return self.max_delay is not None
 
     def window_ms(self, timebase: TimeBase) -> tuple[float, float | None]:
         """The admissible window (relative to tref) in milliseconds.

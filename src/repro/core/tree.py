@@ -114,11 +114,6 @@ class TreeStats:
         """Number of leaf (event-producing) nodes."""
         return self.ext_nodes + self.imm_nodes
 
-    @property
-    def container_count(self) -> int:
-        """Number of sequential plus parallel nodes."""
-        return self.seq_nodes + self.par_nodes
-
 
 def tree_stats(root: Node) -> TreeStats:
     """Compute :class:`TreeStats` for the tree under ``root``."""

@@ -153,14 +153,6 @@ class IngestReport(Ledger):
     def total_events(self) -> int:
         return sum(entry.events for entry in self.documents)
 
-    @property
-    def failure_categories(self) -> dict[str, int]:
-        """Quarantined documents per failure category (nonzero only)."""
-        counts: dict[str, int] = {}
-        for failure in self.failures:
-            counts[failure.category] = counts.get(failure.category, 0) + 1
-        return counts
-
     def stage_throughput(self, stage: str) -> tuple[float, float]:
         """``(documents/s, events/s)`` for one stage (0.0 when unused)."""
         seconds = self.stage_seconds.get(stage, 0.0)

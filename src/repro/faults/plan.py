@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.core.descriptors import DataBlock
@@ -183,23 +183,6 @@ class FaultPlan:
     def crashes_worker(self, shard_index: int) -> bool:
         """Does the worker process of ``shard_index`` die at entry?"""
         return shard_index in self.crash_shards
-
-    @property
-    def enabled(self) -> bool:
-        """True when any fault axis is active."""
-        return bool(self.down_sites or self.flap_sites
-                    or self.crash_shards or self.latency_rate > 0
-                    or self.block_failure_rate > 0
-                    or self.block_corrupt_rate > 0
-                    or self.summary_failure_rate > 0
-                    or self.package_corrupt_rate > 0
-                    or self.ingest_failure_rate > 0
-                    or self.replay_failure_rate > 0
-                    or self.solve_failure_rate > 0)
-
-    def without_crashes(self) -> "FaultPlan":
-        """This plan minus worker crashes (for in-parent retries)."""
-        return replace(self, crash_shards=())
 
     def describe(self) -> str:
         """The compact spec-ish summary the CLI prints."""

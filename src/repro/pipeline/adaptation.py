@@ -35,14 +35,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.descriptors import DataDescriptor
 from repro.core.document import CmifDocument, CompiledDocument
-from repro.core.errors import DeviceConstraintError, MediaError
+from repro.core.errors import DeviceConstraintError
 from repro.pipeline.filters import (FilterAction, FilterPlan,
-                                    adapt_attributes, apply_action,
-                                    filter_actions)
+                                    adapt_attributes, filter_actions)
 from repro.pipeline.program import (PlaybackProgram, ProgramCache,
                                     compile_program)
 from repro.timing.schedule import Schedule
@@ -99,27 +97,6 @@ class AdaptationProgram:
         return tuple(action for index, action
                      in zip(self.op_slot, self.actions)
                      if index == slot)
-
-    def transform_payload(self, descriptor_id: str, payload: Any
-                          ) -> tuple[Any, DataDescriptor]:
-        """Run one descriptor's op chain on concrete payload data.
-
-        Returns the transformed payload and the adapted descriptor.
-        Only descriptors with compiled ops have slots here; asking for
-        any other id raises :class:`~repro.core.errors.MediaError`
-        (the program does not hold unadapted descriptors).
-        """
-        slot = self.slot_of(descriptor_id)
-        if slot is None:
-            raise MediaError(
-                f"descriptor {descriptor_id!r} has no ops in the "
-                f"{self.environment!r} adaptation program")
-        descriptor = self.originals[slot]
-        for index, action in zip(self.op_slot, self.actions):
-            if index == slot:
-                payload, descriptor = apply_action(action, payload,
-                                                   descriptor)
-        return payload, descriptor
 
     def adapt_document(self, document: CmifDocument) -> CmifDocument:
         """The interpretive reference: a copy with adapted descriptors.

@@ -108,11 +108,6 @@ class CaptureSession:
         descriptor = _rename(descriptor, file_id)
         return self._register(file_id, block, descriptor)
 
-    @property
-    def captured_count(self) -> int:
-        """Number of blocks captured in this session."""
-        return self._count
-
 
 def _rename(descriptor: DataDescriptor, file_id: str) -> DataDescriptor:
     """Key the descriptor by the capture's file id.

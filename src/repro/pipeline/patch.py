@@ -447,7 +447,7 @@ class LiveEditor:
     re-solved delta onto all cached compiled programs, and returns an
     :class:`EditRecord`.  When the schedule cache already holds the
     document's schedule (the document is being served), the scheduler
-    adopts that exact object so the cached program pyramid stays
+    starts from that exact object, so the cached program pyramid stays
     reachable across the editor's attach.  The editor schedules as
     serving does: with channel serialization and the ``drop-last``
     relaxation policy.
@@ -461,10 +461,8 @@ class LiveEditor:
         self.document = document
         existing = (schedule_cache.get(document)
                     if schedule_cache is not None else None)
-        self.scheduler = IncrementalScheduler(document,
-                                              cache=schedule_cache)
-        if existing is not None:
-            self.scheduler.adopt_schedule(existing)
+        self.scheduler = IncrementalScheduler(document, cache=schedule_cache,
+                                              schedule=existing)
         self.patcher = (ProgramPatcher(program_cache, requirements_cache)
                         if program_cache is not None else None)
         #: The most recent edit's record (None before the first edit);

@@ -39,7 +39,7 @@ from repro.core.paths import resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
 from repro.core.tree import iter_postorder
 from repro.pipeline.program import (BatchPlayer, check_play_controls,
-                                    check_prefetch_lead)
+                                    check_prefetch_lead, check_rate_span)
 from repro.timing.conflicts import (ConflictReport, invalid_arcs_after_seek)
 from repro.timing.intervals import arc_window
 from repro.timing.schedule import Schedule
@@ -259,6 +259,7 @@ class Player:
         check_play_controls(rate, seek_to_ms)
         working = schedule
         if rate != 1.0:
+            check_rate_span(rate, schedule.total_duration_ms)
             working = _scaled(schedule, rate)
         if freeze_at_ms is not None and freeze_duration_ms > 0:
             working = _frozen(working, freeze_at_ms, freeze_duration_ms)

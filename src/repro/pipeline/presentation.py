@@ -49,18 +49,6 @@ class Region:
     rect: Rect
     z_order: int = 0
 
-    def scaled_to(self, width: int, height: int) -> Rect:
-        """The region mapped to a physical screen of the given size."""
-        if width <= 0 or height <= 0:
-            raise DeviceConstraintError(
-                f"cannot map regions onto a {width}x{height} screen")
-        return Rect(
-            self.rect.x * width // VIRTUAL_WIDTH,
-            self.rect.y * height // VIRTUAL_HEIGHT,
-            max(1, self.rect.width * width // VIRTUAL_WIDTH),
-            max(1, self.rect.height * height // VIRTUAL_HEIGHT),
-        )
-
 
 @dataclass(frozen=True)
 class SpeakerAssignment:
@@ -97,32 +85,6 @@ class PresentationMap:
             raise DeviceConstraintError(
                 f"channel {channel!r} has no allocated speaker")
         return assignment
-
-    def overlap_pairs(self) -> list[tuple[str, str]]:
-        """Pairs of visual channels whose regions overlap.
-
-        Overlap is legal (the news label overlays the video) but the
-        viewer and tests want to know about it; z-order decides what is
-        on top.  A sweep over the rects sorted by left edge only
-        compares regions whose x-extents intersect, so column layouts
-        (which mostly don't overlap) cost near-linear instead of
-        comparing every pair; results stay in sorted (first, second)
-        name order.
-        """
-        spans = sorted(
-            ((region.rect.x, region.rect.x + region.rect.width,
-              name, region.rect) for name, region in self.regions.items()),
-            key=lambda span: (span[0], span[2]))
-        pairs: list[tuple[str, str]] = []
-        active: list[tuple[float, str, "Rect"]] = []
-        for x, _right, name, rect in spans:
-            active = [entry for entry in active if entry[0] > x]
-            for _other_right, other_name, other_rect in active:
-                if rect.intersect(other_rect) is not None:
-                    pairs.append(tuple(sorted((name, other_name))))
-            active.append((x + rect.width, name, rect))
-        pairs.sort()
-        return pairs
 
     def describe(self) -> str:
         """Human-readable allocation summary (used by the fig-4 bench)."""

@@ -351,6 +351,14 @@ def check_play_controls(rate: float, seek_to_ms: float) -> None:
                             "after 0")
 
 
+def check_rate_span(rate: float, last_end_ms: float) -> None:
+    """Refuse a rate that scales the timeline's last end past every
+    finite time; like :func:`check_play_controls`, without echoing it."""
+    if not math.isfinite(rate * last_end_ms):
+        raise PlaybackError("the rate stretches the timeline past the "
+                            "largest finite time")
+
+
 def audit_row(arc: AuditArc) -> tuple:
     """The audit loop's hot-tuple form of one :class:`AuditArc` row."""
     return (arc.source_events, arc.src_begin, arc.dest_events,
@@ -906,6 +914,7 @@ class BatchPlayer:
         tb = self.program.begin_ms
         te = self.program.end_ms
         if rate != 1.0:
+            check_rate_span(rate, max(te, default=0.0))
             tb = [value * rate for value in tb]
             te = [value * rate for value in te]
         if freezing:

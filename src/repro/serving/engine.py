@@ -312,11 +312,11 @@ class SessionEngine:
         One editor per document, kept for the
         :data:`SCHEDULE_CACHE_CAPACITY` most recently edited documents:
         it owns the incremental solver state that makes successive edits
-        O(affected events), and it adopts the exact schedule object the
-        admission path published so the cached program pyramid patches
-        in place instead of going cold.  An evicted document's next edit
-        builds a fresh editor, which rebuilds its scheduler and adopts
-        the cached schedule the way every first edit does.
+        O(affected events), and it starts from the exact schedule object
+        the admission path published, so the cached program pyramid
+        patches in place instead of going cold.  An evicted document's
+        next edit builds a fresh editor, which starts from the cached
+        schedule the way every first edit does.
         """
         entry = self._editors.get(id(document))
         if entry is not None and entry[0] is document:

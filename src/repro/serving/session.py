@@ -122,15 +122,16 @@ class Session:
         if plan is not None and plan.fires(
                 plan.replay_failure_rate, "replay",
                 (self.session_id, self.replays_run)):
-            return self._play_degraded(
+            report = self._play_degraded(
                 rate=rate, freeze_at_ms=freeze_at_ms,
                 freeze_duration_ms=freeze_duration_ms,
                 seek_to_ms=seek_to_ms)
-        report = self.player.run_one(
-            rate=rate, freeze_at_ms=freeze_at_ms,
-            freeze_duration_ms=freeze_duration_ms,
-            seek_to_ms=seek_to_ms, environment=self.environment,
-            rng=self.rng_for(self.replays_run))
+        else:
+            report = self.player.run_one(
+                rate=rate, freeze_at_ms=freeze_at_ms,
+                freeze_duration_ms=freeze_duration_ms,
+                seek_to_ms=seek_to_ms, environment=self.environment,
+                rng=self.rng_for(self.replays_run))
         self.replays_run += 1
         self.events_played += report.played_count
         if self.stats is not None:
@@ -149,7 +150,8 @@ class Session:
         :meth:`~repro.pipeline.player.Player.play_reference` loop with
         this replay's own jitter draw — is bit-identical to it, so the
         reader sees the same events and only the ledger records the
-        downgrade.
+        downgrade.  :meth:`play` does the replay bookkeeping; this keeps
+        only the degraded counters.
         """
         if self.robustness is not None:
             self.robustness.record_fault("replay")
@@ -164,14 +166,10 @@ class Session:
             self._degraded_schedule, rate=rate, freeze_at_ms=freeze_at_ms,
             freeze_duration_ms=freeze_duration_ms, seek_to_ms=seek_to_ms,
             rng=self.rng_for(self.replays_run))
-        self.replays_run += 1
-        self.events_played += report.played_count
         if self.robustness is not None:
             self.robustness.degraded_replays += 1
             self.robustness.recovered += 1
         if self.stats is not None:
-            self.stats.replays += 1
-            self.stats.events_played += report.played_count
             self.stats.degraded += 1
         return report
 

@@ -403,11 +403,6 @@ class FederatedStore:
 
     # -- routing -----------------------------------------------------------
 
-    @property
-    def cached_descriptor_count(self) -> int:
-        """How many remote descriptors are currently cached locally."""
-        return len(self._descriptor_cache)
-
     def site(self, name: str) -> Site:
         """The named site, local or remote."""
         try:

@@ -561,11 +561,6 @@ class PlacementReport:
         """Back-compat: ``report[site]`` is that site's file ids."""
         return self.sites[site].file_ids
 
-    @property
-    def total_replicas(self) -> int:
-        return sum(factor * count for factor, count
-                   in self.replica_histogram.items())
-
     def describe(self) -> str:
         lines = ["placement:"]
         for name in sorted(self.sites):

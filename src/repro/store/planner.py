@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Callable
 
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
-                               MatchesAttr, MediumIs, Not, Or, Query, Range)
+                               MatchesAttr, MediumIs, Or, Query, Range)
 
 if TYPE_CHECKING:
     from repro.core.descriptors import DataDescriptor

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.core.document import CmifDocument, CompiledDocument
 from repro.core.errors import SyncArcError
-from repro.core.nodes import ContainerNode, Node, NodeKind
+from repro.core.nodes import Node, NodeKind
 from repro.core.paths import node_path, resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness, SyncArc
 from repro.core.tree import iter_preorder
@@ -72,8 +72,7 @@ class Constraint:
     """A difference constraint ``var - base >= weight_ms``.
 
     Upper bounds ``var - base <= w`` are stored as the equivalent
-    ``base - var >= -w`` so the solver deals with one form only;
-    ``describe_upper`` remembers the original orientation for messages.
+    ``base - var >= -w`` so the solver deals with one form only.
     ``relaxable`` marks constraints originating from *may* arcs, which the
     scheduler is allowed to drop to resolve a conflict (paper section
     5.3.2: may synchronization "is desirable but not essential").
@@ -122,14 +121,6 @@ class ConstraintSystem:
         """Add ``var >= base + weight_ms``."""
         self.add(Constraint(var, base, weight_ms, kind,
                             relaxable=relaxable, arc=arc, note=note))
-
-    def upper(self, var: TimeVar, base: TimeVar, weight_ms: float,
-              kind: ConstraintKind, *, relaxable: bool = False,
-              arc: SyncArc | None = None, note: str = "") -> None:
-        """Add ``var <= base + weight_ms`` (stored in >= form)."""
-        self.add(Constraint(base, var, -weight_ms, kind,
-                            relaxable=relaxable, arc=arc,
-                            note=note or "upper bound"))
 
     def remove_all(self, removed: list["Constraint"]) -> None:
         """Remove constraints *by identity* in one pass.
@@ -213,10 +204,9 @@ def _add_node_constraints(system: ConstraintSystem,
     end = end_var(node)
     if node.is_leaf:
         event = compiled.event_for(node)
-        duration = event.duration_ms
-        note = f"duration of {event.event_id}"
-        system.lower(end, begin, duration, ConstraintKind.DURATION, note=note)
-        system.upper(end, begin, duration, ConstraintKind.DURATION, note=note)
+        for constraint in _duration_pair(begin, end, event.duration_ms,
+                                         event.event_id):
+            system.add(constraint)
         return
 
     children = node.children
@@ -259,23 +249,49 @@ def _add_explicit_arcs(system: ConstraintSystem,
     """Translate every explicit arc into its window constraints."""
     for node in iter_preorder(document.root):
         for arc in node.arcs:
-            if isinstance(arc, ConditionalArc):
-                continue
-            source = resolve_path(node, arc.source)
-            destination = resolve_path(node, arc.destination)
-            src = anchor_var(source, arc.src_anchor)
-            dst = anchor_var(destination, arc.dst_anchor)
-            delta_ms, epsilon_ms = arc.window_ms(document.timebase)
-            offset_ms = document.timebase.to_ms(arc.offset)
-            relaxable = arc.strictness is Strictness.MAY
-            note = f"arc at {node_path(node)}: {arc.describe()}"
-            system.lower(dst, src, offset_ms + delta_ms,
-                         ConstraintKind.EXPLICIT_ARC,
-                         relaxable=relaxable, arc=arc, note=note)
-            if epsilon_ms is not None:
-                system.upper(dst, src, offset_ms + epsilon_ms,
-                             ConstraintKind.EXPLICIT_ARC,
-                             relaxable=relaxable, arc=arc, note=note)
+            for constraint in _arc_constraints(document, node, arc):
+                system.add(constraint)
+
+
+def _duration_pair(begin: TimeVar, end: TimeVar, duration_ms: float,
+                   event_id: str) -> list[Constraint]:
+    """A leaf's duration rule: ``end - begin`` pinned to ``duration_ms``.
+
+    The upper bound is stored in the solver's one ``>=`` form, as
+    ``begin - end >= -duration_ms``.
+    """
+    note = f"duration of {event_id}"
+    return [Constraint(end, begin, duration_ms, ConstraintKind.DURATION,
+                       note=note),
+            Constraint(begin, end, -duration_ms, ConstraintKind.DURATION,
+                       note=note)]
+
+
+def _arc_constraints(document: CmifDocument, owner: Node,
+                     arc: SyncArc) -> list[Constraint]:
+    """An explicit arc's window rule ``tref + delta <= t <= tref + epsilon``.
+
+    One lower constraint for the minimum delay, plus an upper one (in
+    ``>=`` form) when the maximum delay is finite.  Conditional
+    (hyper-navigation) arcs are runtime-only and contribute nothing.
+    """
+    if isinstance(arc, ConditionalArc):
+        return []
+    src = anchor_var(resolve_path(owner, arc.source), arc.src_anchor)
+    dst = anchor_var(resolve_path(owner, arc.destination), arc.dst_anchor)
+    delta_ms, epsilon_ms = arc.window_ms(document.timebase)
+    offset_ms = document.timebase.to_ms(arc.offset)
+    relaxable = arc.strictness is Strictness.MAY
+    note = f"arc at {node_path(owner)}: {arc.describe()}"
+    constraints = [Constraint(dst, src, offset_ms + delta_ms,
+                              ConstraintKind.EXPLICIT_ARC,
+                              relaxable=relaxable, arc=arc, note=note)]
+    if epsilon_ms is not None:
+        constraints.append(Constraint(src, dst, -(offset_ms + epsilon_ms),
+                                      ConstraintKind.EXPLICIT_ARC,
+                                      relaxable=relaxable, arc=arc,
+                                      note=note))
+    return constraints
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +299,15 @@ def _add_explicit_arcs(system: ConstraintSystem,
 #
 # The authoring loop of section 2 ("view or (possibly) edit a document")
 # re-schedules after every edit.  Rather than rebuilding the whole
-# constraint system, each operation in :mod:`repro.core.edit` maps to a
-# small set of added/removed constraints; the incremental solver
+# constraint system, each attribute edit in :mod:`repro.core.edit`
+# (retime, add or remove an arc) maps to a small set of added/removed
+# constraints, emitted by the same rule helpers ``build_constraints``
+# uses; the incremental solver
 # (:class:`repro.timing.solver.IncrementalSolver`) then re-relaxes only
 # the affected region.  Edits that change the tree topology (reorder,
 # splice, duplicate, remove) invalidate node paths and the per-channel
-# event order wholesale, so they are declared ``full_rebuild`` instead of
-# being diffed constraint-by-constraint.
+# event order wholesale, so they never become deltas: the incremental
+# scheduler rebuilds the whole system instead.
 
 
 @dataclass
@@ -376,51 +394,25 @@ def retime_delta(index: ConstraintIndex, leaf_path: str,
                  event_id: str | None = None) -> ConstraintDelta:
     """The delta for :func:`repro.core.edit.retime` on a leaf.
 
-    Replaces the leaf's lower+upper duration constraints with a pair
-    carrying the new weight — exactly the constraints
-    :func:`build_constraints` would emit for the new duration.
+    Replaces the leaf's lower+upper duration constraints with the pair
+    :func:`build_constraints` emits for the new duration (the note
+    names the leaf's path when ``event_id`` is not given).
     """
-    removed = index.duration_constraints(leaf_path)
-    begin = TimeVar(leaf_path, VarKind.BEGIN)
-    end = TimeVar(leaf_path, VarKind.END)
-    note = f"duration of {event_id or leaf_path}"
-    added = [
-        Constraint(end, begin, new_duration_ms, ConstraintKind.DURATION,
-                   note=note),
-        Constraint(begin, end, -new_duration_ms, ConstraintKind.DURATION,
-                   note=note),
-    ]
-    return ConstraintDelta(added=added, removed=removed,
+    added = _duration_pair(begin_var(leaf_path), end_var(leaf_path),
+                           new_duration_ms, event_id or leaf_path)
+    return ConstraintDelta(added=added,
+                           removed=index.duration_constraints(leaf_path),
                            reason=f"retime {leaf_path}")
 
 
 def add_arc_delta(document: CmifDocument, owner: Node,
                   arc: SyncArc) -> ConstraintDelta:
-    """The delta for :func:`repro.core.edit.add_arc`.
-
-    Mirrors the per-arc translation of ``_add_explicit_arcs``: one lower
-    constraint for the minimum delay, plus an upper constraint when the
-    maximum delay is finite.  Conditional arcs are runtime-only and
-    contribute an empty delta.
-    """
+    """The delta for :func:`repro.core.edit.add_arc`: the arc's window
+    constraints as :func:`build_constraints` emits them (an empty delta
+    for a runtime-only conditional arc)."""
     if isinstance(arc, ConditionalArc):
         return ConstraintDelta(reason="conditional arc (runtime-only)")
-    source = resolve_path(owner, arc.source)
-    destination = resolve_path(owner, arc.destination)
-    src = anchor_var(source, arc.src_anchor)
-    dst = anchor_var(destination, arc.dst_anchor)
-    delta_ms, epsilon_ms = arc.window_ms(document.timebase)
-    offset_ms = document.timebase.to_ms(arc.offset)
-    relaxable = arc.strictness is Strictness.MAY
-    note = f"arc at {node_path(owner)}: {arc.describe()}"
-    added = [Constraint(dst, src, offset_ms + delta_ms,
-                        ConstraintKind.EXPLICIT_ARC,
-                        relaxable=relaxable, arc=arc, note=note)]
-    if epsilon_ms is not None:
-        added.append(Constraint(src, dst, -(offset_ms + epsilon_ms),
-                                ConstraintKind.EXPLICIT_ARC,
-                                relaxable=relaxable, arc=arc, note=note))
-    return ConstraintDelta(added=added,
+    return ConstraintDelta(added=_arc_constraints(document, owner, arc),
                            reason=f"add arc at {node_path(owner)}")
 
 
@@ -429,19 +421,6 @@ def remove_arc_delta(index: ConstraintIndex,
     """The delta for :func:`repro.core.edit.remove_arc`."""
     return ConstraintDelta(removed=index.arc_constraints(arc),
                            reason="remove arc")
-
-
-def structural_delta(operation: str, subject: str) -> ConstraintDelta:
-    """The delta for topology edits (reorder, splice, duplicate, remove).
-
-    Moving or deleting subtrees renames positional node paths and
-    reshuffles the per-channel event order, invalidating constraints far
-    from the edit site — the cases the incremental engine hands back to a
-    full rebuild.
-    """
-    return ConstraintDelta(
-        full_rebuild=True,
-        reason=f"{operation} {subject}: topology change")
 
 
 def arc_table(compiled: CompiledDocument, *,

@@ -119,7 +119,8 @@ class IncrementalScheduler:
     """
 
     def __init__(self, document: CmifDocument, *,
-                 cache: ScheduleCache | None = None) -> None:
+                 cache: ScheduleCache | None = None,
+                 schedule: Schedule | None = None) -> None:
         self.document = document
         self.cache = cache
         self.stats = EngineStats()
@@ -131,16 +132,27 @@ class IncrementalScheduler:
         #: means the last edit rebuilt the pipeline (no localized
         #: region exists); an empty set means a no-op edit.
         self.last_changed_paths: set[str] | None = None
-        self._rebuild()
+        self._rebuild(schedule)
 
     # -- pipeline state --------------------------------------------------
 
-    def _rebuild(self) -> None:
-        """From-scratch compile + build + solve + wrap (the slow path)."""
+    def _rebuild(self, served: Schedule | None = None) -> None:
+        """From-scratch build + solve (the slow path).
+
+        ``served`` is a schedule already solved for the document's
+        current revision, such as the one a serving engine publishes.
+        The serving caches key compiled programs by schedule *identity*,
+        so the engine starts from that very object and its compile
+        (attribute edits write through ``self.compiled``'s events, which
+        must be the events the schedule wraps); all solve paths are
+        pinned bit-identical, so the solver agrees with it.  Without
+        one, the document is compiled and the solve wrapped.
+        """
         self.stats.full_rebuilds += 1
         self.solver = None
         self._schedule = None
-        self.compiled = self.document.compile()
+        self.compiled = (served.compiled if served is not None
+                         else self.document.compile())
         self.system = build_constraints(self.compiled)
         self.index = ConstraintIndex(self.system)
         try:
@@ -150,38 +162,16 @@ class IncrementalScheduler:
             raise
         self.solver = solver
         self._conflict = None
-        self._wrap_schedule()
-
-    def _wrap_schedule(self) -> None:
-        self._schedule = make_schedule(self.compiled, self.solver.result)
+        if served is None:
+            served = make_schedule(self.compiled, solver.result)
+        self._schedule = served
         self._events_by_path = {event.event.node_path: event
-                                for event in self._schedule.events}
+                                for event in served.events}
         self._publish()
 
     def _publish(self) -> None:
         if self.cache is not None and self._schedule is not None:
             self.cache.put(self.document, self._schedule)
-
-    def adopt_schedule(self, schedule: Schedule) -> None:
-        """Adopt an externally solved schedule object for this document.
-
-        The serving caches key compiled programs by schedule *identity*:
-        an editor attaching to an already-admitted document must speak
-        about the same schedule object the engine published, or its
-        first edit would orphan every cached program.  All solve paths
-        are pinned bit-identical, so adopting swaps objects, never
-        values.
-
-        Adopts the schedule's compiled document too: attribute edits
-        write through ``self.compiled``'s events (a retime updates the
-        event's duration in place), and those must be the very event
-        objects the adopted schedule wraps.
-        """
-        self.compiled = schedule.compiled
-        self._schedule = schedule
-        self._events_by_path = {event.event.node_path: event
-                                for event in schedule.events}
-        self._publish()
 
     @property
     def schedule(self) -> Schedule:
@@ -281,9 +271,6 @@ class IncrementalScheduler:
 
     def _absorb(self, delta: ConstraintDelta) -> None:
         """Route a delta through the solver and patch the schedule."""
-        if delta.full_rebuild:
-            self._full_path()
-            return
         if delta.empty:
             # No scheduling effect (e.g. a conditional arc), but the
             # revision moved: republish the same schedule under it.

@@ -43,13 +43,6 @@ class Window:
         return self.high_ms is not None
 
     @property
-    def width_ms(self) -> float:
-        """Slack available inside the window (inf when unbounded)."""
-        if self.high_ms is None:
-            return math.inf
-        return self.high_ms - self.low_ms
-
-    @property
     def is_hard(self) -> bool:
         """True for a degenerate window (hard synchronization)."""
         return self.high_ms is not None and self.high_ms == self.low_ms
@@ -98,13 +91,6 @@ class Window:
                 f"windows [{self.low_ms}, {self.high_ms}] and "
                 f"[{other.low_ms}, {other.high_ms}] do not intersect")
         return Window(low, high)
-
-    def widened(self, margin_ms: float) -> "Window":
-        """The window relaxed symmetrically by ``margin_ms`` on each side."""
-        if margin_ms < 0:
-            raise SyncArcError("widening margin must be non-negative")
-        high = None if self.high_ms is None else self.high_ms + margin_ms
-        return Window(self.low_ms - margin_ms, high)
 
     def __str__(self) -> str:
         high = "inf" if self.high_ms is None else f"{self.high_ms:g}"

@@ -149,6 +149,7 @@ class IncrementalSolver:
          self._iterations) = _relax(graph, relaxation_policy,
                                     sum(graph.cons_relax))
         self._dropped = [graph.constraint(row) for row in dropped]
+        # Beside _dist so ``result`` copies cached hashes, not re-hashed vars.
         self._times: dict[TimeVar, float] = dict(
             zip(system.variables, self._dist))
         #: support-graph reverse index (base position -> positions whose

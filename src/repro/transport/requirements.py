@@ -300,31 +300,20 @@ def plan_adaptations(demands: tuple[DescriptorDemand, ...],
         demand = adaptation.demand
         rate = current_rate(adaptation)
         target = rate * pressure
+        frame_rate = adaptation.frame_rate
+        sample_rate = adaptation.sample_rate
         if demand.frame_rate > 0:
             frame_rate = quantized_rate(demand.frame_rate, target)
-            replacement = PlannedAdaptation(
-                demand=demand, resolution=adaptation.resolution,
-                color_depth=adaptation.color_depth,
-                frame_rate=frame_rate,
-                sample_rate=adaptation.sample_rate,
-                audio_channels=adaptation.audio_channels,
-                bandwidth_bps=projected_bandwidth_bps(
-                    demand, adaptation.resolution,
-                    adaptation.color_depth, frame_rate,
-                    adaptation.sample_rate, adaptation.audio_channels))
         else:
             sample_rate = quantized_rate(demand.sample_rate, target)
-            replacement = PlannedAdaptation(
-                demand=demand, resolution=adaptation.resolution,
-                color_depth=adaptation.color_depth,
-                frame_rate=adaptation.frame_rate,
-                sample_rate=sample_rate,
-                audio_channels=adaptation.audio_channels,
-                bandwidth_bps=projected_bandwidth_bps(
-                    demand, adaptation.resolution,
-                    adaptation.color_depth, adaptation.frame_rate,
-                    sample_rate, adaptation.audio_channels))
-        squeezed[id(adaptation)] = replacement
+        squeezed[id(adaptation)] = PlannedAdaptation(
+            demand=demand, resolution=adaptation.resolution,
+            color_depth=adaptation.color_depth, frame_rate=frame_rate,
+            sample_rate=sample_rate,
+            audio_channels=adaptation.audio_channels,
+            bandwidth_bps=projected_bandwidth_bps(
+                demand, adaptation.resolution, adaptation.color_depth,
+                frame_rate, sample_rate, adaptation.audio_channels))
     final = tuple(squeezed.get(id(adaptation), adaptation)
                   for adaptation in planned)
     projected = sum(adaptation.bandwidth_bps * adaptation.demand.uses

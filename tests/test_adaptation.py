@@ -202,36 +202,6 @@ class TestAdaptationProgram:
                         plan.environment_plan.projected_bandwidth_bps,
                         environment.bandwidth_bps)
 
-    def test_transform_payload_matches_apply_action_chain(self):
-        from repro.pipeline.capture import CaptureSession
-        from repro.pipeline.mapping import StructureMapper
-        from repro.store.datastore import DataStore
-        store = DataStore()
-        session = CaptureSession(store=store, seed=8)
-        mapper = StructureMapper.create("doc", store)
-        mapper.channel("video", "video")
-        mapper.scene("scene", {
-            "video": session.capture_video("v", 1500.0, width=720,
-                                           height=576),
-        })
-        document = mapper.finish()
-        plan = _plan_for(document, PERSONAL_SYSTEM)
-        adaptation = compile_adaptation(plan.environment_plan,
-                                        document.compile(),
-                                        PERSONAL_SYSTEM)
-        descriptor = store.descriptor("v")
-        payload = store.block_for("v").materialize()
-        via_program, program_descriptor = adaptation.transform_payload(
-            descriptor.descriptor_id, payload)
-        expected = payload
-        expected_descriptor = descriptor
-        for action in adaptation.actions_for(descriptor.descriptor_id):
-            expected, expected_descriptor = apply_action(
-                action, expected, expected_descriptor)
-        assert np.array_equal(via_program, expected)
-        assert program_descriptor.attributes \
-            == expected_descriptor.attributes
-
     def test_merge_channels_op_for_stereo_audio(self):
         from repro.core.builder import DocumentBuilder
         from repro.core.channels import Medium
@@ -257,7 +227,9 @@ class TestAdaptationProgram:
         override = adaptation.override_for("stereo")
         assert override.get("channels") == 1
         stereo = np.stack([np.ones(100), np.zeros(100)], axis=1)
-        merged, updated = adaptation.transform_payload("stereo", stereo)
+        merged, updated = stereo, descriptor
+        for action in adaptation.actions_for("stereo"):
+            merged, updated = apply_action(action, merged, updated)
         assert merged.ndim == 1
         assert np.allclose(merged, 0.5)
         assert updated.get("channels") == 1

@@ -60,7 +60,7 @@ class TestLeaves:
         node = builder.imm("cap", data="hello", channel="c",
                            medium="text", duration=100)
         assert node.data == "hello"
-        assert node.medium_name == "text"
+        assert node.attributes.get("medium") == "text"
 
     def test_extra_attributes_pass_through(self):
         builder = DocumentBuilder("doc")

@@ -18,7 +18,6 @@ class TestCaptureSession:
         session.capture_video("v1", 2000.0)
         session.capture_image("i1")
         assert len(session.store) == 4
-        assert session.captured_count == 4
 
     def test_descriptor_keyed_by_file_id(self):
         session = CaptureSession(store=DataStore(), seed=1)

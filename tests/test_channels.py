@@ -68,7 +68,8 @@ class TestChannelDictionary:
         channels = ChannelDictionary()
         channels.declare_named("caption", "text")
         channels.declare_named("label", "text")
-        assert len(channels.by_medium(Medium.TEXT)) == 2
+        assert [channel.medium for channel in channels] \
+            == [Medium.TEXT, Medium.TEXT]
 
     def test_declaration_order_preserved(self):
         channels = ChannelDictionary()

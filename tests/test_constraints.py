@@ -1,9 +1,17 @@
 """Unit tests for constraint building (repro.timing.constraints)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import DocumentBuilder
+from repro.core.edit import add_arc, retime
+from repro.core.errors import SchedulingConflict
+from repro.core.paths import node_path, resolve_path
+from repro.core.syncarc import Anchor, ConditionalArc, Strictness, SyncArc
 from repro.core.timebase import MediaTime
+from repro.core.tree import iter_preorder
+from repro.corpus import make_media_document, make_random_document
+from repro.timing import IncrementalScheduler
 from repro.timing.constraints import (ConstraintKind, TimeVar, VarKind,
                                       arc_table, begin_var,
                                       build_constraints, end_var)
@@ -173,3 +181,80 @@ class TestVarsAndTable:
         explicit_rows = [r for r in rows if r["origin"] == "explicit-arc"]
         assert len(explicit_rows) == 1  # deduplicated lower/upper pair
         assert explicit_rows[0]["max_delay"] == "100ms"
+
+
+# -- incremental deltas: emitted by the builder's own rules ------------------
+
+
+def _twins(kind, seed):
+    """Two independently built copies of one seeded document."""
+    make = make_media_document if kind == "media" else make_random_document
+    return make(seed, events=16), make(seed, events=16)
+
+
+def _routed_delta(engine, edit, *args):
+    """Run one engine edit and return the delta it routed to the solver
+    (an edit the solve then finds conflicting still routed one)."""
+    deltas = []
+    absorb = engine._absorb
+    engine._absorb = lambda delta: (deltas.append(delta), absorb(delta))
+    try:
+        edit(*args)
+    except SchedulingConflict:
+        pass
+    [delta] = deltas
+    return delta
+
+
+DOCUMENTS = {"kind": st.sampled_from(["media", "random"]),
+             "seed": st.integers(0, 400)}
+TIMES = st.floats(0.0, 5000.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DOCUMENTS, pick=st.integers(0, 10_000), duration=TIMES)
+def test_retime_delta_adds_what_build_constraints_emits(kind, seed, pick,
+                                                        duration):
+    document, twin = _twins(kind, seed)
+    engine = IncrementalScheduler(document)
+    paths = [event.node_path for event in engine.compiled.events]
+    path = paths[pick % len(paths)]
+    delta = _routed_delta(engine, engine.retime, path, duration)
+    retime(twin, path, duration)
+    emitted = [constraint for constraint
+               in build_constraints(twin.compile()).constraints
+               if constraint.kind is ConstraintKind.DURATION
+               and constraint.var.path == path]
+    assert len(emitted) == 2
+    assert delta.added == emitted
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DOCUMENTS, picks=st.tuples(*[st.integers(0, 10_000)] * 3),
+       anchors=st.tuples(st.sampled_from(Anchor), st.sampled_from(Anchor)),
+       strictness=st.sampled_from(Strictness), offset=TIMES,
+       min_delay=TIMES, width=st.none() | TIMES,
+       conditional=st.booleans())
+def test_add_arc_delta_adds_what_build_constraints_emits(
+        kind, seed, picks, anchors, strictness, offset, min_delay, width,
+        conditional):
+    document, twin = _twins(kind, seed)
+    engine = IncrementalScheduler(document)
+    paths = [node_path(node) for node in iter_preorder(document.root)]
+    owner, source, destination = (paths[pick % len(paths)]
+                                  for pick in picks)
+    fields = dict(source=source, destination=destination,
+                  src_anchor=anchors[0], dst_anchor=anchors[1],
+                  strictness=strictness, offset=MediaTime.ms(offset),
+                  min_delay=MediaTime.ms(-min_delay),
+                  max_delay=None if width is None else MediaTime.ms(width))
+    arc_type = ConditionalArc if conditional else SyncArc
+    delta = _routed_delta(engine, engine.add_arc, owner, arc_type(**fields))
+    add_arc(twin, owner, arc_type(**fields))
+    twin_arc = resolve_path(twin.root, owner).arcs[-1]
+    emitted = [constraint for constraint
+               in build_constraints(twin.compile()).constraints
+               if constraint.arc is twin_arc]
+    assert len(emitted) == (0 if conditional else 1 if width is None
+                            else 2)
+    assert delta.added == emitted

@@ -184,7 +184,6 @@ class TestEventDescriptor:
         event = EventDescriptor(
             event_id="/a/b", node_path="/a/b", channel="video",
             medium=Medium.VIDEO, duration_ms=1000.0, descriptor=descriptor)
-        assert event.shares_descriptor
         assert "/a/b" in event.describe()
         assert "d" in event.describe()
 
@@ -192,7 +191,6 @@ class TestEventDescriptor:
         event = EventDescriptor(
             event_id="/x", node_path="/x", channel="caption",
             medium="text", duration_ms=500.0)
-        assert not event.shares_descriptor
         assert "<immediate>" in event.describe()
 
     def test_negative_duration_rejected(self):

@@ -76,7 +76,6 @@ class TestPayloadPath:
         federation.block_for("delft/story")
         assert "delft/story" not in federation.local.store
         assert federation.site_of("delft/story") == "delft"
-        assert federation.cached_descriptor_count == 1
         federation.descriptor("delft/story")
         # The block transfer is the only new request.
         assert federation.traffic.requests == requests + 1

@@ -7,8 +7,9 @@ with exit code 2.  The same holds for live-edit specs
 (``LiveEditor.apply`` and the CLI's edit scripts), the JSON document
 form (``document_from_json``) and fault plans (``parse_fault_plan``):
 only :class:`CmifError` escapes them.  Every float-typed CLI flag
-refuses a value outside its range with exit code 2 and one error line,
-and no run prints a NaN or an infinity.
+refuses a value outside its range with exit code 2 and one error line
+(a rate too large for the document's timeline included), and no run
+prints a NaN or an infinity.
 """
 
 import copy
@@ -27,15 +28,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.cli import main
-from repro.core.errors import (CmifError, FormatError, TransportError,
-                               ValueError_)
-from repro.corpus import make_media_document
+from repro.core.errors import (CmifError, FormatError, PlaybackError,
+                               TransportError, ValueError_)
+from repro.corpus import make_flat_document, make_media_document
 from repro.corpus.news import make_paintings_fragment
 from repro.faults.plan import FaultPlan, parse_fault_plan
 from repro.format.json_io import document_from_json, document_to_json
 from repro.format.parser import parse_document
+from repro.format.writer import write_document
 from repro.pipeline.patch import LiveEditor
+from repro.pipeline.player import Player
+from repro.pipeline.program import BatchPlayer
+from repro.timing.schedule import schedule_document
 from repro.transport import PROFILES
+from repro.transport.environments import WORKSTATION
 from repro.transport.package import pack, unpack
 
 ARC = ('(cmif (version 1) (par (attributes (name d)) '
@@ -323,8 +329,7 @@ def _use(plan) -> None:
         plan.fires(getattr(plan, rate), "kind", "key")
     plan.site_down("site-1", 3)
     plan.crashes_worker(0)
-    plan.describe()
-    assert plan.enabled in (True, False)
+    assert plan.describe()
 
 
 FAULT_SPECS = (
@@ -518,6 +523,40 @@ def test_cli_refuses_a_hostile_number(media_package, capsys, command,
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not NON_FINITE.search(err)
+
+
+@pytest.fixture(scope="module")
+def flat_document(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "flat.cmif"
+    path.write_text(write_document(make_flat_document(10)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("fixture", ["media_package", "flat_document"])
+def test_cli_refuses_a_rate_that_overflows_the_timeline(request, capsys,
+                                                        fixture):
+    """A finite rate whose product with the last end is not finite is
+    refused by name, with or without arcs to audit; 1e300 still plays."""
+    path = request.getfixturevalue(fixture)
+    code, out, err = _run_cli(["play", path, "--rate", "1e308"], capsys)
+    assert code == 2, (out, err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "rate" in lines[0] and "1e" not in lines[0]
+    code, out, err = _run_cli(["play", path, "--rate", "1e300"], capsys)
+    assert code in (0, 1) and err == "", err
+    assert out.startswith("playback on workstation:")
+
+
+def test_both_players_refuse_an_overflowing_rate_alike():
+    schedule = schedule_document(make_flat_document(10).compile())
+    with pytest.raises(PlaybackError) as compiled:
+        BatchPlayer(schedule, WORKSTATION).run_one(rate=1e308)
+    with pytest.raises(PlaybackError) as reference:
+        Player(WORKSTATION).play_reference(schedule, rate=1e308)
+    assert str(compiled.value) == str(reference.value)
+    assert "rate" in str(compiled.value)
 
 
 #: Each float-typed flag's command line, the flags it takes last.

@@ -14,13 +14,11 @@ class TestWindowBasics:
     def test_bounded_window(self):
         window = Window(10.0, 20.0)
         assert window.bounded
-        assert window.width_ms == 10.0
         assert not window.is_hard
 
     def test_unbounded_window(self):
         window = Window(10.0, None)
         assert not window.bounded
-        assert window.width_ms == math.inf
 
     def test_hard_window(self):
         assert Window(5.0, 5.0).is_hard
@@ -73,14 +71,6 @@ class TestOperations:
     def test_disjoint_intersection_raises(self):
         with pytest.raises(SyncArcError, match="do not intersect"):
             Window(0.0, 1.0).intersect(Window(2.0, 3.0))
-
-    def test_widened(self):
-        widened = Window(10.0, 20.0).widened(5.0)
-        assert (widened.low_ms, widened.high_ms) == (5.0, 25.0)
-
-    def test_negative_widening_rejected(self):
-        with pytest.raises(SyncArcError):
-            Window(0.0, 1.0).widened(-1.0)
 
     def test_str_rendering(self):
         assert "inf" in str(Window(1.0, None))

@@ -169,10 +169,6 @@ class TestExtAndImm:
         assert first.file == "news.vid"
         assert second.file == "news.vid"
 
-    def test_imm_medium_defaults_to_text(self):
-        assert ImmNode("x").medium_name == "text"
-        assert ImmNode("x", {"medium": "audio"}).medium_name == "audio"
-
 
 class TestArcs:
     def test_add_arc_accumulates(self):

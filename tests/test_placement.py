@@ -727,7 +727,8 @@ class TestPlacementReportCli:
         assert set(report.sites) == set(workload.site_names)
         assert sum(site.descriptor_count
                    for site in report.sites.values()) == \
-            report.total_replicas
+            sum(factor * count
+                for factor, count in report.replica_histogram.items())
         assert report.replica_histogram  # every id counted somewhere
         text = report.describe()
         assert "placement:" in text

@@ -5,8 +5,8 @@ import pytest
 from repro.core.builder import DocumentBuilder
 from repro.core.errors import DeviceConstraintError
 from repro.core.values import Rect
-from repro.pipeline.presentation import (PresentationMapper, Region,
-                                         VIRTUAL_HEIGHT, VIRTUAL_WIDTH)
+from repro.pipeline.presentation import (PresentationMapper, VIRTUAL_HEIGHT,
+                                         VIRTUAL_WIDTH)
 
 
 def build_document(channel_specs):
@@ -75,43 +75,6 @@ class TestHints:
         with pytest.raises(DeviceConstraintError, match="region-hint"):
             PresentationMapper().map_document(document)
 
-    def test_overlap_detection(self):
-        document = build_document([
-            ("video", "video", {"region-hint": (0, 0, 600, 1000)}),
-            ("label", "text", {"region-hint": (500, 0, 500, 200)}),
-        ])
-        presentation = PresentationMapper().map_document(document)
-        assert ("label", "video") in presentation.overlap_pairs()
-
-    def test_overlap_sweep_matches_brute_force(self):
-        """The sort-by-x sweep must agree with the all-pairs check on
-        randomized rect layouts, including touching (non-overlapping)
-        edges and the sorted pair order."""
-        import random
-        from repro.pipeline.presentation import PresentationMap, Region
-        rng = random.Random(1991)
-        for _ in range(25):
-            presentation = PresentationMap()
-            for index in range(rng.randrange(2, 12)):
-                rect = Rect(rng.randrange(0, 900), rng.randrange(0, 900),
-                            rng.randrange(1, 300), rng.randrange(1, 300))
-                presentation.regions[f"ch{index:02d}"] = Region(
-                    channel=f"ch{index:02d}", rect=rect, z_order=index)
-            names = sorted(presentation.regions)
-            brute = [
-                (first, second)
-                for i, first in enumerate(names)
-                for second in names[i + 1:]
-                if presentation.regions[first].rect.intersect(
-                    presentation.regions[second].rect) is not None]
-            assert presentation.overlap_pairs() == brute
-
-    def test_touching_edges_do_not_overlap(self):
-        from repro.pipeline.presentation import PresentationMap, Region
-        presentation = PresentationMap()
-        presentation.regions["a"] = Region("a", Rect(0, 0, 500, 1000), 0)
-        presentation.regions["b"] = Region("b", Rect(500, 0, 500, 1000), 1)
-        assert presentation.overlap_pairs() == []
 
 
 class TestAudioAllocation:
@@ -150,24 +113,6 @@ class TestAudioAllocation:
         ])
         with pytest.raises(DeviceConstraintError, match="speaker"):
             PresentationMapper(speaker_count=2).map_document(document)
-
-
-class TestRegionScaling:
-    def test_scaled_to_physical_screen(self):
-        region = Region("video", Rect(0, 0, 500, 1000))
-        physical = region.scaled_to(640, 480)
-        assert physical == Rect(0, 0, 320, 480)
-
-    def test_scaled_never_collapses(self):
-        region = Region("label", Rect(990, 990, 10, 10))
-        physical = region.scaled_to(64, 48)
-        assert physical.width >= 1
-        assert physical.height >= 1
-
-    def test_scaled_to_zero_screen_raises(self):
-        region = Region("video", Rect(0, 0, 500, 500))
-        with pytest.raises(DeviceConstraintError):
-            region.scaled_to(0, 480)
 
 
 class TestMissingAllocations:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.document import CmifDocument
 from repro.core.errors import PlaybackError, ValueError_
 from repro.corpus import (generate_serving_corpus, make_media_document,
                           make_news_document)
@@ -164,3 +165,38 @@ class TestServe:
         assert "requirements cache" in text
         assert "schedule cache" in text
         assert "program cache" in text
+
+
+class TestEditorAttach:
+    def test_an_editor_starts_from_the_admitted_schedule(self, engine,
+                                                         monkeypatch):
+        """Attaching a live editor to a served document neither compiles
+        nor solves a schedule of its own for the cache: it starts from
+        the object admission published, which keys the cached programs."""
+        document = make_media_document(2, events=30)
+        for environment in PROFILES:
+            engine.admit(document, environment)
+        admitted = engine.schedule_cache.get(document)
+        assert admitted is not None
+        compiled_documents = []
+        compile_document = CmifDocument.compile
+
+        def counting_compile(self, *args, **kwargs):
+            compiled_documents.append(self)
+            return compile_document(self, *args, **kwargs)
+
+        put_schedules = []
+        put = engine.schedule_cache.put
+
+        def spying_put(document, schedule, **kwargs):
+            put_schedules.append(schedule)
+            return put(document, schedule, **kwargs)
+
+        monkeypatch.setattr(CmifDocument, "compile", counting_compile)
+        monkeypatch.setattr(engine.schedule_cache, "put", spying_put)
+        editor = engine.editor_for(document)
+        assert compiled_documents == []
+        assert all(schedule is admitted for schedule in put_schedules)
+        assert engine.schedule_cache.get(document) is admitted
+        assert editor.schedule is admitted
+        assert editor.stats.full_rebuilds == 1

@@ -39,10 +39,6 @@ class TestSignConventions:
                       max_delay=MediaTime.ms(0))
         assert arc.min_delay.value == -100
 
-    def test_infinite_max_delay_is_none(self):
-        arc = SyncArc("a", "b", max_delay=None)
-        assert not arc.is_bounded
-
     def test_negative_offset_rejected(self):
         with pytest.raises(SyncArcError, match="offset"):
             SyncArc("a", "b", offset=MediaTime.ms(-1))

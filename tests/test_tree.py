@@ -99,7 +99,6 @@ class TestStats:
         assert stats.imm_nodes == 3
         assert stats.ext_nodes == 0
         assert stats.leaf_count == 3
-        assert stats.container_count == 3
         assert stats.max_depth == 2
 
     def test_arc_count(self, tree):
