@@ -86,7 +86,6 @@ def test_ablation_policies_compared():
     assert len(widest.dropped) <= len(last.dropped)
 
     # Both end feasible: the surviving system checks out.
-    from repro.timing.solver import check_solution
     for policy, result in outcomes.items():
         system = build_constraints(document.compile())
         skipped = {c.describe() for c in result.dropped}

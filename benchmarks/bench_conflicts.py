@@ -9,12 +9,9 @@ diagnostics — the paper's role for CMIF: "signalling problems, allowing
 other mechanisms to provide solutions".
 """
 
-import pytest
-
 from repro.core.builder import DocumentBuilder
 from repro.core.errors import SchedulingConflict
 from repro.core.timebase import MediaTime
-from repro.timing import schedule_document
 from repro.timing.conflicts import (detect_device_conflicts,
                                     diagnose_authoring,
                                     invalid_arcs_after_seek)

@@ -28,7 +28,7 @@ import time
 
 from repro.core import edit as core_edit
 from repro.core.builder import DocumentBuilder
-from repro.core.syncarc import Strictness, SyncArc
+from repro.core.syncarc import SyncArc
 from repro.core.timebase import MediaTime
 from repro.timing import IncrementalScheduler, schedule_document
 

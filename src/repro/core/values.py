@@ -85,16 +85,6 @@ class Rect:
                 and other.x + other.width <= self.x + self.width
                 and other.y + other.height <= self.y + self.height)
 
-    def intersect(self, other: "Rect") -> "Rect | None":
-        """Return the overlap of two rectangles, or None when disjoint."""
-        x1 = max(self.x, other.x)
-        y1 = max(self.y, other.y)
-        x2 = min(self.x + self.width, other.x + other.width)
-        y2 = min(self.y + self.height, other.y + other.height)
-        if x2 <= x1 or y2 <= y1:
-            return None
-        return Rect(x1, y1, x2 - x1, y2 - y1)
-
     def scaled(self, factor: float) -> "Rect":
         """Return the rectangle scaled about the origin by ``factor``."""
         if factor <= 0:

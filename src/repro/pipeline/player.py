@@ -256,7 +256,8 @@ class Player:
         it.  Events are dispatched in the schedule's canonical
         :func:`~repro.timing.schedule.event_order` (begin, end, id).
         """
-        check_play_controls(rate, seek_to_ms)
+        check_play_controls(rate, seek_to_ms, freeze_at_ms,
+                            freeze_duration_ms)
         working = schedule
         if rate != 1.0:
             check_rate_span(rate, schedule.total_duration_ms)

@@ -339,16 +339,25 @@ def check_prefetch_lead(lead_ms: float) -> None:
                             "milliseconds at or above 0")
 
 
-def check_play_controls(rate: float, seek_to_ms: float) -> None:
+def check_play_controls(rate: float, seek_to_ms: float,
+                        freeze_at_ms: float | None,
+                        freeze_duration_ms: float) -> None:
     """Refuse a rate that is not a positive finite number, or a seek
-    point that is negative or not finite (NaN included).  The messages
-    do not echo the value: a refused NaN or infinity stays out of every
-    line the program prints."""
+    point, a given freeze point or a freeze hold that is negative or not
+    finite (NaN included).  The messages do not echo the value: a
+    refused NaN or infinity stays out of every line the program
+    prints."""
     if not 0.0 < rate < math.inf:
         raise PlaybackError("the rate must be positive and finite")
     if not 0.0 <= seek_to_ms < math.inf:
         raise PlaybackError("the seek point must be a finite time at or "
                             "after 0")
+    if freeze_at_ms is not None and not 0.0 <= freeze_at_ms < math.inf:
+        raise PlaybackError("the freeze point must be a finite time at "
+                            "or after 0")
+    if not 0.0 <= freeze_duration_ms < math.inf:
+        raise PlaybackError("the freeze hold must be a finite duration "
+                            "at or above 0")
 
 
 def check_rate_span(rate: float, last_end_ms: float) -> None:
@@ -997,7 +1006,8 @@ class BatchPlayer:
                 rng: random.Random | None = None,
                 replay: int = 0) -> CompactReport:
         """One replay, returned in compact (lazy) form."""
-        check_play_controls(rate, seek_to_ms)
+        check_play_controls(rate, seek_to_ms, freeze_at_ms,
+                            freeze_duration_ms)
         env = environment if environment is not None else self.environment
         transform_key, tb, te = self._transformed(rate, freeze_at_ms,
                                                   freeze_duration_ms)

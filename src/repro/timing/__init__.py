@@ -12,12 +12,10 @@ from repro.timing.conflicts import (AUTHORING, ConflictReport, DEVICE,
                                     detect_device_conflicts,
                                     diagnose_authoring,
                                     invalid_arcs_after_seek)
-from repro.timing.constraints import (Constraint, ConstraintDelta,
-                                      ConstraintIndex, ConstraintKind,
+from repro.timing.constraints import (Constraint, ConstraintKind,
                                       ConstraintSystem, TimeVar, VarKind,
-                                      add_arc_delta, anchor_var, arc_table,
-                                      begin_var, build_constraints, end_var,
-                                      remove_arc_delta, retime_delta)
+                                      anchor_var, arc_table, begin_var,
+                                      build_constraints, end_var)
 from repro.timing.graph import (ConstraintGraph, compile_graph,
                                 solve_graph)
 from repro.timing.incremental import EngineStats, IncrementalScheduler
@@ -34,19 +32,16 @@ from repro.timing.solver import (IncrementalOutcome, IncrementalSolver,
                                  check_solution, solve)
 
 __all__ = [
-    "AUTHORING", "ConflictReport", "Constraint", "ConstraintDelta",
-    "ConstraintGraph", "ConstraintIndex", "ConstraintKind",
-    "ConstraintSystem", "DEFAULT_TIMEBASE", "DEVICE", "ENGINE_GRAPH",
-    "ENGINE_REFERENCE", "EngineStats", "IncrementalOutcome",
-    "IncrementalScheduler", "IncrementalSolver", "MediaTime",
-    "NAVIGATION", "RELAXATION_POLICIES", "RELAX_DROP_LAST",
-    "RELAX_DROP_WIDEST", "SCHEDULE_ENGINES", "Schedule", "ScheduleCache",
-    "ScheduledEvent", "SolverResult", "TimeBase", "TimeVar", "Unit",
-    "VarKind", "Window", "add_arc_delta", "anchor_var", "arc_table",
-    "arc_window", "begin_var", "build_constraints", "check_solution",
-    "common_ancestor_of_arc", "compile_graph", "detect_device_conflicts",
-    "diagnose_authoring", "end_var", "event_order",
-    "invalid_arcs_after_seek", "make_schedule", "remove_arc_delta",
-    "retime_delta", "schedule_document", "schedule_for", "solve",
-    "solve_graph", "times_close", "wrap_event",
+    "AUTHORING", "ConflictReport", "Constraint", "ConstraintGraph",
+    "ConstraintKind", "ConstraintSystem", "DEFAULT_TIMEBASE", "DEVICE",
+    "ENGINE_GRAPH", "ENGINE_REFERENCE", "EngineStats", "IncrementalOutcome",
+    "IncrementalScheduler", "IncrementalSolver", "MediaTime", "NAVIGATION",
+    "RELAXATION_POLICIES", "RELAX_DROP_LAST", "RELAX_DROP_WIDEST",
+    "SCHEDULE_ENGINES", "Schedule", "ScheduleCache", "ScheduledEvent",
+    "SolverResult", "TimeBase", "TimeVar", "Unit", "VarKind", "Window",
+    "anchor_var", "arc_table", "arc_window", "begin_var", "build_constraints",
+    "check_solution", "common_ancestor_of_arc", "compile_graph",
+    "detect_device_conflicts", "diagnose_authoring", "end_var", "event_order",
+    "invalid_arcs_after_seek", "make_schedule", "schedule_document",
+    "schedule_for", "solve", "solve_graph", "times_close", "wrap_event",
 ]

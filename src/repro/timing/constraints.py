@@ -23,6 +23,13 @@ Every rule becomes a difference constraint between two *anchor variables*
 ("default synchronization arcs correspond to fork and join operations")
 is literally how the constraints read: par-node begins are forks, ends
 are joins.
+
+This object form serves the reference solve
+(:func:`~repro.timing.solver.solve`), which the degraded solve and
+replay fall back to, and figure 9's :func:`arc_table`.  Cold solves,
+admissions and the live editor run on
+:func:`~repro.timing.graph.compile_graph`'s rows instead, which
+``tests/test_graph_solver.py`` pins to this builder's output.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.document import CmifDocument, CompiledDocument
-from repro.core.errors import SyncArcError
 from repro.core.nodes import Node, NodeKind
 from repro.core.paths import node_path, resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness, SyncArc
@@ -121,32 +127,6 @@ class ConstraintSystem:
         """Add ``var >= base + weight_ms``."""
         self.add(Constraint(var, base, weight_ms, kind,
                             relaxable=relaxable, arc=arc, note=note))
-
-    def remove_all(self, removed: list["Constraint"]) -> None:
-        """Remove constraints *by identity* in one pass.
-
-        Identity matters: the system may hold several value-equal
-        constraints (two identical arcs on one node, say) and a delta
-        must only take out the instances it names.
-        """
-        removed_ids = {id(constraint) for constraint in removed}
-        self.constraints = [constraint for constraint in self.constraints
-                            if id(constraint) not in removed_ids]
-
-    def apply_delta(self, delta: "ConstraintDelta") -> None:
-        """Mutate the system per ``delta`` (adds intern new variables).
-
-        Full-rebuild deltas cannot be applied in place; callers must
-        rebuild via :func:`build_constraints`.
-        """
-        if delta.full_rebuild:
-            raise SyncArcError(
-                f"delta requires a full rebuild ({delta.reason}); "
-                f"apply_delta only handles in-place changes")
-        if delta.removed:
-            self.remove_all(delta.removed)
-        for constraint in delta.added:
-            self.add(constraint)
 
     @property
     def size(self) -> tuple[int, int]:
@@ -292,135 +272,6 @@ def _arc_constraints(document: CmifDocument, owner: Node,
                                       relaxable=relaxable, arc=arc,
                                       note=note))
     return constraints
-
-
-# ---------------------------------------------------------------------------
-# Incremental deltas: the constraint-level effect of one authoring edit.
-#
-# The authoring loop of section 2 ("view or (possibly) edit a document")
-# re-schedules after every edit.  Rather than rebuilding the whole
-# constraint system, each attribute edit in :mod:`repro.core.edit`
-# (retime, add or remove an arc) maps to a small set of added/removed
-# constraints, emitted by the same rule helpers ``build_constraints``
-# uses; the incremental solver
-# (:class:`repro.timing.solver.IncrementalSolver`) then re-relaxes only
-# the affected region.  Edits that change the tree topology (reorder,
-# splice, duplicate, remove) invalidate node paths and the per-channel
-# event order wholesale, so they never become deltas: the incremental
-# scheduler rebuilds the whole system instead.
-
-
-@dataclass
-class ConstraintDelta:
-    """Added/removed constraints equivalent to one document edit.
-
-    ``removed`` lists live constraint *instances* from the system being
-    edited (identity, not equality).  ``full_rebuild`` marks edits whose
-    effect cannot be expressed as a local diff; ``reason`` says why, for
-    diagnostics and engine statistics.
-    """
-
-    added: list[Constraint] = field(default_factory=list)
-    removed: list[Constraint] = field(default_factory=list)
-    full_rebuild: bool = False
-    reason: str = ""
-
-    @property
-    def empty(self) -> bool:
-        """True when the edit has no scheduling effect at all."""
-        return not (self.added or self.removed or self.full_rebuild)
-
-    def describe(self) -> str:
-        if self.full_rebuild:
-            return f"full rebuild ({self.reason})"
-        return (f"+{len(self.added)}/-{len(self.removed)} constraints"
-                + (f" ({self.reason})" if self.reason else ""))
-
-
-class ConstraintIndex:
-    """Anchor -> live-constraint lookup kept in sync with a system.
-
-    The delta builders need the *current instances* of the constraints an
-    edit replaces: the two duration constraints of a leaf, or every
-    constraint an explicit arc contributed.  Scanning
-    ``system.constraints`` per edit would cost O(E); this index keeps the
-    lookups O(1) and is updated through :meth:`apply` alongside the
-    system itself.
-    """
-
-    def __init__(self, system: ConstraintSystem) -> None:
-        self._duration: dict[str, list[Constraint]] = {}
-        self._by_arc: dict[int, list[Constraint]] = {}
-        for constraint in system.constraints:
-            self._note(constraint)
-
-    def _note(self, constraint: Constraint) -> None:
-        if constraint.arc is not None:
-            self._by_arc.setdefault(id(constraint.arc), []).append(constraint)
-        elif constraint.kind is ConstraintKind.DURATION:
-            self._duration.setdefault(constraint.var.path,
-                                      []).append(constraint)
-
-    def _forget(self, constraint: Constraint) -> None:
-        if constraint.arc is not None:
-            bucket = self._by_arc.get(id(constraint.arc), [])
-        elif constraint.kind is ConstraintKind.DURATION:
-            bucket = self._duration.get(constraint.var.path, [])
-        else:
-            return
-        for position, candidate in enumerate(bucket):
-            if candidate is constraint:
-                del bucket[position]
-                break
-
-    def duration_constraints(self, leaf_path: str) -> list[Constraint]:
-        """The lower+upper duration constraints of the leaf at ``path``."""
-        return list(self._duration.get(leaf_path, []))
-
-    def arc_constraints(self, arc: SyncArc) -> list[Constraint]:
-        """Every constraint contributed by this arc instance."""
-        return list(self._by_arc.get(id(arc), []))
-
-    def apply(self, delta: ConstraintDelta) -> None:
-        """Track a delta that is being applied to the system."""
-        for constraint in delta.removed:
-            self._forget(constraint)
-        for constraint in delta.added:
-            self._note(constraint)
-
-
-def retime_delta(index: ConstraintIndex, leaf_path: str,
-                 new_duration_ms: float, *,
-                 event_id: str | None = None) -> ConstraintDelta:
-    """The delta for :func:`repro.core.edit.retime` on a leaf.
-
-    Replaces the leaf's lower+upper duration constraints with the pair
-    :func:`build_constraints` emits for the new duration (the note
-    names the leaf's path when ``event_id`` is not given).
-    """
-    added = _duration_pair(begin_var(leaf_path), end_var(leaf_path),
-                           new_duration_ms, event_id or leaf_path)
-    return ConstraintDelta(added=added,
-                           removed=index.duration_constraints(leaf_path),
-                           reason=f"retime {leaf_path}")
-
-
-def add_arc_delta(document: CmifDocument, owner: Node,
-                  arc: SyncArc) -> ConstraintDelta:
-    """The delta for :func:`repro.core.edit.add_arc`: the arc's window
-    constraints as :func:`build_constraints` emits them (an empty delta
-    for a runtime-only conditional arc)."""
-    if isinstance(arc, ConditionalArc):
-        return ConstraintDelta(reason="conditional arc (runtime-only)")
-    return ConstraintDelta(added=_arc_constraints(document, owner, arc),
-                           reason=f"add arc at {node_path(owner)}")
-
-
-def remove_arc_delta(index: ConstraintIndex,
-                     arc: SyncArc) -> ConstraintDelta:
-    """The delta for :func:`repro.core.edit.remove_arc`."""
-    return ConstraintDelta(removed=index.arc_constraints(arc),
-                           reason="remove arc")
 
 
 def arc_table(compiled: CompiledDocument, *,

@@ -24,11 +24,14 @@ it:
   dropped-constraint reporting and
   :func:`~repro.timing.solver.check_solution` audits.  Its solution
   stays dense: :class:`DenseTimes` maps each :class:`TimeVar` to its
-  time by indexing the solve's own array.
+  time by indexing the solve's own array.  Cold solves, admissions and
+  the incremental solver of the authoring loop all run on these rows;
+  a live edit detaches and attaches rows that :func:`_arc_rows` and
+  :func:`_duration_rows` emit, the rules :func:`compile_graph` writes.
 * :meth:`ConstraintGraph.from_system` lowers a built
   :class:`ConstraintSystem`, each row standing for one of the system's
-  own constraint objects: what :func:`~repro.timing.solver.solve` and
-  the incremental solver run on.  Its solution is a dict.
+  own constraint objects: what the reference
+  :func:`~repro.timing.solver.solve` runs on.  Its solution is a dict.
 
 For one document both produce the same rows in the same order, so
 every tie-break of the solve matches.  One core solves them:
@@ -132,7 +135,10 @@ class ConstraintGraph:
     chains that would push the root later show up as positive cycles,
     i.e. genuine conflicts.  ``out[v]`` lists the rows based at
     variable ``v`` in row order, the adjacency order every tie-break of
-    the solve follows.
+    the solve follows.  A live editor's
+    :class:`~repro.timing.solver.IncrementalSolver` detaches the rows an
+    edit retires from those lists and puts the rows it adds at their
+    ends, each on a retired row's id or appended past the implied rows.
 
     A compiled graph keeps, per document row, the provenance that
     materializes its :class:`Constraint` on demand in three more
@@ -181,10 +187,7 @@ class ConstraintGraph:
 
         Row ``r`` stands for ``system.constraints[r]`` itself, so
         results and conflict cycles hold the caller's instances;
-        implied root rows materialize on demand.  The
-        :class:`~repro.timing.solver.IncrementalSolver` mutates these
-        rows in place (``cons_*[row]``, ``out``, ``_timevars``,
-        ``_constraints``), so this layout is its live state as well.
+        implied root rows materialize on demand.
         """
         if system.root_begin is None:
             raise SchedulingConflict("constraint system has no root anchor")
@@ -214,6 +217,14 @@ class ConstraintGraph:
         self.cons_weight.extend([0.0] * len(implied))
         self.cons_relax.extend([0] * len(implied))
         self.out = _rows_by(self.cons_base, count)
+
+    @property
+    def columns(self) -> tuple[list, ...]:
+        """The row columns in row-tuple order: ``(var, base, weight,
+        relax, code, subject, other)``."""
+        return (self.cons_var, self.cons_base, self.cons_weight,
+                self.cons_relax, self.cons_code, self.cons_subject,
+                self.cons_other)
 
     @property
     def size(self) -> tuple[int, int]:
@@ -339,6 +350,50 @@ def _rows_by(ends: list[int], count: int) -> list[list[int]]:
     return lists
 
 
+def _duration_rows(event, begin: int, end: int) -> tuple[tuple, tuple]:
+    """A leaf's duration rule: ``end - begin`` pinned to its event's
+    ``duration_ms``, the upper bound ``upper(end, begin, d)`` stored as
+    ``begin - end >= -d``.
+
+    A row tuple holds one value per :attr:`ConstraintGraph.columns`.
+    A live retime emits a leaf's rows here; :func:`compile_graph`
+    writes the same two inline.
+    """
+    duration = event.duration_ms
+    return ((end, begin, duration, 0, _M_DUR_LOW, event, None),
+            (begin, end, -duration, 0, _M_DUR_UP, event, None))
+
+
+def _arc_rows(graph: ConstraintGraph, owner, owner_path: str, arc: SyncArc,
+              seq_of: Mapping[int, int], timebase) -> tuple[tuple, ...]:
+    """An explicit arc's window rule ``tref + delta <= t <= tref +
+    epsilon``: a lower row for the minimum delay, plus an upper one when
+    the maximum delay is finite (none for a runtime-only conditional
+    arc).
+
+    ``seq_of`` maps ``id(node)`` to the node's preorder position, which
+    indexes the graph's ``begin_ids``/``end_ids``.  :func:`compile_graph`
+    and a live arc edit both emit an arc's rows here.
+    """
+    if isinstance(arc, ConditionalArc):
+        return ()
+    source = seq_of[id(resolve_path(owner, arc.source))]
+    destination = seq_of[id(resolve_path(owner, arc.destination))]
+    src = (graph.begin_ids if arc.src_anchor is Anchor.BEGIN
+           else graph.end_ids)[source]
+    dst = (graph.begin_ids if arc.dst_anchor is Anchor.BEGIN
+           else graph.end_ids)[destination]
+    delta_ms, epsilon_ms = arc.window_ms(timebase)
+    offset_ms = timebase.to_ms(arc.offset)
+    relax = 1 if arc.strictness is Strictness.MAY else 0
+    lower = (dst, src, offset_ms + delta_ms, relax, _M_ARC_LOW, arc,
+             owner_path)
+    if epsilon_ms is None:
+        return (lower,)
+    return lower, (src, dst, -(offset_ms + epsilon_ms), relax, _M_ARC_UP,
+                   arc, owner_path)
+
+
 def compile_graph(compiled: CompiledDocument, *,
                   channel_serialization: bool = True) -> ConstraintGraph:
     """Compile a document into a :class:`ConstraintGraph`.
@@ -385,8 +440,9 @@ def compile_graph(compiled: CompiledDocument, *,
         begin = begin_ids[seq]
         end = end_ids[seq]
         if not isinstance(node, ContainerNode):
-            # Leaves come in ``compiled.events`` order.  The upper bound
-            # upper(end, begin, d) is stored as begin - end >= -d.
+            # Leaves come in ``compiled.events`` order.  The two rows are
+            # :func:`_duration_rows`', written inline for speed (the
+            # live-retime tests pin the two copies together).
             event = next(events)
             duration = event.duration_ms
             graph.event_begin.append(begin)
@@ -437,27 +493,15 @@ def compile_graph(compiled: CompiledDocument, *,
 
     cons_relax = graph.cons_relax
     cons_relax += [0] * len(cons_var)      # only arc rows can be may rows
+    columns = graph.columns
     timebase = compiled.document.timebase
     for seq in range(count):
         node = nodes[seq]
         for arc in node.attributes.get("sync-arc", ()):
-            if isinstance(arc, ConditionalArc):
-                continue
-            source = seq_of[id(resolve_path(node, arc.source))]
-            destination = seq_of[id(resolve_path(node, arc.destination))]
-            src = (begin_ids if arc.src_anchor is Anchor.BEGIN
-                   else end_ids)[source]
-            dst = (begin_ids if arc.dst_anchor is Anchor.BEGIN
-                   else end_ids)[destination]
-            delta_ms, epsilon_ms = arc.window_ms(timebase)
-            offset_ms = timebase.to_ms(arc.offset)
-            relaxable = 1 if arc.strictness is Strictness.MAY else 0
-            row(dst, src, offset_ms + delta_ms, _M_ARC_LOW, arc, paths[seq])
-            cons_relax.append(relaxable)
-            if epsilon_ms is not None:
-                row(src, dst, -(offset_ms + epsilon_ms), _M_ARC_UP, arc,
-                    paths[seq])
-                cons_relax.append(relaxable)
+            for values in _arc_rows(graph, node, paths[seq], arc, seq_of,
+                                    timebase):
+                for column, value in zip(columns, values):
+                    column.append(value)
 
     var_paths = graph.var_paths = [""] * fresh
     var_kinds = graph.var_kinds = [0] * fresh

@@ -6,10 +6,12 @@ in signalling problems" presumes the problems are found while the author
 is still looking at the document).  The seed implementation re-ran the
 whole compile → build-constraints → solve → wrap pipeline after every
 edit; this engine keeps the pipeline's intermediate state alive and
-updates it in place:
+updates it in place.  That state is the rows of one
+:func:`~repro.timing.graph.compile_graph` lowering, the one every cold
+solve runs on:
 
     edit (repro.core.edit)
-      -> ConstraintDelta (repro.timing.constraints)
+      -> retired rows + added rows (the graph's own rule helpers)
         -> seeded re-relaxation (repro.timing.solver.IncrementalSolver)
           -> schedule patch (only moved events are rebuilt)
             -> ScheduleCache publish (repro.timing.schedule)
@@ -45,10 +47,7 @@ from repro.core.timebase import MediaTime
 from repro.core.errors import SchedulingConflict
 from repro.faults import RobustnessStats
 from repro.ledger import Ledger
-from repro.timing.constraints import (ConstraintDelta, ConstraintIndex,
-                                      add_arc_delta, begin_var,
-                                      build_constraints, end_var,
-                                      remove_arc_delta, retime_delta)
+from repro.timing.graph import _arc_rows, _duration_rows, compile_graph
 from repro.timing.schedule import (Schedule, ScheduleCache, event_order,
                                    make_schedule, wrap_event)
 from repro.timing.solver import IncrementalSolver
@@ -137,7 +136,7 @@ class IncrementalScheduler:
     # -- pipeline state --------------------------------------------------
 
     def _rebuild(self, served: Schedule | None = None) -> None:
-        """From-scratch build + solve (the slow path).
+        """From-scratch compile + solve (the slow path).
 
         ``served`` is a schedule already solved for the document's
         current revision, such as the one a serving engine publishes.
@@ -153,10 +152,9 @@ class IncrementalScheduler:
         self._schedule = None
         self.compiled = (served.compiled if served is not None
                          else self.document.compile())
-        self.system = build_constraints(self.compiled)
-        self.index = ConstraintIndex(self.system)
+        graph = compile_graph(self.compiled)
         try:
-            solver = IncrementalSolver(self.system)
+            solver = IncrementalSolver(graph)
         except SchedulingConflict as conflict:
             self._conflict = conflict
             raise
@@ -202,9 +200,11 @@ class IncrementalScheduler:
         value = (duration if isinstance(duration, MediaTime)
                  else MediaTime.ms(float(duration)))
         event.duration_ms = self.document.timebase.to_ms(value)
-        delta = retime_delta(self.index, report.subject,
-                             event.duration_ms, event_id=event.event_id)
-        self._absorb(delta)
+        graph = self.solver.graph
+        slot = graph.slots[report.subject]
+        rows = _duration_rows(event, graph.begin_ids[slot],
+                              graph.end_ids[slot])
+        self._absorb(self.solver.live_rows(rows), rows)
         return report
 
     def add_arc(self, owner_path: str, arc: SyncArc) -> EditReport:
@@ -214,24 +214,30 @@ class IncrementalScheduler:
         if self.solver is None:
             self._full_path()
             return report
-        owner = resolve_path(self.document.root, owner_path)
-        delta = add_arc_delta(self.document, owner, arc)
-        self._absorb(delta)
+        self._absorb([], self._arc_rows_at(report.subject, arc))
         return report
 
     def remove_arc(self, owner_path: str, index: int) -> EditReport:
         """Detach an arc; only times it was supporting are recomputed."""
-        owner = resolve_path(self.document.root, owner_path)
-        arcs = owner.arcs
-        arc = arcs[index] if 0 <= index < len(arcs) else None
+        arcs = resolve_path(self.document.root, owner_path).arcs
         report = core_edit.remove_arc(self.document, owner_path, index)
         self.stats.edits += 1
-        if self.solver is None or arc is None:
+        if self.solver is None:
             self._full_path()
             return report
-        delta = remove_arc_delta(self.index, arc)
-        self._absorb(delta)
+        rows = self._arc_rows_at(report.subject, arcs[index])
+        self._absorb(self.solver.live_rows(rows), ())
         return report
+
+    def _arc_rows_at(self, owner_path: str, arc: SyncArc) -> tuple:
+        """The rows ``arc`` contributes when the node at ``owner_path``
+        (a canonical path) lists it."""
+        nodes = self.compiled.nodes
+        return _arc_rows(self.solver.graph,
+                         resolve_path(self.document.root, owner_path),
+                         owner_path, arc,
+                         dict(zip(map(id, nodes), range(len(nodes)))),
+                         self.document.timebase)
 
     # -- topology edit operations (full rebuild) --------------------------
 
@@ -269,50 +275,52 @@ class IncrementalScheduler:
         self.last_changed_paths = None
         self._rebuild()
 
-    def _absorb(self, delta: ConstraintDelta) -> None:
-        """Route a delta through the solver and patch the schedule."""
-        if delta.empty:
+    def _absorb(self, retired: list[int], added) -> None:
+        """Route an edit's rows through the solver and patch the
+        schedule."""
+        outcome = self.solver.apply(retired, added)
+        self.stats.last_mode = outcome.mode
+        if outcome.mode == "noop":
             # No scheduling effect (e.g. a conditional arc), but the
             # revision moved: republish the same schedule under it.
-            self.stats.last_mode = "noop"
             self.stats.last_changed_vars = 0
             self.last_changed_paths = set()
             self._publish()
             return
-        self.index.apply(delta)
-        outcome = self.solver.apply(delta)
-        self.stats.last_mode = outcome.mode
         if outcome.mode == "full":
-            # Fallbacks re-solve on a canonically rebuilt system: the
-            # greedy may-drop choice is sensitive to constraint order,
-            # and a rebuilt system orders constraints exactly as a
-            # from-scratch schedule_document call would.
+            # Fallbacks re-solve a freshly compiled graph: the greedy
+            # may-drop choice is sensitive to row order, and a cold
+            # lowering orders rows exactly as a from-scratch
+            # schedule_document call would.
             self.stats.fallbacks += 1
             self._full_path()
             self.stats.last_mode = "full"
             return
         self.stats.incremental_solves += 1
-        changed = outcome.changed or set()
-        self.stats.last_changed_vars = len(changed)
-        self.last_changed_paths = {var.path for var in changed}
-        self._patch_schedule(changed)
+        var_paths = self.solver.graph.var_paths
+        self.stats.last_changed_vars = len(outcome.changed)
+        self.last_changed_paths = {var_paths[var] for var in outcome.changed}
+        self._patch_schedule(self.last_changed_paths)
 
-    def _patch_schedule(self, changed_vars: set) -> None:
+    def _patch_schedule(self, changed_paths: set[str]) -> None:
         """Rebuild only the events whose solved times moved."""
         result = self.solver.result
-        times = result.times_ms
+        dist = result.times_ms.dist
+        graph = self.solver.graph
         events_by_path = dict(self._events_by_path)
-        for path in {var.path for var in changed_vars}:
+        for path in changed_paths:
             stale = events_by_path.get(path)
             if stale is None:
                 continue  # container anchor: no event of its own
+            slot = graph.slots[path]
             events_by_path[path] = wrap_event(
-                stale.event, times[begin_var(path)], times[end_var(path)])
+                stale.event, dist[graph.begin_ids[slot]],
+                dist[graph.end_ids[slot]])
         events = sorted(events_by_path.values(), key=event_order)
         self._events_by_path = events_by_path
         self._schedule = Schedule(
             compiled=self.compiled,
-            times_ms=times,
+            times_ms=result.times_ms,
             events=events,
             dropped_constraints=result.dropped,
             solver_iterations=result.iterations,

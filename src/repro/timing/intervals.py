@@ -3,10 +3,9 @@
 Figure 8 depicts the admissible start window of a destination node:
 ``[tref + min_delay, tref + max_delay]``.  :class:`Window` models such an
 interval with an optionally unbounded upper end, supporting the
-operations scheduling analysis needs: intersection (several arcs
-targeting one event), shifting (offsets), containment tests (did the
-player hit the window?), and width (the slack available to a constraint
-filter).
+operations scheduling analysis needs: shifting (offsets), containment
+tests (did the player hit the window?) and the distance to the window
+(the skew the player reports).
 """
 
 from __future__ import annotations
@@ -71,26 +70,6 @@ class Window:
         """The window translated by ``delta_ms``."""
         high = None if self.high_ms is None else self.high_ms + delta_ms
         return Window(self.low_ms + delta_ms, high)
-
-    def intersect(self, other: "Window") -> "Window":
-        """The intersection; raises :class:`SyncArcError` when empty.
-
-        Several arcs targeting one event intersect to the event's overall
-        admissible window; an empty intersection is an authoring conflict
-        visible before any scheduling runs.
-        """
-        low = max(self.low_ms, other.low_ms)
-        if self.high_ms is None:
-            high = other.high_ms
-        elif other.high_ms is None:
-            high = self.high_ms
-        else:
-            high = min(self.high_ms, other.high_ms)
-        if high is not None and high < low:
-            raise SyncArcError(
-                f"windows [{self.low_ms}, {self.high_ms}] and "
-                f"[{other.low_ms}, {other.high_ms}] do not intersect")
-        return Window(low, high)
 
     def __str__(self) -> str:
         high = "inf" if self.high_ms is None else f"{self.high_ms:g}"

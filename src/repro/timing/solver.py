@@ -31,11 +31,13 @@ provided for the DESIGN.md ablation:
 Must constraints are never dropped; a cycle of must constraints raises
 :class:`~repro.core.errors.SchedulingConflict` carrying the cycle.
 
-:class:`IncrementalSolver` keeps a system's rows alive across authoring
-edits and re-relaxes only the region an edit touches, with the same
-Kahn pass and cleanup.  The layout and core's names (the relaxation
-policies, :data:`SUSPICION_LAPS`, :class:`SolverResult`) are importable
-from here as well.
+:class:`IncrementalSolver` keeps a compiled graph's rows
+(:func:`~repro.timing.graph.compile_graph`) alive across authoring
+edits, detaching and attaching the rows an edit changes, and re-relaxes
+only the region the edit touches, with the same Kahn pass and cleanup.
+The layout and core's names (the relaxation policies,
+:data:`SUSPICION_LAPS`, :class:`SolverResult`) are importable from here
+as well.
 """
 
 from __future__ import annotations
@@ -43,15 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.errors import SchedulingConflict
-from repro.timing.constraints import (Constraint, ConstraintDelta,
-                                      ConstraintSystem, TimeVar)
+from repro.timing.constraints import Constraint, ConstraintSystem, TimeVar
 from repro.timing.graph import (RELAX_DROP_LAST, RELAX_DROP_WIDEST,
                                 RELAXATION_POLICIES, SUSPICION_LAPS,
-                                ConstraintGraph, SolverResult, _EPS,
-                                _Infeasible, _cleanup, _implied_root_arc,
-                                _kahn, _relax, _rows_by,
-                                check_relaxation_policy, solve_graph)
+                                ConstraintGraph, DenseTimes, SolverResult,
+                                _EPS, _Infeasible, _cleanup, _kahn, _relax,
+                                _rows_by, check_relaxation_policy,
+                                solve_graph)
 
 
 def solve(system: ConstraintSystem, *,
@@ -59,12 +59,12 @@ def solve(system: ConstraintSystem, *,
           max_relaxations: int | None = None) -> SolverResult:
     """Solve the system, relaxing may constraints as needed.
 
-    Raises :class:`SchedulingConflict` when a cycle of must constraints
-    remains; the exception's ``cycle`` lists the conflicting constraints
-    so authoring tools can report them (the paper's "CMIF plays a role in
-    signalling problems, allowing other mechanisms to provide
-    solutions").  ``dropped`` and ``cycle`` hold the system's own
-    constraint objects.
+    Raises :class:`~repro.core.errors.SchedulingConflict` when a cycle
+    of must constraints remains; the exception's ``cycle`` lists the
+    conflicting constraints so authoring tools can report them (the
+    paper's "CMIF plays a role in signalling problems, allowing other
+    mechanisms to provide solutions").  ``dropped`` and ``cycle`` hold
+    the system's own constraint objects.
     """
     check_relaxation_policy(relaxation_policy)
     return solve_graph(ConstraintGraph.from_system(system),
@@ -78,80 +78,82 @@ def solve(system: ConstraintSystem, *,
 
 @dataclass(frozen=True)
 class IncrementalOutcome:
-    """How one delta was absorbed.
+    """How one edit was absorbed.
 
     ``mode`` is ``"incremental"`` (seeded re-relaxation of the affected
     region), ``"full"`` (fallback from-scratch solve) or ``"noop"`` (the
-    delta had no scheduling effect).  ``changed`` holds the variables
-    whose times moved; ``None`` means potentially all of them.
+    edit had no scheduling effect).  ``changed`` holds the ids of the
+    variables whose times moved; ``None`` means potentially all of them.
     """
 
     mode: str
-    changed: set[TimeVar] | None
+    changed: set[int] | None
     reason: str = ""
 
 
 class IncrementalSolver:
-    """Persistent solver state that absorbs constraint deltas.
+    """Persistent solver state over one compiled graph's rows.
 
     A full solve computes the pointwise-minimal feasible assignment —
     the least fixpoint of max-relaxation above the root anchor.  Two
     monotonicity facts make edits cheap:
 
-    * *adding* constraints can only push times later, so the previous
-      solution is a valid seed: enqueue the new constraints' bases and
-      re-relax;
-    * *removing* constraints can only pull times earlier, and only for
-      variables whose supporting (longest) path used a removed
-      constraint.  The solver tracks each variable's supporting row
-      (its predecessor); on removal, the transitively supported region
-      is reset to the root anchor and re-relaxed from its unaffected
+    * *adding* rows can only push times later, so the previous solution
+      is a valid seed: enqueue the new rows' bases and re-relax;
+    * *removing* rows can only pull times earlier, and only for
+      variables whose supporting (longest) path used a removed row.
+      The solver tracks each variable's supporting row (its
+      predecessor); on removal, the transitively supported region is
+      reset to the root anchor and re-relaxed from its unaffected
       frontier.
 
     Both cases perform the same ``dist[base] + weight`` arithmetic as the
     full solve, so the re-relaxed times are identical to a from-scratch
-    solve of the updated system (equality the property tests assert).
+    solve of the edited document (equality the property tests assert).
 
-    The system's rows stay alive between deltas: a delta's constraints
-    map to rows by identity, a removed row leaves its variables' row
-    lists, and added constraints (and the implied arcs of variables a
-    delta interns) take rows retired by an earlier delta before new
-    ones are appended, so row storage stays bounded by the live
-    constraints.
+    An edit hands :meth:`apply` the rows it retires and the row tuples
+    it adds (:func:`~repro.timing.graph._duration_rows`,
+    :func:`~repro.timing.graph._arc_rows`).  A retired row leaves its
+    variables' row lists; an added one takes a row an earlier edit
+    retired (last in, first out) or is appended, so row storage stays
+    bounded by the live rows.  A row's place in ``out`` and in the
+    incoming lists breaks near-ties between predecessors, so an added
+    row always goes last in both.  Appended rows sit past the implied
+    root rows, where :meth:`~repro.timing.graph.ConstraintGraph.constraint`
+    would read them as implied: nothing materializes them, because an
+    edit that needs a row's :class:`Constraint` (a cycle, or a may drop)
+    comes back ``"full"``.
 
-    A delta this cannot absorb comes back as a ``"full"`` outcome and
-    leaves the solver stale: the caller rebuilds the system and solves
-    it with a fresh solver.  That happens when (a) a re-relaxation
-    uncovers a positive cycle — resolving it may require dropping *may*
-    constraints, which is inherently global — or (b) the solve already
-    dropped may constraints (an edit may allow one to be reinstated).
-    Topology-changing edits never reach this class either.
+    A ``"full"`` outcome leaves the solver stale: the caller compiles a
+    fresh graph and solves it with a fresh solver.  That happens when
+    (a) a re-relaxation uncovers a positive cycle — resolving it may
+    require dropping *may* rows, which is inherently global — or (b)
+    the solve already dropped may rows (an edit may allow one to be
+    reinstated).  Topology-changing edits never reach this class either.
     """
 
-    def __init__(self, system: ConstraintSystem, *,
+    def __init__(self, graph: ConstraintGraph, *,
                  relaxation_policy: str = RELAX_DROP_LAST) -> None:
         check_relaxation_policy(relaxation_policy)
-        self.system = system
-        graph = ConstraintGraph.from_system(system)
-        self._graph = graph
-        #: Per variable, the rows pointing at it: the inflow phase 0
-        #: re-anchors from.  Near-ties resolve by this order.
-        self._incoming = _rows_by(graph.cons_var, graph.count)
-        #: ``id(constraint) -> row`` for every live system constraint.
-        self._row_of: dict[int, int] = {
-            id(constraint): row
-            for row, constraint in enumerate(system.constraints)}
-        #: Rows removed by earlier deltas, free for reuse.
-        self._free: list[int] = []
+        self.graph = graph
         # The initial solve is a full one, so it picks the same cycles
-        # (hence the same may drops) as a from-scratch reference solve.
+        # (hence the same may drops) as a from-scratch solve.
         (self._dist, self._pred, dropped, self._skipped,
          self._iterations) = _relax(graph, relaxation_policy,
                                     sum(graph.cons_relax))
         self._dropped = [graph.constraint(row) for row in dropped]
-        # Beside _dist so ``result`` copies cached hashes, not re-hashed vars.
-        self._times: dict[TimeVar, float] = dict(
-            zip(system.variables, self._dist))
+        # The provenance columns stop at the document's rows; cover the
+        # implied root rows too, so every row an edit appends has its
+        # own, and :meth:`live_rows` can read any row in ``out``.
+        implied = [None] * (len(graph.cons_var) - len(graph.cons_code))
+        graph.cons_code += implied
+        graph.cons_subject += implied
+        graph.cons_other += implied
+        #: Per variable, the rows pointing at it: the inflow phase 0
+        #: re-anchors from.  Near-ties resolve by this order.
+        self._incoming = _rows_by(graph.cons_var, graph.count)
+        #: Rows removed by earlier edits, free for reuse.
+        self._free: list[int] = []
         #: support-graph reverse index (base position -> positions whose
         #: predecessor row hangs off it), built lazily on first use and
         #: then maintained incrementally alongside ``_pred``.
@@ -160,56 +162,46 @@ class IncrementalSolver:
 
     # -- rows -----------------------------------------------------------
 
-    def _attach(self, constraint: Constraint) -> None:
-        """Give ``constraint`` a row: a retired one if any is free."""
-        graph = self._graph
-        index = self.system.var_index
-        var = index[constraint.var]
-        base = index[constraint.base]
-        relax = 1 if constraint.relaxable else 0
+    def live_rows(self, rows) -> list[int]:
+        """The live rows that ``rows`` (row tuples) stand for.
+
+        Per tuple, the first live row based at the same variable that
+        the same rule emitted for the same subjects: a leaf's duration
+        pair by its event, an arc occurrence's rows by the arc and its
+        owner's path.  When an owner lists one arc twice, this names one
+        occurrence's rows.
+        """
+        graph = self.graph
+        codes = graph.cons_code
+        subjects = graph.cons_subject
+        others = graph.cons_other
+        return [next(row for row in graph.out[base]
+                     if codes[row] == code and subjects[row] is subject
+                     and others[row] == other)
+                for _, base, _, _, code, subject, other in rows]
+
+    def _attach(self, values: tuple) -> int:
+        """Give one row tuple a row: a retired one if any is free."""
+        columns = self.graph.columns
         if self._free:
             row = self._free.pop()
-            graph.cons_var[row] = var
-            graph.cons_base[row] = base
-            graph.cons_weight[row] = constraint.weight_ms
-            graph.cons_relax[row] = relax
+            for column, value in zip(columns, values):
+                column[row] = value
             self._skipped[row] = 0
         else:
-            row = len(graph.cons_var)
-            graph.cons_var.append(var)
-            graph.cons_base.append(base)
-            graph.cons_weight.append(constraint.weight_ms)
-            graph.cons_relax.append(relax)
+            row = len(self.graph.cons_var)
+            for column, value in zip(columns, values):
+                column.append(value)
             self._skipped.append(0)
-        graph._constraints[row] = constraint
-        graph.out[base].append(row)
+        var, base = values[0], values[1]
+        self.graph.out[base].append(row)
         self._incoming[var].append(row)
-        self._row_of[id(constraint)] = row
+        return row
 
     def _detach(self, row: int) -> None:
-        graph = self._graph
+        graph = self.graph
         graph.out[graph.cons_base[row]].remove(row)
         self._incoming[graph.cons_var[row]].remove(row)
-        del graph._constraints[row]
-
-    def _extend_arrays(self) -> None:
-        """Grow state for variables a delta interned into the system."""
-        variables = self.system.variables
-        graph = self._graph
-        root_var = self.system.root_begin
-        while len(self._dist) < len(variables):
-            var = variables[len(self._dist)]
-            graph.out.append([])
-            graph._timevars.append(var)
-            self._incoming.append([])
-            self._dist.append(0.0)
-            self._pred.append(-1)
-            if self._dependents is not None:
-                self._dependents.append(set())
-                self._dep_base.append(-1)
-            self._times[var] = 0.0
-            graph.count = len(self._dist)
-            self._attach(_implied_root_arc(var, root_var))
 
     # -- support tracking -----------------------------------------------
 
@@ -217,14 +209,14 @@ class IncrementalSolver:
         """``base position -> dependent positions`` of the support graph.
 
         Built from ``_pred`` on first use; from then on
-        :meth:`_note_support_changes` keeps it current, so removal
-        deltas stop paying an O(V) map rebuild each.
+        :meth:`_note_support_changes` keeps it current, so removals stop
+        paying an O(V) map rebuild each.
         """
         if self._dependents is None:
             count = len(self._pred)
             dependents: list[set[int]] = [set() for _ in range(count)]
             dep_base = [-1] * count
-            cons_base = self._graph.cons_base
+            cons_base = self.graph.cons_base
             for position, row in enumerate(self._pred):
                 if row < 0:
                     continue
@@ -241,7 +233,7 @@ class IncrementalSolver:
             return
         dependents = self._dependents
         dep_base = self._dep_base
-        cons_base = self._graph.cons_base
+        cons_base = self.graph.cons_base
         pred = self._pred
         for position in positions:
             row = pred[position]
@@ -280,59 +272,40 @@ class IncrementalSolver:
     # -- public API -----------------------------------------------------
 
     @property
-    def degraded(self) -> bool:
-        """True when the current solution rests on dropped may arcs."""
-        return bool(self._dropped)
-
-    @property
     def result(self) -> SolverResult:
-        """A snapshot of the current solution."""
-        return SolverResult(times_ms=dict(self._times),
+        """A snapshot of the current solution, over a copy of ``dist``."""
+        return SolverResult(times_ms=DenseTimes(list(self._dist),
+                                                self.graph),
                             dropped=list(self._dropped),
                             iterations=self._iterations)
 
-    def apply(self, delta: ConstraintDelta) -> IncrementalOutcome:
-        """Absorb ``delta``: update the system, then re-relax.
+    def apply(self, retired: list[int], added) -> IncrementalOutcome:
+        """Absorb one edit: detach the ``retired`` rows, attach the
+        ``added`` row tuples, then re-relax.
 
-        The solver owns applying the delta to ``self.system`` (callers
-        must not call ``apply_delta`` separately).  A ``"full"`` outcome
-        means the delta could not be absorbed and the solver is now
-        stale: the caller must discard it and solve a rebuilt system,
-        whose canonical constraint order makes the order-sensitive
-        may-arc drop choices match a from-scratch solve exactly.
+        A ``"full"`` outcome means the edit could not be absorbed and the
+        solver is now stale: the caller must discard it and solve a
+        freshly compiled graph, whose canonical row order makes the
+        order-sensitive may-drop choices match a from-scratch solve
+        exactly.
         """
-        if delta.full_rebuild:
-            raise SchedulingConflict(
-                f"topology delta ({delta.reason}) needs a rebuilt system "
-                f"and a fresh IncrementalSolver")
-        if delta.empty:
-            return IncrementalOutcome("noop", set(), delta.reason)
-
-        removed: list[int] = []
-        for constraint in delta.removed:
-            row = self._row_of.pop(id(constraint), None)
-            if row is not None:
-                self._detach(row)
-                removed.append(row)
-        self.system.remove_all(delta.removed)
-        for constraint in delta.added:
-            self.system.add(constraint)
-        self._extend_arrays()
-        for constraint in delta.added:
-            self._attach(constraint)
-
+        if not (retired or added):
+            return IncrementalOutcome("noop", set())
         if self._dropped:
             return IncrementalOutcome(
                 "full", None,
                 "previous solve dropped may constraints; revalidating")
+        for row in retired:
+            self._detach(row)
+        rows = [self._attach(values) for values in added]
 
-        graph = self._graph
+        graph = self.graph
         dist = self._dist
         pred = self._pred
         skipped = self._skipped
         cons_base = graph.cons_base
         cons_weight = graph.cons_weight
-        affected = self._supported_by(set(removed))
+        affected = self._supported_by(set(retired))
         # Phase 0: re-anchor every affected variable on its unaffected
         # inflow — frontier values are final, and the implied root arc
         # floors everything at 0.  Intra-region inflow is re-derived by
@@ -353,11 +326,10 @@ class IncrementalSolver:
         # Phase 1: topological pass over the region's internal rows.
         _kahn(graph, skipped, dist, pred, members=affected)
         # Phase 2: the cleanup's FIFO mode, plus propagation out of the
-        # region and from any added constraints.
+        # region and from any added rows.
         seeds: set[int] = set(affected)
-        index = self.system.var_index
-        for constraint in delta.added:
-            seeds.add(index[constraint.base])
+        for row in rows:
+            seeds.add(cons_base[row])
         try:
             changed = _cleanup(graph, skipped, dist, pred, seeds)
         except _Infeasible:
@@ -369,24 +341,20 @@ class IncrementalSolver:
         # Phases 0-2 only write predecessors inside the affected region
         # plus the cleanup's changed set; re-index exactly those.
         self._note_support_changes(changed)
-        # Phase 0 re-anchored every variable a removed row supported,
+        # Phase 0 re-anchored every variable a retired row supported,
         # so no predecessor names one any more: they are free for reuse.
-        self._free.extend(removed)
-        variables = self.system.variables
-        changed_vars: set[TimeVar] = set()
-        for position in changed:
-            var = variables[position]
-            self._times[var] = dist[position]
-            changed_vars.add(var)
-        return IncrementalOutcome("incremental", changed_vars, delta.reason)
+        self._free.extend(retired)
+        return IncrementalOutcome("incremental", changed)
 
 
 def check_solution(system: ConstraintSystem, times_ms: dict[TimeVar, float],
                    *, epsilon: float = 1e-6) -> list[Constraint]:
     """Return the constraints ``times_ms`` violates (empty when valid).
 
-    Used by property tests and by the player to audit a perturbed
-    (device-delayed) execution against the document's requirements.
+    The solver tests audit solutions with it: a solve of a feasible
+    system must leave no must constraint violated.  The player audits a
+    played run against its arcs' windows instead
+    (:meth:`~repro.pipeline.program.PlaybackProgram.audit`).
     """
     violations: list[Constraint] = []
     for constraint in system.constraints:

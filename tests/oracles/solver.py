@@ -9,7 +9,15 @@ predecessor cycle walk and may-relaxation loop written over those
 tuples.  :class:`~repro.timing.solver.SolverResult`,
 :class:`~repro.timing.solver.IncrementalOutcome` and the relaxation
 policies are imported from the shipped solver, so results compare
-equal across the two.
+equal across the two (an outcome's ``changed`` holds
+:class:`~repro.timing.constraints.TimeVar` objects here, variable ids
+there).
+
+The retired solver absorbs object-form deltas, and the delta layer it
+reads is the earlier :mod:`repro.timing.constraints` one verbatim:
+:class:`ConstraintDelta`, :class:`ConstraintIndex` (which keys an
+arc's constraints by ``id(arc)``), the three delta builders and
+``remove_all`` (a :class:`ConstraintSystem` method there).
 
 The shipped ``solve``, ``solve_graph`` and ``IncrementalSolver`` must
 reproduce this module's times, drops, conflict cycles, incremental
@@ -21,12 +29,18 @@ modes and changed sets exactly (``tests/test_solver_oracle.py``).
 from __future__ import annotations
 
 import collections
+from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.core.document import CmifDocument
 from repro.core.errors import SchedulingConflict
-from repro.timing.constraints import (Constraint, ConstraintDelta,
-                                      ConstraintKind, ConstraintSystem,
-                                      TimeVar)
+from repro.core.nodes import Node
+from repro.core.paths import node_path
+from repro.core.syncarc import ConditionalArc, SyncArc
+from repro.timing.constraints import (Constraint, ConstraintKind,
+                                      ConstraintSystem, TimeVar,
+                                      _arc_constraints, _duration_pair,
+                                      begin_var, end_var)
 from repro.timing.solver import (IncrementalOutcome, RELAXATION_POLICIES,
                                  RELAX_DROP_LAST, RELAX_DROP_WIDEST,
                                  SolverResult)
@@ -611,7 +625,7 @@ class IncrementalSolver:
         removed_ids = {id(constraint) for constraint in delta.removed}
         for constraint in delta.removed:
             self._detach(constraint)
-        self.system.remove_all(delta.removed)
+        remove_all(self.system, delta.removed)
         for constraint in delta.added:
             self.system.add(constraint)
         self._extend_arrays()
@@ -667,3 +681,139 @@ class IncrementalSolver:
             self._times[var] = self._dist[position]
             changed_vars.add(var)
         return IncrementalOutcome("incremental", changed_vars, delta.reason)
+
+
+# ---------------------------------------------------------------------------
+# Incremental deltas: the constraint-level effect of one authoring edit.
+#
+# The earlier delta layer of :mod:`repro.timing.constraints`, verbatim:
+# each attribute edit in :mod:`repro.core.edit` (retime, add or remove an
+# arc) maps to a small set of added/removed constraints, emitted by the
+# same rule helpers ``build_constraints`` uses.  ``remove_all`` was a
+# :class:`ConstraintSystem` method.
+
+
+def remove_all(system: ConstraintSystem,
+               removed: list["Constraint"]) -> None:
+    """Remove constraints *by identity* in one pass.
+
+    Identity matters: the system may hold several value-equal
+    constraints (two identical arcs on one node, say) and a delta
+    must only take out the instances it names.
+    """
+    removed_ids = {id(constraint) for constraint in removed}
+    system.constraints = [constraint for constraint in system.constraints
+                          if id(constraint) not in removed_ids]
+
+
+@dataclass
+class ConstraintDelta:
+    """Added/removed constraints equivalent to one document edit.
+
+    ``removed`` lists live constraint *instances* from the system being
+    edited (identity, not equality).  ``full_rebuild`` marks edits whose
+    effect cannot be expressed as a local diff; ``reason`` says why, for
+    diagnostics and engine statistics.
+    """
+
+    added: list[Constraint] = field(default_factory=list)
+    removed: list[Constraint] = field(default_factory=list)
+    full_rebuild: bool = False
+    reason: str = ""
+
+    @property
+    def empty(self) -> bool:
+        """True when the edit has no scheduling effect at all."""
+        return not (self.added or self.removed or self.full_rebuild)
+
+    def describe(self) -> str:
+        if self.full_rebuild:
+            return f"full rebuild ({self.reason})"
+        return (f"+{len(self.added)}/-{len(self.removed)} constraints"
+                + (f" ({self.reason})" if self.reason else ""))
+
+
+class ConstraintIndex:
+    """Anchor -> live-constraint lookup kept in sync with a system.
+
+    The delta builders need the *current instances* of the constraints an
+    edit replaces: the two duration constraints of a leaf, or every
+    constraint an explicit arc contributed.  Scanning
+    ``system.constraints`` per edit would cost O(E); this index keeps the
+    lookups O(1) and is updated through :meth:`apply` alongside the
+    system itself.
+    """
+
+    def __init__(self, system: ConstraintSystem) -> None:
+        self._duration: dict[str, list[Constraint]] = {}
+        self._by_arc: dict[int, list[Constraint]] = {}
+        for constraint in system.constraints:
+            self._note(constraint)
+
+    def _note(self, constraint: Constraint) -> None:
+        if constraint.arc is not None:
+            self._by_arc.setdefault(id(constraint.arc), []).append(constraint)
+        elif constraint.kind is ConstraintKind.DURATION:
+            self._duration.setdefault(constraint.var.path,
+                                      []).append(constraint)
+
+    def _forget(self, constraint: Constraint) -> None:
+        if constraint.arc is not None:
+            bucket = self._by_arc.get(id(constraint.arc), [])
+        elif constraint.kind is ConstraintKind.DURATION:
+            bucket = self._duration.get(constraint.var.path, [])
+        else:
+            return
+        for position, candidate in enumerate(bucket):
+            if candidate is constraint:
+                del bucket[position]
+                break
+
+    def duration_constraints(self, leaf_path: str) -> list[Constraint]:
+        """The lower+upper duration constraints of the leaf at ``path``."""
+        return list(self._duration.get(leaf_path, []))
+
+    def arc_constraints(self, arc: SyncArc) -> list[Constraint]:
+        """Every constraint contributed by this arc instance."""
+        return list(self._by_arc.get(id(arc), []))
+
+    def apply(self, delta: ConstraintDelta) -> None:
+        """Track a delta that is being applied to the system."""
+        for constraint in delta.removed:
+            self._forget(constraint)
+        for constraint in delta.added:
+            self._note(constraint)
+
+
+def retime_delta(index: ConstraintIndex, leaf_path: str,
+                 new_duration_ms: float, *,
+                 event_id: str | None = None) -> ConstraintDelta:
+    """The delta for :func:`repro.core.edit.retime` on a leaf.
+
+    Replaces the leaf's lower+upper duration constraints with the pair
+    :func:`build_constraints` emits for the new duration (the note
+    names the leaf's path when ``event_id`` is not given).
+    """
+    added = _duration_pair(begin_var(leaf_path), end_var(leaf_path),
+                           new_duration_ms, event_id or leaf_path)
+    return ConstraintDelta(added=added,
+                           removed=index.duration_constraints(leaf_path),
+                           reason=f"retime {leaf_path}")
+
+
+def add_arc_delta(document: CmifDocument, owner: Node,
+                  arc: SyncArc) -> ConstraintDelta:
+    """The delta for :func:`repro.core.edit.add_arc`: the arc's window
+    constraints as :func:`build_constraints` emits them (an empty delta
+    for a runtime-only conditional arc)."""
+    if isinstance(arc, ConditionalArc):
+        return ConstraintDelta(reason="conditional arc (runtime-only)")
+    return ConstraintDelta(added=_arc_constraints(document, owner, arc),
+                           reason=f"add arc at {node_path(owner)}")
+
+
+def remove_arc_delta(index: ConstraintIndex,
+                     arc: SyncArc) -> ConstraintDelta:
+    """The delta for :func:`repro.core.edit.remove_arc`."""
+    return ConstraintDelta(removed=index.arc_constraints(arc),
+                           reason="remove arc")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.channels import Medium
 from repro.core.errors import MediaError
 from repro.pipeline.capture import CaptureSession
 from repro.pipeline.mapping import StructureMapper

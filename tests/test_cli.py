@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.format.writer import write_document
 
 
 @pytest.fixture(scope="module")

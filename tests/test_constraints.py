@@ -1,9 +1,9 @@
 """Unit tests for constraint building (repro.timing.constraints)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import DocumentBuilder
+from repro.core.descriptors import EventDescriptor
 from repro.core.edit import add_arc, retime
 from repro.core.errors import SchedulingConflict
 from repro.core.paths import node_path, resolve_path
@@ -11,10 +11,12 @@ from repro.core.syncarc import Anchor, ConditionalArc, Strictness, SyncArc
 from repro.core.timebase import MediaTime
 from repro.core.tree import iter_preorder
 from repro.corpus import make_media_document, make_random_document
-from repro.timing import IncrementalScheduler
+from repro.pipeline.patch import PATCHED, LiveEditor
+from repro.timing import IncrementalScheduler, compile_graph, schedule_document
 from repro.timing.constraints import (ConstraintKind, TimeVar, VarKind,
                                       arc_table, begin_var,
                                       build_constraints, end_var)
+from repro.timing.graph import _M_DUR_LOW, _M_DUR_UP
 
 
 def single_channel_seq(count=3, duration=1000.0):
@@ -143,18 +145,19 @@ class TestExplicitArcs:
         assert ConstraintKind.EXPLICIT_ARC not in kinds(system)
 
     def test_conditional_arcs_never_reach_a_static_schedule(self):
-        """The graph compiler and the incremental add-arc delta leave
-        conditional arcs out, as the object builder does."""
+        """The graph compiler and a live add-arc edit leave conditional
+        arcs out, as the object builder does."""
         from repro.core.syncarc import ConditionalArc
         from repro.timing import compile_graph
-        from repro.timing.constraints import add_arc_delta
         document, _builder = two_channel_par()
+        engine = IncrementalScheduler(document)
         b = document.root.child_named("scene").child_named("b")
         arc = ConditionalArc("../a", ".", condition="link")
-        b.add_arc(arc)
+        assert _attached_rows(engine, engine.add_arc, node_path(b),
+                              arc) == ()
+        assert engine.stats.last_mode == "noop"
         graph = compile_graph(document.compile())
         assert ConstraintKind.EXPLICIT_ARC not in kinds(graph.system())
-        assert add_arc_delta(document, b, arc).empty
 
 
 class TestVarsAndTable:
@@ -183,7 +186,7 @@ class TestVarsAndTable:
         assert explicit_rows[0]["max_delay"] == "100ms"
 
 
-# -- incremental deltas: emitted by the builder's own rules ------------------
+# -- live edits: the rows a cold lowering emits -------------------------------
 
 
 def _twins(kind, seed):
@@ -192,18 +195,39 @@ def _twins(kind, seed):
     return make(seed, events=16), make(seed, events=16)
 
 
-def _routed_delta(engine, edit, *args):
-    """Run one engine edit and return the delta it routed to the solver
-    (an edit the solve then finds conflicting still routed one)."""
-    deltas = []
+def _attached_rows(engine, edit, *args):
+    """Run one engine edit and return the row tuples it handed the
+    solver to attach (an edit the solve then finds conflicting still
+    handed them over)."""
+    attached = []
     absorb = engine._absorb
-    engine._absorb = lambda delta: (deltas.append(delta), absorb(delta))
+    engine._absorb = lambda retired, added: (attached.append(added),
+                                             absorb(retired, added))
     try:
         edit(*args)
     except SchedulingConflict:
         pass
-    [delta] = deltas
-    return delta
+    [added] = attached
+    return added
+
+
+def _by_value(row):
+    """A row tuple with its subject compared by value: an event by its
+    id, path and duration (a live retime rewrites only the compiled
+    event's ``duration_ms``), an arc as itself."""
+    var, base, weight, relax, code, subject, other = row
+    if isinstance(subject, EventDescriptor):
+        subject = (subject.event_id, subject.node_path, subject.duration_ms)
+    return var, base, weight, relax, code, subject, other
+
+
+def _cold_rows(document, keep):
+    """The rows a cold ``compile_graph`` of ``document`` emits, as row
+    tuples, for every row ``keep(code, subject, other)`` accepts."""
+    graph = compile_graph(document.compile())
+    rows = [tuple(column[row] for column in graph.columns)
+            for row in range(graph.real_count)]
+    return [row for row in rows if keep(*row[4:])]
 
 
 DOCUMENTS = {"kind": st.sampled_from(["media", "random"]),
@@ -215,18 +239,19 @@ TIMES = st.floats(0.0, 5000.0, allow_nan=False)
 @given(**DOCUMENTS, pick=st.integers(0, 10_000), duration=TIMES)
 def test_retime_delta_adds_what_build_constraints_emits(kind, seed, pick,
                                                         duration):
+    """A live retime attaches the duration pair a cold lowering of the
+    retimed twin emits (the rule ``build_constraints`` pins it to)."""
     document, twin = _twins(kind, seed)
     engine = IncrementalScheduler(document)
     paths = [event.node_path for event in engine.compiled.events]
     path = paths[pick % len(paths)]
-    delta = _routed_delta(engine, engine.retime, path, duration)
+    added = _attached_rows(engine, engine.retime, path, duration)
     retime(twin, path, duration)
-    emitted = [constraint for constraint
-               in build_constraints(twin.compile()).constraints
-               if constraint.kind is ConstraintKind.DURATION
-               and constraint.var.path == path]
+    emitted = _cold_rows(twin, lambda code, subject, other:
+                         code in (_M_DUR_LOW, _M_DUR_UP)
+                         and subject.node_path == path)
     assert len(emitted) == 2
-    assert delta.added == emitted
+    assert list(map(_by_value, added)) == list(map(_by_value, emitted))
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,6 +263,8 @@ def test_retime_delta_adds_what_build_constraints_emits(kind, seed, pick,
 def test_add_arc_delta_adds_what_build_constraints_emits(
         kind, seed, picks, anchors, strictness, offset, min_delay, width,
         conditional):
+    """A live arc add attaches the rows a cold lowering of the twin
+    emits for that arc occurrence, and none for a conditional arc."""
     document, twin = _twins(kind, seed)
     engine = IncrementalScheduler(document)
     paths = [node_path(node) for node in iter_preorder(document.root)]
@@ -249,12 +276,54 @@ def test_add_arc_delta_adds_what_build_constraints_emits(
                   min_delay=MediaTime.ms(-min_delay),
                   max_delay=None if width is None else MediaTime.ms(width))
     arc_type = ConditionalArc if conditional else SyncArc
-    delta = _routed_delta(engine, engine.add_arc, owner, arc_type(**fields))
+    added = _attached_rows(engine, engine.add_arc, owner, arc_type(**fields))
     add_arc(twin, owner, arc_type(**fields))
     twin_arc = resolve_path(twin.root, owner).arcs[-1]
-    emitted = [constraint for constraint
-               in build_constraints(twin.compile()).constraints
-               if constraint.arc is twin_arc]
+    emitted = _cold_rows(twin, lambda code, subject, other:
+                         subject is twin_arc and other == owner)
     assert len(emitted) == (0 if conditional else 1 if width is None
                             else 2)
-    assert delta.added == emitted
+    assert list(added) == emitted
+
+
+# -- one arc listed twice: a removal takes out one occurrence -----------------
+
+
+def _assert_matches_a_cold_solve(schedule, document):
+    cold = schedule_document(document.compile())
+    assert schedule.times_ms == cold.times_ms
+    assert ([(e.event.node_path, e.begin_ms, e.end_ms)
+             for e in schedule.events]
+            == [(e.event.node_path, e.begin_ms, e.end_ms)
+                for e in cold.events])
+
+
+def test_removing_a_duplicated_arc_keeps_the_copy_of_it():
+    """``duplicate`` copies a subtree's arcs by reference, so the copy
+    lists the original's arc instance; removing the original's
+    occurrence must keep the copy's rows."""
+    document = make_media_document(7, events=20)
+    editor = LiveEditor(document)
+    for spec in ({"op": "add_arc", "owner": "/#3", "source": "e3",
+                  "destination": "e4", "src_anchor": "begin",
+                  "dst_anchor": "begin", "strictness": "must",
+                  "offset_ms": 5000.0, "max_delay_ms": None},
+                 {"op": "duplicate", "path": "/#3", "name": "copy"},
+                 {"op": "remove_arc", "owner": "/#3", "index": 1}):
+        record = editor.apply(spec)
+    assert record.mode == PATCHED
+    _assert_matches_a_cold_solve(editor.schedule, document)
+
+
+def test_removing_one_listing_of_an_arc_keeps_the_other():
+    document, _builder = two_channel_par()
+    engine = IncrementalScheduler(document)
+    arc = SyncArc(source="a", destination="b", src_anchor=Anchor.BEGIN,
+                  dst_anchor=Anchor.BEGIN, offset=MediaTime.ms(3000.0),
+                  min_delay=MediaTime.ms(0.0), max_delay=None)
+    engine.add_arc("/scene", arc)
+    engine.add_arc("/scene", arc)
+    engine.remove_arc("/scene", 0)
+    assert engine.stats.last_mode == "incremental"
+    assert engine.schedule.node_begin_ms("/scene/b") == 3000.0
+    _assert_matches_a_cold_solve(engine.schedule, document)

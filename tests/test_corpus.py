@@ -7,7 +7,7 @@ fine-grained counterpart of the fig-10 bench.
 
 import pytest
 
-from repro.corpus import (make_news_document, make_paintings_fragment)
+from repro.corpus import make_paintings_fragment
 from repro.corpus.generate import (make_deep_document, make_flat_document,
                                    make_random_document)
 from repro.timing import schedule_document

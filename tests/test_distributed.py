@@ -5,7 +5,6 @@ import pytest
 from repro.core.channels import Medium
 from repro.core.descriptors import DataDescriptor
 from repro.core.errors import StoreError
-from repro.media import make_text_block
 from repro.pipeline.capture import CaptureSession
 from repro.store import (DataStore, FederatedStore, NetworkModel, Site)
 

@@ -1,9 +1,11 @@
-"""Import hygiene of the ``repro`` package.
+"""Import hygiene of the ``repro`` package and the code around it.
 
 Every name a module lists in ``__all__`` must resolve, and no module may
 import a name it never uses: an unused import is either dead code left
 behind by a deletion or a re-export nobody documented.  The re-exports
 ``repro.timing.solver`` documents in its docstring are the exceptions.
+The unused-import rule holds for every Python file under ``tests/``,
+``benchmarks/`` and ``examples/`` too.
 """
 
 import ast
@@ -18,6 +20,10 @@ import repro
 SOURCE = Path(repro.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.walk_packages(
     repro.__path__, prefix="repro."))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(path.relative_to(ROOT).as_posix()
+                 for folder in ("tests", "benchmarks", "examples")
+                 for path in (ROOT / folder).rglob("*.py"))
 
 #: Documented re-exports: imported for importers, not for the module.
 RE_EXPORTS = {
@@ -97,11 +103,26 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def _unused_imports(path: Path, re_exports: set[str]) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree) | re_exports
+    return sorted(f"{name} (line {line})"
+                  for name, line in _imported_names(tree).items()
+                  if name not in used)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_a_name_it_never_uses(module):
-    tree = ast.parse(_source_path(module).read_text(encoding="utf-8"))
-    used = _used_names(tree) | RE_EXPORTS.get(module, set())
-    unused = sorted(f"{name} (line {line})"
-                    for name, line in _imported_names(tree).items()
-                    if name not in used)
-    assert unused == []
+    assert _unused_imports(_source_path(module),
+                           RE_EXPORTS.get(module, set())) == []
+
+
+def test_every_script_is_found():
+    assert "tests/test_exports.py" in SCRIPTS
+    assert any(script.startswith("benchmarks/") for script in SCRIPTS)
+    assert any(script.startswith("examples/") for script in SCRIPTS)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_script_imports_a_name_it_never_uses(script):
+    assert _unused_imports(ROOT / script, set()) == []

@@ -36,8 +36,7 @@ from repro.faults import (FAULTS_ENV, STANDARD_PLAN_SPEC, CircuitBreaker,
                           resolve_faults, run_sharded)
 from repro.pipeline.capture import CaptureSession
 from repro.serving import SessionEngine
-from repro.store import (DataStore, FederatedStore, NetworkModel,
-                         SiteUnavailable, Site)
+from repro.store import DataStore, FederatedStore, NetworkModel, Site
 from repro.transport.environments import PROFILES
 from repro.transport.package import pack, unpack
 

@@ -559,6 +559,28 @@ def test_both_players_refuse_an_overflowing_rate_alike():
     assert "rate" in str(compiled.value)
 
 
+@pytest.mark.parametrize("controls", [
+    {"freeze_at_ms": 0.0, "freeze_duration_ms": math.inf},
+    {"freeze_at_ms": 0.0, "freeze_duration_ms": math.nan},
+    {"freeze_at_ms": 0.0, "freeze_duration_ms": -5.0},
+    {"freeze_at_ms": -10.0, "freeze_duration_ms": 500.0},
+    {"freeze_at_ms": math.nan, "freeze_duration_ms": 500.0},
+    {"freeze_at_ms": math.inf, "freeze_duration_ms": 500.0},
+], ids=["hold-inf", "hold-nan", "hold-negative", "point-negative",
+        "point-nan", "point-inf"])
+def test_both_players_refuse_a_bad_freeze_alike(controls):
+    schedule = schedule_document(
+        make_media_document(1, events=20).compile())
+    with pytest.raises(PlaybackError) as compiled:
+        BatchPlayer(schedule, WORKSTATION).run_one(**controls)
+    with pytest.raises(PlaybackError) as reference:
+        Player(WORKSTATION).play_reference(schedule, **controls)
+    message = str(compiled.value)
+    assert message == str(reference.value)
+    assert "freeze" in message
+    assert not re.search(r"\b(inf|nan)\b|-5|-10", message)
+
+
 #: Each float-typed flag's command line, the flags it takes last.
 FLOAT_FLAG_COMMANDS = (
     (("schedule", "{package}"), ("--slot-ms",)),

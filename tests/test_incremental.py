@@ -23,10 +23,9 @@ from repro.core.edit import add_arc, remove_arc, retime
 from repro.core.errors import SchedulingConflict, StructureError
 from repro.core.syncarc import Strictness, SyncArc
 from repro.core.timebase import MediaTime
-from repro.timing import (ConstraintIndex, IncrementalScheduler,
-                          IncrementalSolver, ScheduleCache,
-                          build_constraints, check_solution,
-                          retime_delta, schedule_document, solve)
+from repro.timing import (IncrementalScheduler, IncrementalSolver,
+                          ScheduleCache, build_constraints, check_solution,
+                          schedule_document, solve)
 
 _MEDIA = ("video", "audio", "image", "text")
 
@@ -241,18 +240,29 @@ def test_must_conflict_raises_and_recovers():
 # -- solver-level API --------------------------------------------------------
 
 
+def _retime_rows(solver, compiled, path, duration_ms):
+    """The rows a retime of the leaf at ``path`` retires and adds, as
+    the scheduler finds and emits them."""
+    from repro.core.paths import resolve_path
+    from repro.timing.graph import _duration_rows
+    event = compiled.event_for(resolve_path(compiled.document.root, path))
+    event.duration_ms = duration_ms
+    graph = solver.graph
+    slot = graph.slots[path]
+    rows = _duration_rows(event, graph.begin_ids[slot], graph.end_ids[slot])
+    return solver.live_rows(rows), rows
+
+
 def test_incremental_solver_matches_solve_exactly():
+    from repro.timing import compile_graph
     document = _make_document(7)
-    system = build_constraints(document.compile())
-    solver = IncrementalSolver(system)
+    compiled = document.compile()
+    solver = IncrementalSolver(compile_graph(compiled))
     assert solver.result.times_ms == solve(
         build_constraints(document.compile())).times_ms
 
-    index = ConstraintIndex(system)
     path = _leaf_paths(document)[3]
-    delta = retime_delta(index, path, 1234.0)
-    index.apply(delta)
-    outcome = solver.apply(delta)
+    outcome = solver.apply(*_retime_rows(solver, compiled, path, 1234.0))
     assert outcome.mode == "incremental"
     retime(document, path, 1234.0)
     reference = solve(build_constraints(document.compile()))
@@ -289,20 +299,26 @@ def test_removal_sequences_keep_dependents_index_consistent():
 
 
 def test_retime_delta_replaces_duration_pair():
+    from repro.timing import compile_graph
     document = _make_document(8)
-    system = build_constraints(document.compile())
-    index = ConstraintIndex(system)
+    compiled = document.compile()
+    solver = IncrementalSolver(compile_graph(compiled))
+    graph = solver.graph
     path = _leaf_paths(document)[0]
-    old_pair = index.duration_constraints(path)
-    assert len(old_pair) == 2
-    delta = retime_delta(index, path, 555.0)
-    assert delta.removed == old_pair
-    assert {c.weight_ms for c in delta.added} == {555.0, -555.0}
-    before = len(system.constraints)
-    system.apply_delta(delta)
-    index.apply(delta)
-    assert len(system.constraints) == before
-    assert index.duration_constraints(path) == delta.added
+    old_pair, added = _retime_rows(solver, compiled, path, 555.0)
+    assert len(set(old_pair)) == 2
+    assert {row[2] for row in added} == {555.0, -555.0}
+    rows, live = len(graph.cons_var), sum(map(len, graph.out))
+    solver.apply(old_pair, added)
+    # The old pair left the graph and the new one is live in its place.
+    assert sum(map(len, graph.out)) == live
+    new_pair = solver.live_rows(added)
+    assert sorted(new_pair) == [rows, rows + 1]
+    assert [graph.cons_weight[row] for row in new_pair] == [555.0, -555.0]
+    # A later edit reuses the retired rows: the table does not grow.
+    solver.apply(*_retime_rows(solver, compiled, path, 777.0))
+    assert len(graph.cons_var) == rows + 2
+    assert sorted(solver.live_rows(added)) == sorted(old_pair)
 
 
 # -- the revision counter and the schedule cache ------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.corpus import make_news_document
 from repro.pipeline import run_pipeline
 from repro.timing import schedule_document
 from repro.transport import (PERSONAL_SYSTEM, WORKSTATION, negotiate,

@@ -60,18 +60,6 @@ class TestOperations:
     def test_shift_unbounded(self):
         assert Window(10.0, None).shifted(5.0).high_ms is None
 
-    def test_intersect(self):
-        overlap = Window(0.0, 10.0).intersect(Window(5.0, 20.0))
-        assert (overlap.low_ms, overlap.high_ms) == (5.0, 10.0)
-
-    def test_intersect_with_unbounded(self):
-        overlap = Window(0.0, None).intersect(Window(5.0, 8.0))
-        assert (overlap.low_ms, overlap.high_ms) == (5.0, 8.0)
-
-    def test_disjoint_intersection_raises(self):
-        with pytest.raises(SyncArcError, match="do not intersect"):
-            Window(0.0, 1.0).intersect(Window(2.0, 3.0))
-
     def test_str_rendering(self):
         assert "inf" in str(Window(1.0, None))
 

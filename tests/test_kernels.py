@@ -14,8 +14,7 @@ import pytest
 from repro.corpus.generate import make_media_document
 from repro.corpus.ingest import INGEST_STAGES, generate_corpus, ingest_corpus
 from repro.kernel import (HAVE_NUMPY, KERNEL_ENV, KernelError,
-                          PYTHON_KERNEL, KernelError as _KernelError,
-                          resolve_kernel)
+                          PYTHON_KERNEL, resolve_kernel)
 from repro.pipeline.program import BatchPlayer
 from repro.serving.engine import SessionEngine
 from repro.transport.environments import PROFILES, WORKSTATION

@@ -11,7 +11,6 @@ touches other documents' entries, and the serving ``edit_script``
 entry point.
 """
 
-import copy
 import dataclasses
 import random
 

@@ -20,9 +20,8 @@ from repro.core.edit import retime
 from repro.core.errors import NavigationError, PathError
 from repro.core.syncarc import ConditionalArc
 from repro.corpus.generate import make_linked_document
-from repro.pipeline.navprogram import (NAVIGATION_TAG,
-                                       compile_navigation,
-                                       navigation_for, random_trace)
+from repro.pipeline.navprogram import (compile_navigation, navigation_for,
+                                       random_trace)
 from repro.pipeline.program import BatchPlayer, ProgramCache
 from repro.timing import schedule_document
 from tests.oracles.navigation import NavigationSession

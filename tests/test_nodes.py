@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.errors import StructureError
-from repro.core.nodes import (ExtNode, ImmNode, Node, NodeKind, ParNode,
-                              SeqNode, make_node)
+from repro.core.nodes import (ExtNode, ImmNode, NodeKind, ParNode, SeqNode,
+                              make_node)
 from repro.core.styles import StyleDictionary
 from repro.core.syncarc import SyncArc
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
-from repro.core.errors import StoreError
 from repro.corpus.workload import (WorkloadSpec, build_workload,
                                    run_workload, serve_workload)
 from repro.faults import CircuitBreaker, parse_fault_plan

@@ -8,7 +8,7 @@ from repro.core.errors import PlaybackError
 from repro.core.timebase import MediaTime
 from repro.pipeline.player import Player
 from repro.timing import schedule_document
-from repro.transport.environments import SystemEnvironment, WORKSTATION
+from repro.transport.environments import SystemEnvironment
 
 PERFECT = SystemEnvironment(name="perfect", jitter_ms=0.0)
 

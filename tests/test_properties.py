@@ -169,24 +169,6 @@ window_bounds = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 @settings(max_examples=100, deadline=None)
-@given(window_bounds, window_bounds, window_bounds, window_bounds)
-def test_window_intersection_commutes(a_low, a_width, b_low, b_width):
-    from repro.core.errors import SyncArcError
-    first = Window(a_low, a_low + abs(a_width))
-    second = Window(b_low, b_low + abs(b_width))
-    try:
-        ab = first.intersect(second)
-    except SyncArcError:
-        try:
-            second.intersect(first)
-        except SyncArcError:
-            return
-        raise AssertionError("intersection emptiness not symmetric")
-    ba = second.intersect(first)
-    assert (ab.low_ms, ab.high_ms) == (ba.low_ms, ba.high_ms)
-
-
-@settings(max_examples=100, deadline=None)
 @given(window_bounds, st.floats(min_value=0, max_value=1e5,
                                 allow_nan=False), window_bounds)
 def test_window_contains_iff_violation_zero(low, width, probe):

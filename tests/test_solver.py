@@ -7,8 +7,7 @@ from repro.core.errors import SchedulingConflict
 from repro.core.timebase import MediaTime
 from repro.timing.constraints import (begin_var, build_constraints,
                                       end_var)
-from repro.timing.solver import (RELAX_DROP_LAST, RELAX_DROP_WIDEST,
-                                 check_solution, solve)
+from repro.timing.solver import RELAX_DROP_WIDEST, check_solution, solve
 
 
 def seq_doc(durations, channel="v"):

@@ -12,9 +12,11 @@ retired solver exactly:
   iterations and dropped constraints, or the same conflict message and
   cycle;
 * seeded edit scripts (retimes, adds and removes of bounded and
-  unbounded must and may arcs) through the shipped and the retired
-  ``IncrementalSolver`` over twin systems — same mode, changed set and
-  result after every delta, both rebuilt after a ``"full"`` outcome;
+  unbounded must and may arcs) through the shipped ``IncrementalSolver``,
+  fed the rows each edit retires and adds on a ``compile_graph``
+  lowering, and the retired one, fed the object-form deltas — same
+  mode, changed set and result after every edit, both rebuilt after a
+  ``"full"`` outcome;
 * the incremental solver's row table stays bounded across thousands of
   add/remove cycles.
 
@@ -34,15 +36,14 @@ from repro.core.syncarc import Strictness, SyncArc
 from repro.core.timebase import MediaTime
 from repro.corpus import (make_deep_document, make_flat_document,
                           make_media_document, make_random_document)
-from repro.timing import (ConstraintIndex, ConstraintKind,
-                          IncrementalSolver, RELAX_DROP_LAST,
-                          RELAX_DROP_WIDEST, add_arc_delta,
-                          build_constraints, compile_graph,
-                          remove_arc_delta, retime_delta, solve,
+from repro.timing import (ConstraintKind, IncrementalSolver,
+                          RELAX_DROP_LAST, RELAX_DROP_WIDEST,
+                          build_constraints, compile_graph, solve,
                           solve_graph)
+from repro.timing.graph import _arc_rows
 from tests.oracles import solver as oracle
 from tests.test_graph_solver import _conflicted_document, _two_may_document
-from tests.test_incremental import _leaf_paths, _make_document
+from tests.test_incremental import _leaf_paths, _make_document, _retime_rows
 
 POLICIES = (RELAX_DROP_LAST, RELAX_DROP_WIDEST)
 BUDGETS = (0, 1, None)
@@ -188,43 +189,58 @@ class TestColdSolves:
 
 
 class _Twins:
-    """The shipped and the retired incremental solver over twin systems."""
+    """The shipped incremental solver on a compiled graph's rows and the
+    retired one on an object-form system, for one document revision."""
 
     def __init__(self, document, policy: str) -> None:
-        compiled = document.compile()
+        self.compiled = document.compile()
+        system = build_constraints(document.compile())
+        self.index = oracle.ConstraintIndex(system)
         self.pairs = []
         errors = []
-        for solver_class in (IncrementalSolver, oracle.IncrementalSolver):
-            system = build_constraints(compiled)
+        for make in (lambda: IncrementalSolver(compile_graph(self.compiled),
+                                               relaxation_policy=policy),
+                     lambda: oracle.IncrementalSolver(
+                         system, relaxation_policy=policy)):
             try:
-                solver = solver_class(system, relaxation_policy=policy)
+                self.pairs.append(make())
             except SchedulingConflict as error:
                 errors.append(error)
-                continue
-            self.pairs.append((solver, ConstraintIndex(system)))
         assert len(errors) in (0, 2), "only one solver found a conflict"
         if errors:
             assert str(errors[0]) == str(errors[1])
             self.pairs = []
         else:
-            assert self.pairs[0][0].result == self.pairs[1][0].result
+            assert self.pairs[0].result == self.pairs[1].result
 
-    def apply(self, make_delta) -> str:
-        outcomes = []
-        for solver, index in self.pairs:
-            delta = make_delta(index)
-            index.apply(delta)
-            outcomes.append(solver.apply(delta))
-        mine, theirs = outcomes
+    def apply(self, make_rows, make_delta) -> str:
+        """``make_rows(solver, compiled)`` gives the shipped solver the
+        rows an edit retires and adds; ``make_delta(index)`` gives the
+        retired one the same edit's delta."""
+        mine_solver, their_solver = self.pairs
+        mine = mine_solver.apply(*make_rows(mine_solver, self.compiled))
+        delta = make_delta(self.index)
+        self.index.apply(delta)
+        theirs = their_solver.apply(delta)
         assert mine.mode == theirs.mode, (mine.reason, theirs.reason)
-        assert mine.changed == theirs.changed
+        timevar = mine_solver.graph.timevar
+        assert (None if mine.changed is None
+                else {timevar(var) for var in mine.changed}) \
+            == theirs.changed
         if mine.mode != "full":
-            assert self.pairs[0][0].result == self.pairs[1][0].result
+            assert mine_solver.result == their_solver.result
         return mine.mode
 
 
+def _root_arc_rows(solver, compiled, arc: SyncArc):
+    """The rows ``arc`` contributes when the root lists it."""
+    seq_of = {id(node): seq for seq, node in enumerate(compiled.nodes)}
+    return _arc_rows(solver.graph, compiled.document.root, "/", arc, seq_of,
+                     compiled.document.timebase)
+
+
 def _drive_edit_script(seed: int, policy: str, steps: int = 40) -> dict:
-    """Edit one document; every delta goes through both solvers."""
+    """Edit one document; every edit goes through both solvers."""
     rng = random.Random(seed)
     document = _make_document(seed, sections=5, events_per=8)
     leaves = _leaf_paths(document)
@@ -238,27 +254,37 @@ def _drive_edit_script(seed: int, policy: str, steps: int = 40) -> dict:
             duration = float(rng.randrange(100, 3000))
             retime(document, path, MediaTime.ms(duration))
 
+            def make_rows(solver, compiled, path=path, duration=duration):
+                return _retime_rows(solver, compiled, path, duration)
+
             def make_delta(index, path=path, duration=duration):
-                return retime_delta(index, path, duration)
+                return oracle.retime_delta(index, path, duration)
         elif roll < 0.7 or not root.arcs:
             arc = _script_arc(rng, leaves)
             add_arc(document, "/", arc)
 
+            def make_rows(solver, compiled, arc=arc):
+                return [], _root_arc_rows(solver, compiled, arc)
+
             def make_delta(index, arc=arc):
-                return add_arc_delta(document, root, arc)
+                return oracle.add_arc_delta(document, root, arc)
         else:
             position = rng.randrange(len(root.arcs))
             arc = root.arcs[position]
             remove_arc(document, "/", position)
 
+            def make_rows(solver, compiled, arc=arc):
+                rows = _root_arc_rows(solver, compiled, arc)
+                return solver.live_rows(rows), ()
+
             def make_delta(index, arc=arc):
-                return remove_arc_delta(index, arc)
+                return oracle.remove_arc_delta(index, arc)
         if not twins.pairs:
             # The last rebuild conflicted: rebuild again after this edit.
             twins = _Twins(document, policy)
             modes["conflict"] += not twins.pairs
             continue
-        mode = twins.apply(make_delta)
+        mode = twins.apply(make_rows, make_delta)
         modes[mode] += 1
         if mode == "full":
             twins = _Twins(document, policy)
@@ -285,11 +311,9 @@ class TestIncrementalSolves:
 
 def test_row_table_stays_bounded_across_add_remove_cycles():
     document = _make_document(5, sections=3, events_per=6)
-    system = build_constraints(document.compile())
-    index = ConstraintIndex(system)
-    solver = IncrementalSolver(system)
+    compiled = document.compile()
+    solver = IncrementalSolver(compile_graph(compiled))
     unedited = solver.result
-    root = document.root
     leaves = _leaf_paths(document)
 
     def add_then_remove(cycle: int) -> None:
@@ -298,16 +322,14 @@ def test_row_table_stays_bounded_across_add_remove_cycles():
         arc = SyncArc(source=leaves[0], destination=leaves[-1],
                       offset=MediaTime.ms(float(20000 + cycle % 7)),
                       max_delay=(MediaTime.ms(1e6) if cycle % 2 else None))
-        for make_delta in (lambda: add_arc_delta(document, root, arc),
-                           lambda: remove_arc_delta(index, arc)):
-            delta = make_delta()
-            index.apply(delta)
-            assert solver.apply(delta).mode == "incremental"
+        rows = _root_arc_rows(solver, compiled, arc)
+        assert solver.apply([], rows).mode == "incremental"
+        assert solver.apply(solver.live_rows(rows), ()).mode == "incremental"
         assert solver.result == unedited
 
     for cycle in range(10):
         add_then_remove(cycle)
-    rows_after_ten = len(solver._graph.cons_var)
+    rows_after_ten = len(solver.graph.cons_var)
     for cycle in range(10, 2000):
         add_then_remove(cycle)
-    assert len(solver._graph.cons_var) <= rows_after_ten
+    assert len(solver.graph.cons_var) <= rows_after_ten

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import SyncArcError
 from repro.core.syncarc import (Anchor, ConditionalArc, Strictness, SyncArc)
-from repro.core.timebase import MediaTime, TimeBase, Unit
+from repro.core.timebase import MediaTime, TimeBase
 
 
 class TestEnums:

@@ -116,13 +116,6 @@ class TestRect:
         assert outer.contains(Rect(10, 10, 20, 20))
         assert not outer.contains(Rect(90, 90, 20, 20))
 
-    def test_intersect_overlapping(self):
-        overlap = Rect(0, 0, 10, 10).intersect(Rect(5, 5, 10, 10))
-        assert overlap == Rect(5, 5, 5, 5)
-
-    def test_intersect_disjoint_is_none(self):
-        assert Rect(0, 0, 5, 5).intersect(Rect(10, 10, 5, 5)) is None
-
     def test_scaled(self):
         scaled = Rect(2, 2, 10, 10).scaled(0.5)
         assert scaled == Rect(1, 1, 5, 5)
